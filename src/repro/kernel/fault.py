@@ -355,12 +355,12 @@ def _bulk_base_fault(
         if content is not None:
             _write_content_run(kernel, start, take, content)
         if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
-            # Per-page events, identical to the scalar loop's stream: same
-            # kind, process, vpn order and span (per_page is exactly the
-            # scalar latency — the bulk path has no backing hook or swap).
-            for i in range(take):
-                tp.emit(trace.TraceKind.FAULT_BASE, proc.name, per_page,
-                        vpn0 + done + i)
+            # One run of per-page events, equivalent to the scalar loop's
+            # stream: same kind, process, vpn order and span (per_page is
+            # exactly the scalar latency — the bulk path has no backing
+            # hook or swap); emit_run builds only the events it keeps.
+            tp.emit_run(trace.TraceKind.FAULT_BASE, proc.name, per_page,
+                        vpn0 + done, take)
         run_us = take * per_page
         total += take * inc
         done += take

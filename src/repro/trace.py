@@ -32,7 +32,10 @@ emission and therefore stay exact even when the event list saturates.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -93,6 +96,10 @@ class TraceKind(enum.Enum):
     # `key=value;…` pairs rendered as Perfetto counter tracks.
     HEAT_WSS = "heat.wss"
 
+    # Members are singletons, so identity hashing is exact; it replaces
+    # Enum's Python-level ``hash(self._name_)`` on every counter update.
+    __hash__ = object.__hash__
+
     @property
     def subsystem(self) -> str:
         """Attribution group: the part of the name before the first dot."""
@@ -129,6 +136,15 @@ class TraceEvent:
         )
 
 
+def _repeat_add(total: float, value: float, n: int) -> float:
+    """``total`` plus ``value`` added ``n`` times, one addition at a time.
+
+    Bit-identical to ``for _ in range(n): total += value`` (never
+    ``total + n * value``, which rounds differently), with the loop in C.
+    """
+    return functools.reduce(operator.add, itertools.repeat(value, n), total)
+
+
 class LatencyHistogram:
     """Power-of-two latency buckets, like ``perf``'s log2 histograms.
 
@@ -158,6 +174,26 @@ class LatencyHistogram:
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
         self.count += 1
         self.total_us += span_us
+        if span_us < self.min_us:
+            self.min_us = span_us
+        if span_us > self.max_us:
+            self.max_us = span_us
+
+    def add_run(self, span_us: float, n: int) -> None:
+        """Record ``n`` samples of one value: exactly ``n`` :meth:`add` calls.
+
+        :meth:`add` stays a separate inline body: it runs once per emitted
+        event, where one more call level would double its cost.
+        """
+        if n <= 0:
+            return
+        if span_us <= 0.0:
+            idx = self.ZERO_BUCKET
+        else:
+            idx = math.frexp(span_us)[1] - 1
+        self.buckets[idx] = self.buckets.get(idx, 0) + n
+        self.count += n
+        self.total_us = _repeat_add(self.total_us, span_us, n)
         if span_us < self.min_us:
             self.min_us = span_us
         if span_us > self.max_us:
@@ -244,14 +280,16 @@ class LatencyHistogram:
 
 
 class Tracer:
-    """Per-kernel tracepoint sink: ring buffer, exact counters, consumers.
+    """Per-kernel tracepoint sink: bounded buffer, exact counters, consumers.
 
-    The event list is bounded by ``capacity``; once full, **new events are
-    dropped** (and counted in :attr:`dropped`) — the per-kind counters,
-    span totals and histograms keep updating, so :meth:`attribution`
-    remains exact regardless of drops.  ``consumers`` receive every event
-    (drops included) and back live consumers such as
-    :class:`repro.metrics.events.EventLog`.
+    The event list keeps the *first* ``capacity`` events; once full, **new
+    events are dropped** (and counted in :attr:`dropped`) — the per-kind
+    counters, span totals and histograms keep updating, so
+    :meth:`attribution` remains exact regardless of drops.  ``consumers``
+    receive every event (drops included) and back live consumers such as
+    :class:`repro.metrics.events.EventLog`.  :meth:`emit_run` records a
+    run of identical events on consecutive pages in one call, with the
+    same result as emitting them one by one.
     """
 
     def __init__(self, kernel: "Kernel", capacity: int = DEFAULT_CAPACITY,
@@ -293,17 +331,61 @@ class Tracer:
         if len(self.events) < self.capacity:
             self.events.append(event)
         else:
-            self.dropped += 1
-            if not self._warned_drop:
-                self._warned_drop = True
-                warnings.warn(
-                    f"trace ring buffer full ({self.capacity} events): "
-                    "dropping new events (counters stay exact)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            self._drop(1)
         for consumer in self.consumers:
             consumer(event)
+
+    def emit_run(
+        self,
+        kind: TraceKind,
+        process: str,
+        span_us: float,
+        page0: int,
+        n: int,
+    ) -> None:
+        """Emit ``n`` events on consecutive pages ``page0 .. page0 + n - 1``.
+
+        Exactly equivalent to ``n`` calls ``emit(kind, process, span_us,
+        page0 + i)``: the same counts, span totals (accumulated by ``n``
+        sequential additions), histogram, buffered events, drop count and
+        one-time warning.  Only the events that still fit under
+        ``capacity`` are built; with subscribed consumers it falls back
+        to per-event emission so each consumer sees every event in order.
+        """
+        if self.consumers:
+            for i in range(n):
+                self.emit(kind, process, span_us, page0 + i)
+            return
+        if n <= 0:
+            return
+        self.counts[kind] = self.counts.get(kind, 0) + n
+        self.spans[kind] = _repeat_add(self.spans.get(kind, 0.0), span_us, n)
+        if span_us > 0.0:
+            hist = self.histograms.get(kind)
+            if hist is None:
+                hist = self.histograms[kind] = LatencyHistogram()
+            hist.add_run(span_us, n)
+        kept = max(0, min(n, self.capacity - len(self.events)))
+        if kept:
+            now_us = self.kernel.now_us
+            self.events.extend(
+                TraceEvent(now_us, kind, process, span_us, page)
+                for page in range(page0, page0 + kept)
+            )
+        if kept < n:
+            self._drop(n - kept)
+
+    def _drop(self, n: int) -> None:
+        """Count ``n`` events that found the buffer full; warn the first time."""
+        self.dropped += n
+        if not self._warned_drop:
+            self._warned_drop = True
+            warnings.warn(
+                f"trace ring buffer full ({self.capacity} events): "
+                "dropping new events (counters stay exact)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     def subscribe(self, consumer: Callable[[TraceEvent], None]) -> None:
         """Register a callable invoked for every emitted event."""

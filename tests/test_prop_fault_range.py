@@ -13,6 +13,12 @@ The equivalence extends to the tracepoint stream: both paths must emit
 the *same events in the same order* — kind, process, page and detail
 exactly equal, spans equal up to the same float-rounding tolerance — so
 a trace of a batched run explains it as faithfully as a scalar one.
+The tracer's aggregate state must match too: per-kind counts exactly,
+the ``fault.base`` span total and histogram exactly, and the other
+kinds' spans and histogram moments within the same tolerance.
+A small-capacity variant moves the buffer-full boundary inside bulk
+runs, where the batched path builds only the events that still fit:
+the kept events and the drop count must match the scalar stream's.
 
 Budget stops are covered deterministically in ``tests/test_fault_range``
 (a razor-edge budget that is an exact float multiple of the per-page
@@ -74,11 +80,11 @@ ops_strategy = st.lists(
 )
 
 
-def _build(policy_name: str, batched: bool):
+def _build(policy_name: str, batched: bool, capacity: int = trace.DEFAULT_CAPACITY):
     Process._next_pid = 1  # class-global counter: reset so owner arrays compare
     kernel = Kernel(KernelConfig(mem_bytes=16 * MB), POLICIES[policy_name](Scale(1 / 128)))
     kernel.batched_faults = batched
-    tracer = trace.attach(kernel)
+    tracer = trace.attach(kernel, capacity, warn_on_drop=False)
     run = kernel.spawn(_Idle())
     proc = run.proc
     kernel.mmap(proc, REGION_PAGES * 4096, "heap")
@@ -143,6 +149,32 @@ def _snapshot(kernel, proc) -> dict:
     }
 
 
+def _assert_tracers_match(ts, tb, policy_name: str) -> None:
+    """Aggregate tracer state.  Counts and histogram sample counts are
+    exact.  ``fault.base`` is emitted with the scalar per-page latency on
+    both paths (one ``emit_run`` per extent when batched), so its span
+    total and whole histogram are exact too; other kinds' spans (e.g.
+    ``madvise.free``, charged as count x per-page) get the latency
+    totals' float-rounding tolerance, which can also move a sample
+    across a log2 bucket edge."""
+    approx = dict(rel=1e-9, abs=1e-6)
+    assert tb.dropped == ts.dropped, f"{policy_name}: drop counts diverged"
+    assert tb.counts == ts.counts, f"{policy_name}: counts diverged"
+    assert tb.spans.keys() == ts.spans.keys()
+    assert tb.histograms.keys() == ts.histograms.keys()
+    fault_base = trace.TraceKind.FAULT_BASE
+    if fault_base in ts.histograms:
+        assert tb.spans[fault_base] == ts.spans[fault_base]
+        assert tb.histograms[fault_base].to_dict() == ts.histograms[fault_base].to_dict()
+    for kind, span in ts.spans.items():
+        assert tb.spans[kind] == pytest.approx(span, **approx), kind
+    for kind, hs in ts.histograms.items():
+        hb = tb.histograms[kind]
+        assert hb.count == hs.count, f"{policy_name}: {kind}"
+        assert (hb.min_us, hb.max_us, hb.total_us) == pytest.approx(
+            (hs.min_us, hs.max_us, hs.total_us), **approx), kind
+
+
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(ops=ops_strategy)
@@ -162,6 +194,7 @@ def test_batched_equals_scalar(policy_name, ops):
     assert [e.span_us for e in tb.events] == pytest.approx(
         [e.span_us for e in ts.events], rel=1e-9, abs=1e-6
     )
+    _assert_tracers_match(ts, tb, policy_name)
     snap_s, snap_b = _snapshot(ks, ps), _snapshot(kb, pb)
     for key in snap_s:
         assert snap_s[key] == snap_b[key], f"{policy_name}: {key} diverged"
@@ -174,3 +207,20 @@ def test_batched_equals_scalar(policy_name, ops):
     assert batched_total == pytest.approx(scalar_total, rel=1e-9, abs=1e-6)
     assert pb.stats.fault_time_us == pytest.approx(ps.stats.fault_time_us, rel=1e-9, abs=1e-6)
     assert pb.fault_time_epoch_us == pytest.approx(ps.fault_time_epoch_us, rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(ops=ops_strategy, capacity=st.integers(1, 600))
+def test_batched_equals_scalar_small_capacity(policy_name, ops, capacity):
+    ks, ps, ts = _build(policy_name, batched=False, capacity=capacity)
+    scalar_oom = _apply(ks, ps, ops, batched=False)[1]
+    kb, pb, tb = _build(policy_name, batched=True, capacity=capacity)
+    batched_oom = _apply(kb, pb, ops, batched=True)[1]
+
+    assert scalar_oom == batched_oom
+    meta_s = [(e.t_us, e.kind, e.process, e.page, e.detail) for e in ts.events]
+    meta_b = [(e.t_us, e.kind, e.process, e.page, e.detail) for e in tb.events]
+    assert meta_b == meta_s, f"{policy_name}: kept events diverged"
+    assert len(tb.events) == min(capacity, sum(ts.counts.values()))
+    _assert_tracers_match(ts, tb, policy_name)

@@ -1,5 +1,7 @@
 """Unit tests for the first-class tracepoint subsystem (repro.trace)."""
 
+import warnings
+
 import pytest
 
 from repro import trace
@@ -328,3 +330,180 @@ def test_event_timestamp_in_seconds(kernel4k):
     tracer = trace.attach(kernel4k)
     kernel4k.fault(proc, vma.start)
     assert tracer.events[0].t_seconds == pytest.approx(2.5)
+
+
+# --------------------------------------------------------------------- #
+# run-length emission: emit_run == n consecutive emit calls              #
+# --------------------------------------------------------------------- #
+
+
+def _state(tracer):
+    """Everything emission writes, in comparable form (floats exact)."""
+    return {
+        "counts": list(tracer.counts.items()),
+        "spans": list(tracer.spans.items()),
+        "histograms": [(k, h.to_dict()) for k, h in tracer.histograms.items()],
+        "events": _fields(tracer.events),
+        "dropped": tracer.dropped,
+    }
+
+
+def _fields(events):
+    return [(e.t_us, e.kind, e.process, e.span_us, e.page, e.detail) for e in events]
+
+
+def _twin_tracers(kernel, capacity=trace.DEFAULT_CAPACITY):
+    """Two detached tracers with the same non-trivial starting state."""
+    kernel.now_us = 1234.5
+    twins = []
+    for _ in range(2):
+        tracer = trace.Tracer(kernel, capacity)
+        tracer.emit(trace.TraceKind.FAULT_BASE, "w", 0.7, 1)
+        tracer.emit(trace.TraceKind.FAULT_HUGE, "w", 11.3, 2)
+        twins.append(tracer)
+    return twins
+
+
+def _emit_loop(tracer, kind, process, span_us, page0, n):
+    for i in range(n):
+        tracer.emit(kind, process, span_us, page0 + i)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 1000, 4099])
+@pytest.mark.parametrize("span_us", [3.5, 0.1, 1.7 + 1e-9, 1e6 / 3])
+def test_emit_run_equals_emit_loop(kernel4k, n, span_us):
+    loop, run = _twin_tracers(kernel4k)
+    _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", span_us, 100, n)
+    run.emit_run(trace.TraceKind.FAULT_BASE, "w", span_us, 100, n)
+    assert _state(run) == _state(loop)
+
+
+def test_emit_run_starts_a_new_kind(kernel4k):
+    loop, run = _twin_tracers(kernel4k)
+    _emit_loop(loop, trace.TraceKind.SWAP_IN, "w", 0.3, 7, 500)
+    run.emit_run(trace.TraceKind.SWAP_IN, "w", 0.3, 7, 500)
+    assert _state(run) == _state(loop)
+
+
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_emit_run_zero_span(kernel4k, n):
+    loop, run = _twin_tracers(kernel4k)
+    _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", 0.0, 0, n)
+    _emit_loop(loop, trace.TraceKind.DEMOTE, "w", 0.0, 0, n)
+    run.emit_run(trace.TraceKind.FAULT_BASE, "w", 0.0, 0, n)
+    run.emit_run(trace.TraceKind.DEMOTE, "w", 0.0, 0, n)
+    assert _state(run) == _state(loop)
+    assert trace.TraceKind.DEMOTE not in run.histograms  # zero spans skip it
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 200])
+@pytest.mark.parametrize("span_us", [0.0, 0.3, 3.5, 2.0 ** 40 + 0.5])
+def test_histogram_add_run_equals_add_loop(n, span_us):
+    loop, run = trace.LatencyHistogram(), trace.LatencyHistogram()
+    for h in (loop, run):
+        h.add(1.1)
+    for _ in range(n):
+        loop.add(span_us)
+    run.add_run(span_us, n)
+    expected_total = 1.1
+    for _ in range(n):
+        expected_total += span_us
+    assert run.total_us == expected_total
+    assert run.to_dict() == loop.to_dict()
+    assert (run.buckets, run.count, run.total_us, run.min_us, run.max_us) == (
+        loop.buckets, loop.count, loop.total_us, loop.min_us, loop.max_us)
+    if n and span_us == 0.0:
+        assert run.buckets[trace.LatencyHistogram.ZERO_BUCKET] == n
+
+
+def _record_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn()
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("capacity", [2, 3, 10, 25])
+def test_emit_run_crossing_capacity(kernel4k, capacity):
+    loop, run = _twin_tracers(kernel4k, capacity=capacity)
+
+    def by_loop():
+        _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", 3.5, 40, 20)
+        _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", 3.5, 60, 5)
+
+    def by_run():
+        run.emit_run(trace.TraceKind.FAULT_BASE, "w", 3.5, 40, 20)
+        run.emit_run(trace.TraceKind.FAULT_BASE, "w", 3.5, 60, 5)
+
+    loop_warnings, run_warnings = _record_warnings(by_loop), _record_warnings(by_run)
+    assert len(loop_warnings) == len(run_warnings) == 1
+    assert str(run_warnings[0].message) == str(loop_warnings[0].message)
+    assert _state(run) == _state(loop)
+    assert len(run.events) == capacity and run.dropped == 27 - capacity
+
+
+def test_emit_run_with_consumer_sees_every_event_in_order(kernel4k):
+    loop, run = _twin_tracers(kernel4k, capacity=5)
+    seen_loop, seen_run = [], []
+    loop.subscribe(seen_loop.append)
+    run.subscribe(seen_run.append)
+
+    def by_loop():
+        _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", 3.5, 0, 9)
+
+    def by_run():
+        run.emit_run(trace.TraceKind.FAULT_BASE, "w", 3.5, 0, 9)
+
+    assert len(_record_warnings(by_loop)) == len(_record_warnings(by_run)) == 1
+    assert _fields(seen_run) == _fields(seen_loop)
+    assert [e.page for e in seen_run] == list(range(9))
+    assert _state(run) == _state(loop)
+
+
+def test_emit_run_skipped_when_tracer_paused(kernel4k):
+    """``tracer.enabled = False`` at the call site: the batched fault path
+    leaves the tracer exactly as the per-page path does (untouched)."""
+    states = []
+    for batched in (False, True):
+        kernel = Kernel(small_config(), Linux4KPolicy)
+        kernel.batched_faults = batched
+        proc, vma = make_proc(kernel)
+        tracer = trace.attach(kernel)
+        tracer.enabled = False
+        kernel.fault_range(proc, vma.start, 300)
+        assert _state(tracer) == _state(trace.Tracer(kernel))
+        tracer.enabled = True
+        kernel.fault_range(proc, vma.start + 300, 300)
+        states.append(_state(tracer))
+        trace.detach(kernel)
+    assert states[0]["counts"] == [(trace.TraceKind.FAULT_BASE, 300)]
+    assert states[1] == states[0]
+
+
+def test_batched_fault_path_emits_one_run_per_extent(kernel4k, monkeypatch):
+    proc, vma = make_proc(kernel4k)
+    tracer = trace.attach(kernel4k)
+    runs = []
+    real_emit_run = trace.Tracer.emit_run
+
+    def recording_emit_run(self, kind, process, span_us, page0, n):
+        runs.append(n)
+        real_emit_run(self, kind, process, span_us, page0, n)
+
+    def no_emit(*args, **kwargs):
+        pytest.fail("the batched path emitted a single page")
+
+    monkeypatch.setattr(trace.Tracer, "emit", no_emit)
+    monkeypatch.setattr(trace.Tracer, "emit_run", recording_emit_run)
+    kernel4k.fault_range(proc, vma.start, 1024)
+    assert sum(runs) == 1024 and len(runs) < 1024
+    assert [e.page for e in tracer.events] == list(range(vma.start, vma.start + 1024))
+
+
+def test_trace_kind_hash_is_identity_and_pickles_to_itself():
+    import pickle
+
+    for kind in trace.TraceKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert pickle.loads(pickle.dumps(kind)) is kind
+    assert len({kind: None for kind in trace.TraceKind}) == len(trace.TraceKind)
