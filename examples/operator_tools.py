@@ -4,7 +4,7 @@
 Beyond reproducing the paper, the library ships the tooling an operator
 of such a kernel would want:
 
-* an **event log** recording every promotion/demotion decision with
+* **tracepoints** recording every promotion/demotion decision with
   timestamps (the raw material of the paper's Figures 6/7);
 * **/proc-style snapshots** (meminfo, vmstat, per-process smaps);
 * the paper's §3.5 extensions: **huge-page limits** (cgroup-style caps
@@ -14,11 +14,13 @@ of such a kernel would want:
 Run:  python examples/operator_tools.py
 """
 
+from collections import Counter
+
+from repro import trace
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import Scale, fragment
 from repro.kernel import procfs
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.metrics.events import EventKind, EventLog
 from repro.metrics.tables import format_table
 from repro.units import GB, SEC
 from repro.workloads.graph import Graph500
@@ -48,7 +50,7 @@ def make_kernel(limits=None):
 def main() -> None:
     # Cap the Redis tenant at 8 huge pages; the batch job is unlimited.
     kernel = make_kernel(limits={"redis-light": 8})
-    log = EventLog().attach(kernel)
+    tracer = trace.attach(kernel)
     fragment(kernel)
 
     kernel.spawn(RedisLight(scale=SCALE.factor, serve_us=1500 * SEC,
@@ -57,17 +59,17 @@ def main() -> None:
     while not batch.finished and kernel.stats.epochs < 3000:
         kernel.run_epoch()
 
-    print("# Promotions per tenant (event log)")
-    print(format_table(
-        ["tenant", "promotions"],
-        [[name, count] for name, count in sorted(log.promotions_by_process().items())],
-    ))
+    promotions = tracer.filter(kinds=["promote"])
+    per_tenant = Counter(e.process for e in promotions)
+    print("# Promotions per tenant (promote tracepoints)")
+    print(format_table(["tenant", "promotions"], sorted(per_tenant.items())))
     redis_proc = kernel.processes[0]
     print(f"\nRedis holds {len(redis_proc.page_table.huge)} huge pages "
           f"(cap: 8); cap refusals: {kernel.policy.limits.refusals}")
 
     print("\n# Promotion timeline (events per 60 s bucket)")
-    for bucket, count in sorted(log.timeline(EventKind.PROMOTION, 60.0).items()):
+    timeline = Counter(e.t_us // (60 * SEC) * 60 for e in promotions)
+    for bucket, count in sorted(timeline.items()):
         print(f"  {bucket:6.0f}s {'#' * count} ({count})")
 
     print("\n# meminfo")

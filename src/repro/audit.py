@@ -25,10 +25,11 @@ Linux's ``page_owner`` + a policy decision audit trail:
    as instants in the Perfetto export and in the attribution table.
 
 Zero-cost-when-disabled contract (same as ``repro.trace``): every site is
-guarded by the module-level :data:`enabled` flag first, so a kernel with
-no audit attached pays one bool test per potential record, and ``repro
-bench epoch`` holds the attached-but-silent state under the same <5 %
-ceiling as tracing.
+guarded by ``(al := kernel.audit) is not None and al.enabled`` (the
+buddy hot path tests ``frames.ledger`` the same way), so a kernel with
+no audit attached pays one attribute load and one ``None`` test per
+potential record, and ``repro bench epoch`` holds the attached-but-silent
+state under the same <5 % ceiling as tracing.
 
 Usage::
 
@@ -55,14 +56,6 @@ from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`.
-#: Recording sites test this module attribute before anything else, so a
-#: kernel with no audit log pays a single bool check per potential record.
-enabled: bool = False
-
-#: Number of kernels with an audit log currently attached.
-_attached: int = 0
 
 #: per-frame lifecycle ring slots (newest events win once full).
 RING_SLOTS = 8
@@ -359,7 +352,7 @@ class AuditLog:
         self.recorded += 1
         # Decisions double as zero-span tracepoints: instants in the
         # Perfetto export, a `decision` row in the attribution table.
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             kind = _DECISION_KINDS.get(point)
             if kind is not None:
                 tp.emit(kind, process, 0.0,
@@ -407,14 +400,13 @@ class AuditLog:
 
 
 def attach(kernel: "Kernel", capacity: int = DECISION_CAPACITY) -> AuditLog:
-    """Attach an :class:`AuditLog` to ``kernel``; arm the global flag.
+    """Attach an :class:`AuditLog` to ``kernel`` (fills ``kernel.audit``).
 
     Idempotent: returns the existing log if one is attached.  Frames
     already allocated when the log attaches are backfilled as
     ``preexisting`` records (owner from the frame table), so the
     live-record invariant holds from the first step.
     """
-    global enabled, _attached
     if kernel.audit is not None:
         return kernel.audit
     log = AuditLog(kernel, capacity)
@@ -428,31 +420,14 @@ def attach(kernel: "Kernel", capacity: int = DECISION_CAPACITY) -> AuditLog:
     ledger.alloc_order[pre] = 0
     ledger.alloc_epoch[pre] = kernel.stats.epochs
     ledger.alloc_site[pre] = SITE_PREEXISTING
-    _attached += 1
-    enabled = True
     return log
 
 
 def detach(kernel: "Kernel") -> AuditLog | None:
-    """Detach ``kernel``'s audit log; disarm the flag when none remain."""
-    global enabled, _attached
-    log = kernel.audit
-    if log is None:
-        return None
-    kernel.audit = None
+    """Detach ``kernel``'s audit log (empties ``kernel.audit``)."""
+    log, kernel.audit = kernel.audit, None
     kernel.frames.ledger = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
     return log
-
-
-def reset() -> None:
-    """Force the module back to the no-audit state (test isolation)."""
-    global enabled, _attached
-    enabled = False
-    _attached = 0
 
 
 # ---------------------------------------------------------------------- #

@@ -111,8 +111,7 @@ class BloatRecovery:
     def _decide(self, proc: Process, hvpn: int, outcome: str, reason: str,
                 stage: int, inputs: dict | None = None) -> None:
         """Record one bloat-victim-selection decision when audited."""
-        if audit.enabled and (al := self.kernel.audit) is not None \
-                and al.enabled:
+        if (al := self.kernel.audit) is not None and al.enabled:
             al.decide("bloat", proc.name, proc.pid, hvpn, outcome, reason,
                       stage=stage, inputs=inputs)
 
@@ -125,7 +124,7 @@ class BloatRecovery:
             return 0
         zeros, scanned = kernel.count_zero_pages(proc, hvpn)
         kernel.stats.bloat_cpu_us += kernel.costs.scan_page_us(scanned)
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.BLOAT_SCAN, proc.name,
                     kernel.costs.scan_page_us(scanned), hvpn,
                     f"zeros={zeros}")
@@ -145,7 +144,7 @@ class BloatRecovery:
         self._decide(proc, hvpn, "accept", "demoted", stage=4,
                      inputs={"zeros": zeros, "recovered": recovered,
                              "overhead": self.overhead_of(proc)})
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.BLOAT_RECOVER, proc.name,
                     kernel.costs.scan_page_us(dedup_scanned), hvpn,
                     f"recovered={recovered}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import audit
 from repro.core.access_map import AccessMap
 from repro.core.bloat import BloatRecovery
 from repro.core.limits import HugePageLimits
@@ -126,8 +125,7 @@ class HawkEyePolicy(HugePagePolicy):
         if self.limits is not None and not self.limits.may_promote(proc):
             # Rare path: only processes with a §3.5 cap ever land here, so
             # the per-fault audit test stays off the common huge path.
-            if audit.enabled and (al := self.kernel.audit) is not None \
-                    and al.enabled:
+            if (al := self.kernel.audit) is not None and al.enabled:
                 al.decide("fault_size", proc.name, proc.pid, vpn >> 9,
                           "reject", "limit_cap", stage=1,
                           inputs={"limit": self.limits.limit_for(proc),

@@ -71,7 +71,7 @@ class PreZeroThread:
             kernel.stats.pages_prezeroed += pages
             kernel.stats.prezero_cpu_us += kernel.costs.zero_block_us(order)
         self._publish_interference(zeroed)
-        if zeroed and trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if zeroed and (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.PREZERO, "kzerod",
                     kernel.stats.prezero_cpu_us - cpu_before,
                     detail=f"pages={zeroed}")

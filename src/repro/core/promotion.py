@@ -89,9 +89,7 @@ class PromotionEngine:
 
     def run_epoch(self) -> int:
         """Promote up to this epoch's budget; returns promotions done."""
-        self._audited = (audit.enabled
-                         and (al := self.kernel.audit) is not None
-                         and al.enabled)
+        self._audited = (al := self.kernel.audit) is not None and al.enabled
         audited = self._audited
         self._limiter.refill()
         done = 0
@@ -130,7 +128,7 @@ class PromotionEngine:
             self._decide(None, -1, "reject", "budget_exhausted", stage=2,
                          inputs={"budget_left": self._limiter.available,
                                  "promoted": done})
-        if done and trace.enabled and (tp := self.kernel.trace) is not None and tp.enabled:
+        if done and (tp := self.kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.KTHREAD_EPOCH, "khugepaged",
                     detail=f"promoted={done}")
         return done

@@ -39,12 +39,12 @@ piggybacks on the kernel's existing access-bit scan
    track within a tested error bound on steady workloads).
 
 Zero-cost-when-disabled contract (same as ``repro.trace`` /
-``repro.audit``): the only per-epoch cost with no monitor attached is
-one module-bool test in ``Kernel.run_epoch``, and ``repro bench touch``
-/ ``repro bench epoch`` hold the attached-but-silent state under the
-same <5 % ceiling.  The monitor is a pure observer: it never charges
-simulated time or mutates kernel state, so attaching it cannot change
-any result byte.
+``repro.audit``): the only per-sample cost with no monitor attached is
+one ``kernel.heat is not None`` test in ``Kernel.run_epoch``, and
+``repro bench touch`` / ``repro bench epoch`` hold the attached-but-silent
+state under the same <5 % ceiling.  The monitor is a pure observer: it
+never charges simulated time or mutates kernel state, so attaching it
+cannot change any result byte.
 
 Usage::
 
@@ -71,14 +71,6 @@ from repro.units import HUGE_PAGE_SIZE, PAGES_PER_HUGE, SEC, bytes_human
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.vm.process import Process
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`.
-#: The epoch-loop hook tests this module attribute before anything else,
-#: so a kernel with no monitor pays a single bool check per sample tick.
-enabled: bool = False
-
-#: Number of kernels with a heat monitor currently attached.
-_attached: int = 0
 
 #: Region-budget floor: splitting stops shrinking resolution below this.
 MIN_REGIONS = 10
@@ -499,7 +491,7 @@ class HeatMonitor:
         self.samples += 1
         # WSS doubles as a zero-span tracepoint per process: a counter
         # track in the Perfetto export, a `heat` row in attribution.
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             for state in self.procs.values():
                 tp.emit(trace.TraceKind.HEAT_WSS, state.name, 0.0, None,
                         f"wss_pages={state.last_estimate:.1f};"
@@ -521,41 +513,21 @@ class HeatMonitor:
 
 
 def attach(kernel: "Kernel", **config) -> HeatMonitor:
-    """Attach a :class:`HeatMonitor` to ``kernel``; arm the global flag.
+    """Attach a :class:`HeatMonitor` to ``kernel`` (fills ``kernel.heat``).
 
     Idempotent: returns the existing monitor if one is attached.
     Keyword arguments forward to :class:`HeatMonitor` (``nbins``,
     ``history``, ``min_regions``, ``max_regions``, ``merge_threshold``).
     """
-    global enabled, _attached
-    if kernel.heat is not None:
-        return kernel.heat
-    monitor = HeatMonitor(kernel, **config)
-    kernel.heat = monitor
-    _attached += 1
-    enabled = True
-    return monitor
+    if kernel.heat is None:
+        kernel.heat = HeatMonitor(kernel, **config)
+    return kernel.heat
 
 
 def detach(kernel: "Kernel") -> HeatMonitor | None:
-    """Detach ``kernel``'s monitor; disarm the flag when none remain."""
-    global enabled, _attached
-    monitor = kernel.heat
-    if monitor is None:
-        return None
-    kernel.heat = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
+    """Detach ``kernel``'s monitor (empties ``kernel.heat``)."""
+    monitor, kernel.heat = kernel.heat, None
     return monitor
-
-
-def reset() -> None:
-    """Force the module back to the no-monitor state (test isolation)."""
-    global enabled, _attached
-    enabled = False
-    _attached = 0
 
 
 # ---------------------------------------------------------------------- #

@@ -110,7 +110,7 @@ def _try_huge_fault(kernel: "Kernel", proc: Process, vma: VMA, hvpn: int, anon: 
     kernel.stats.faults += 1
     kernel.stats.huge_faults += 1
     kernel.policy.post_fault(proc, vma, hvpn << 9, huge=True)
-    if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+    if (tp := kernel.trace) is not None and tp.enabled:
         tp.emit(trace.TraceKind.FAULT_HUGE, proc.name, latency, hvpn)
     return latency
 
@@ -135,9 +135,9 @@ def _base_fault(
         backing_us += swap_us
         # The page's old (non-zero) content comes back from swap.
         kernel.frames.write(frame, first_nonzero=9)
-        if audit.enabled and (al := kernel.audit) is not None and al.enabled:
+        if (al := kernel.audit) is not None and al.enabled:
             al.ledger.record(frame, 1, audit.EV_SWAPPED_IN)
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.SWAP_IN, proc.name, swap_us, vpn)
     needs_zero = not swapped_in and anon and (not zeroed or not policy.trusts_zero_lists)
     if needs_zero:
@@ -152,7 +152,7 @@ def _base_fault(
     proc.fault_time_epoch_us += latency
     kernel.stats.faults += 1
     policy.post_fault(proc, vma, vpn, huge=False)
-    if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+    if (tp := kernel.trace) is not None and tp.enabled:
         tp.emit(trace.TraceKind.FAULT_BASE, proc.name, latency, vpn)
     return latency
 
@@ -354,7 +354,7 @@ def _bulk_base_fault(
         kernel.rmap_add_range(proc, vpn0 + done, ext)
         if content is not None:
             _write_content_run(kernel, start, take, content)
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             # One run of per-page events, equivalent to the scalar loop's
             # stream: same kind, process, vpn order and span (per_page is
             # exactly the scalar latency — the bulk path has no backing
@@ -428,7 +428,7 @@ def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
     proc.fault_time_epoch_us += latency
     kernel.stats.faults += 1
     kernel.stats.cow_faults += 1
-    if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+    if (tp := kernel.trace) is not None and tp.enabled:
         tp.emit(trace.TraceKind.FAULT_COW, proc.name, latency, vpn, "ksm")
     return latency
 
@@ -455,6 +455,6 @@ def _cow_break(kernel: "Kernel", proc: Process, vpn: int) -> float:
     proc.fault_time_epoch_us += latency
     kernel.stats.faults += 1
     kernel.stats.cow_faults += 1
-    if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+    if (tp := kernel.trace) is not None and tp.enabled:
         tp.emit(trace.TraceKind.FAULT_COW, proc.name, latency, vpn, "zero")
     return latency

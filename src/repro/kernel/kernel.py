@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro import audit as audit_mod
-from repro import heat as heat_mod
 from repro import trace
 from repro.errors import InvalidAddressError, OutOfMemoryError
 from repro.metrics import telemetry as telemetry_mod
@@ -56,6 +55,7 @@ from repro.vm.process import Process
 from repro.vm.vma import VMA, VMAKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro import heat as heat_mod
     from repro.policies.base import HugePagePolicy
     from repro.workloads.base import Workload, WorkloadRun
 
@@ -146,22 +146,20 @@ class Kernel:
         self.fragmenter = Fragmenter(self.buddy)
         self.mmu = MMUModel(config.tlb)
         self.stats = KernelStats()
-        #: tracepoint sink; attach with :func:`repro.trace.attach`.  Every
-        #: emission site first tests the module-level ``trace.enabled``
-        #: flag, so this slot costs nothing while it stays None.
+        #: Observer slots.  Every emission, recording or sampling site
+        #: guards on ``(x := kernel.<slot>) is not None and x.enabled``,
+        #: so an empty slot costs one attribute load and one ``None``
+        #: test, and an attached observer with ``enabled = False`` is
+        #: paused.  Tracepoint sink; attach with :func:`repro.trace.attach`.
         self.trace: Optional[trace.Tracer] = None
         #: epoch telemetry sampler; attach with
-        #: :func:`repro.metrics.telemetry.attach` (same contract: the
-        #: epoch loop tests the module-level flag first, so an empty
-        #: slot is one attribute load away from free).
+        #: :func:`repro.metrics.telemetry.attach`.
         self.telemetry: Optional["telemetry_mod.TelemetrySampler"] = None
         #: decision/provenance audit log; attach with
-        #: :func:`repro.audit.attach` (same contract: recording sites
-        #: test the module-level ``audit.enabled`` flag first).
+        #: :func:`repro.audit.attach`.
         self.audit: Optional["audit_mod.AuditLog"] = None
         #: DAMON-style spatial heat monitor; attach with
-        #: :func:`repro.heat.attach` (same contract: the epoch loop
-        #: tests the module-level ``heat.enabled`` flag first).
+        #: :func:`repro.heat.attach`.
         self.heat: Optional["heat_mod.HeatMonitor"] = None
         #: fleet load generator (multi-tenant churn); attached by
         #: :class:`repro.fleet.manager.FleetManager`.  The manager drives
@@ -400,7 +398,7 @@ class Kernel:
                 cost += 0.2
         self.policy.on_madvise_free(proc, vpn, npages)
         proc.fault_time_epoch_us += cost
-        if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+        if (tp := self.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.MADVISE_FREE, proc.name, cost,
                     vpn >> 9, f"pages={npages}")
         return cost
@@ -529,7 +527,7 @@ class Kernel:
             freed = self.swap.swap_out(PAGES_PER_HUGE)
         if freed == 0:
             self.stats.oom_kills += 1
-            if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+            if (tp := self.trace) is not None and tp.enabled:
                 tp.emit(
                     trace.TraceKind.OOM, "kernel",
                     detail=f"allocated={self.buddy.allocated_pages}/{self.buddy.total_pages}",
@@ -552,7 +550,7 @@ class Kernel:
         if got is None and compact:
             run = self.compactor.run(self.config.compact_budget_pages)
             self.stats.compaction_pages_moved += run.pages_moved
-            if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+            if (tp := self.trace) is not None and tp.enabled:
                 # Compaction charges no simulated clock; the span is the
                 # modelled copy cost of the pages it migrated.
                 tp.emit(trace.TraceKind.COMPACT, "direct",
@@ -654,8 +652,7 @@ class Kernel:
             got = self.alloc_huge_block(prefer_zero=False, owner=proc.pid,
                                         node=target)
             if got is None:
-                if audit_mod.enabled and (al := self.audit) is not None \
-                        and al.enabled:
+                if (al := self.audit) is not None and al.enabled:
                     al.decide(
                         "collapse_node", proc.name, proc.pid, hvpn,
                         "reject", "alloc_failed", stage=3,
@@ -691,7 +688,7 @@ class Kernel:
         proc.fault_time_epoch_us += self.costs.promotion_stall_us
         self.stats.count_promotion(proc.name, collapsed)
         self.stats.khugepaged_cpu_us += cost
-        if audit_mod.enabled and (al := self.audit) is not None and al.enabled:
+        if (al := self.audit) is not None and al.enabled:
             led = al.ledger
             if collapsed:
                 led.set_site(block, PAGES_PER_HUGE, audit_mod.SITE_PROMOTE)
@@ -702,7 +699,7 @@ class Kernel:
                                             else self.numa.node_of(block)),
                             "resident": len(base_vpns)})
             led.record(block, PAGES_PER_HUGE, audit_mod.EV_PROMOTED)
-        if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+        if (tp := self.trace) is not None and tp.enabled:
             kind = (trace.TraceKind.PROMOTE_COLLAPSE if collapsed
                     else trace.TraceKind.PROMOTE_INPLACE)
             tp.emit(kind, proc.name, cost, hvpn)
@@ -720,10 +717,10 @@ class Kernel:
         region.resident = PAGES_PER_HUGE
         proc.stats.demotions += 1
         self.stats.demotions += 1
-        if audit_mod.enabled and (al := self.audit) is not None and al.enabled:
+        if (al := self.audit) is not None and al.enabled:
             al.ledger.record(huge_pte.frame, PAGES_PER_HUGE,
                              audit_mod.EV_DEMOTED)
-        if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+        if (tp := self.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.DEMOTE, proc.name, self.costs.remap_us, hvpn)
         return self.costs.remap_us
 
@@ -750,7 +747,7 @@ class Kernel:
         base = pt.base
         is_zero = fnz < 0
         led = None
-        if audit_mod.enabled and (al := self.audit) is not None and al.enabled:
+        if (al := self.audit) is not None and al.enabled:
             led = al.ledger
         for off, frame in zip(priv_off[is_zero].tolist(), pframes[is_zero].tolist()):
             vpn = vpn0 + off
@@ -808,10 +805,9 @@ class Kernel:
         self.now_us += self.config.epoch_us
         if self.stats.epochs % self.config.sample_period == 0:
             self._sample_access_bits()
-            if heat_mod.enabled and (hm := self.heat) is not None \
-                    and hm.enabled:
+            if (hm := self.heat) is not None and hm.enabled:
                 hm.on_sample(self)
-        if telemetry_mod.enabled and (ts := self.telemetry) is not None and ts.enabled:
+        if (ts := self.telemetry) is not None and ts.enabled:
             ts.on_epoch(self)
         for hook in self.epoch_hooks:
             hook(self)
@@ -844,7 +840,7 @@ class Kernel:
         if budget > 0:
             run = self.compactor.run(budget)
             self.stats.compaction_pages_moved += run.pages_moved
-            if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+            if (tp := self.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.COMPACT, "kcompactd",
                         run.pages_moved * self.costs.copy_base_us,
                         detail=f"pages_moved={run.pages_moved}")
@@ -894,7 +890,7 @@ class Kernel:
                 table.idle_arr()[active] = samples[active] == 0
                 ema[active] = alpha * samples[active] + (1.0 - alpha) * ema[active]
             self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
-            if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+            if (tp := self.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.KTHREAD_EPOCH, "ksampled",
                         scanned * self.costs.sample_region_us,
                         detail=f"proc={proc.name} regions={scanned}")
@@ -918,7 +914,7 @@ class Kernel:
                 region.coverage_ema = alpha * sample + (1.0 - alpha) * region.coverage_ema
                 scanned += 1
             self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
-            if trace.enabled and (tp := self.trace) is not None and tp.enabled:
+            if (tp := self.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.KTHREAD_EPOCH, "ksampled",
                         scanned * self.costs.sample_region_us,
                         detail=f"proc={proc.name} regions={scanned}")

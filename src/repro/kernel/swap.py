@@ -60,14 +60,14 @@ class SwapDevice:
             proc, vpn = victim
             pte = proc.page_table.unmap_base(vpn)
             kernel._rmap.pop(pte.frame, None)
-            if audit.enabled and (al := kernel.audit) is not None and al.enabled:
+            if (al := kernel.audit) is not None and al.enabled:
                 al.ledger.record(pte.frame, 1, audit.EV_SWAPPED_OUT)
             kernel.buddy.free(pte.frame, 0)
             proc.region(vpn >> 9).resident -= 1
             self.swapped.add((proc.pid, vpn))
             self.swap_outs += 1
             self.io_time_us += kernel.costs.swap_page_us
-            if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+            if (tp := kernel.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.SWAP_OUT, proc.name,
                         kernel.costs.swap_page_us, vpn)
             freed += 1

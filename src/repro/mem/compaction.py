@@ -132,8 +132,7 @@ class Compactor:
             # ... and so does its provenance (page_owner's
             # __folio_copy_owner); the migration itself is an event on
             # the destination frame, attributed to compaction.
-            if audit.enabled and (led := frames.ledger) is not None \
-                    and led.enabled:
+            if (led := frames.ledger) is not None and led.enabled:
                 led.copy_provenance(old, new)
                 led.record(new, 1, audit.EV_COMPACTED, old)
                 led.set_site(new, 1, audit.SITE_COMPACT)

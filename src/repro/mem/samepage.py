@@ -118,7 +118,7 @@ class SamePageMerger:
         for proc in list(self.kernel.processes):
             merged += self._scan_process(proc)
         self.merged_pages += merged
-        if merged and trace.enabled and (tp := self.kernel.trace) is not None and tp.enabled:
+        if merged and (tp := self.kernel.trace) is not None and tp.enabled:
             compares = (self.bytes_compared - compared_before) // BASE_PAGE_SIZE
             tp.emit(trace.TraceKind.KSM_MERGE, "ksmd",
                     compares * self.kernel.costs.ksm_compare_us,
@@ -154,8 +154,7 @@ class SamePageMerger:
         if frames.is_zero(frame):
             # zero pages dedup onto the canonical zero frame
             kernel._rmap.pop(frame, None)
-            if audit.enabled and (al := kernel.audit) is not None \
-                    and al.enabled:
+            if (al := kernel.audit) is not None and al.enabled:
                 al.ledger.record(frame, 1, audit.EV_KSM_MERGED,
                                  kernel.zero_registry.zero_frame)
             kernel.buddy.free(frame, 0)
@@ -193,7 +192,7 @@ class SamePageMerger:
             owner_proc.page_table.sync_pte(owner_vpn, owner_pte)
         # merge this page into the canonical
         kernel._rmap.pop(frame, None)
-        if audit.enabled and (al := kernel.audit) is not None and al.enabled:
+        if (al := kernel.audit) is not None and al.enabled:
             al.ledger.record(frame, 1, audit.EV_KSM_MERGED, canonical)
         kernel.buddy.free(frame, 0)
         pte.frame = canonical

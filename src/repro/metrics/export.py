@@ -1,6 +1,6 @@
 """Export recorded metrics for external analysis.
 
-Time series, event logs and /proc snapshots serialise to CSV and JSON so
+Time series, tracepoint streams and /proc snapshots serialise to CSV and JSON so
 figures can be plotted outside the simulator (the environment here ships
 no plotting stack).  The formats are deliberately boring: CSV with a
 header row; JSON as plain dict/list structures.
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.events import EventLog
     from repro.metrics.series import SeriesRecorder, TimeSeries
 
 
@@ -48,31 +47,6 @@ def series_to_dict(series: "TimeSeries") -> dict:
     """One series as a plain JSON-able dict."""
     return {"name": series.name, "times": list(series.times),
             "values": list(series.values)}
-
-
-def events_to_json(log: "EventLog") -> str:
-    """Event log as a JSON array of records."""
-    return json.dumps([
-        {
-            "t_seconds": e.t_seconds,
-            "kind": e.kind.value,
-            "process": e.process,
-            "hvpn": e.hvpn,
-            "detail": e.detail,
-        }
-        for e in log
-    ], indent=2)
-
-
-def events_to_csv(log: "EventLog") -> str:
-    """Event log as CSV with a header row."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["t_seconds", "kind", "process", "hvpn", "detail"])
-    for e in log:
-        writer.writerow([e.t_seconds, e.kind.value, e.process,
-                         "" if e.hvpn is None else e.hvpn, e.detail])
-    return out.getvalue()
 
 
 def trace_to_jsonl(events: Iterable[TraceEvent]) -> str:

@@ -2,8 +2,8 @@
 
 A :class:`TelemetrySampler` attaches to a kernel the way a tracer does
 (:func:`attach` / :func:`detach`, zero-cost-when-disabled: the epoch
-loop tests the module-level :data:`enabled` flag before anything else,
-and ``repro bench touch`` gates the armed-but-silent state under the
+loop tests ``(ts := kernel.telemetry) is not None and ts.enabled``, and
+``repro bench touch`` gates the attached-but-silent state under the
 same <5 % ceiling as tracing).  At every epoch boundary (subsampled by
 ``every_epochs``) it refreshes a :class:`~repro.metrics.registry.MetricsRegistry`
 from four sources —
@@ -43,14 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: artifact schema version; bump when the RunTelemetry shape changes.
 TELEMETRY_VERSION = 1
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`
-#: (mirrors ``repro.trace.enabled``: the epoch loop tests this module
-#: attribute first, so a kernel with no sampler pays one bool check).
-enabled: bool = False
-
-#: Number of kernels with a sampler currently attached.
-_attached: int = 0
 
 #: vmstat keys that are point-in-time state, not cumulative counters.
 VMSTAT_GAUGES = frozenset({"trace_attached", "audit_attached"})
@@ -473,39 +465,24 @@ class TelemetrySampler:
 
 def attach(kernel: "Kernel", every_epochs: int = 1,
            registry: MetricsRegistry | None = None) -> TelemetrySampler:
-    """Attach a :class:`TelemetrySampler` to ``kernel``; arm the flag.
+    """Attach a :class:`TelemetrySampler` as ``kernel.telemetry``.
 
     Idempotent: returns the existing sampler if one is attached.
     """
-    global enabled, _attached
-    if kernel.telemetry is not None:
-        return kernel.telemetry
-    sampler = TelemetrySampler(kernel, every_epochs, registry)
-    kernel.telemetry = sampler
-    _attached += 1
-    enabled = True
-    return sampler
+    if kernel.telemetry is None:
+        kernel.telemetry = TelemetrySampler(kernel, every_epochs, registry)
+    return kernel.telemetry
 
 
 def detach(kernel: "Kernel") -> TelemetrySampler | None:
-    """Detach ``kernel``'s sampler; disarm the flag when none remain."""
-    global enabled, _attached
-    sampler = kernel.telemetry
-    if sampler is None:
-        return None
-    kernel.telemetry = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
+    """Detach ``kernel``'s sampler (empties ``kernel.telemetry``)."""
+    sampler, kernel.telemetry = kernel.telemetry, None
     return sampler
 
 
 def reset() -> None:
-    """Force the module back to the no-sampler state (test isolation)."""
-    global enabled, _attached, _capture_samplers, capturing
-    enabled = False
-    _attached = 0
+    """Drop any armed sweep capture (test isolation)."""
+    global _capture_samplers, capturing
     _capture_samplers = None
     capturing = False
 

@@ -269,7 +269,7 @@ class NumaState:
             cost = hints * kernel.costs.numa_hint_fault_us
             kernel.stats.numa_hint_faults += hints
             proc.fault_time_epoch_us += cost
-            if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+            if (tp := kernel.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.NUMA_HINT, proc.name, cost,
                         detail=f"faults={hints}")
 
@@ -339,7 +339,7 @@ class NumaState:
             span_us = self.remote_walk_cycles_epoch / CYCLES_PER_USEC
             self.remote_walk_cycles_total += self.remote_walk_cycles_epoch
             self.remote_walk_cycles_epoch = 0.0
-            if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+            if (tp := kernel.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.NUMA_REMOTE_WALK, "mmu", span_us)
         if self.balancing:
             self._run_knumad()
@@ -375,8 +375,7 @@ class NumaState:
                 break
         if cost:
             kernel.stats.knumad_cpu_us += cost
-        if moved_pages and trace.enabled and \
-                (tp := kernel.trace) is not None and tp.enabled:
+        if moved_pages and (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.KTHREAD_EPOCH, "knumad", cost,
                     detail=f"regions={moved_regions} pages={moved_pages}"
                            f"{' budget' if out_of_budget else ''}")
@@ -384,8 +383,7 @@ class NumaState:
     def _decide(self, proc: "Process", hvpn: int, outcome: str, reason: str,
                 stage: int, inputs: dict | None = None) -> None:
         """Record one knumad migration-candidacy decision when audited."""
-        if audit.enabled and (al := self.kernel.audit) is not None \
-                and al.enabled:
+        if (al := self.kernel.audit) is not None and al.enabled:
             al.decide("knumad", proc.name, proc.pid, hvpn, outcome, reason,
                       stage=stage, inputs=inputs)
 
@@ -448,7 +446,7 @@ class NumaState:
             frames.first_nonzero[old:old + PAGES_PER_HUGE]
         frames.content_tag[new:new + PAGES_PER_HUGE] = \
             frames.content_tag[old:old + PAGES_PER_HUGE]
-        if audit.enabled and (al := kernel.audit) is not None and al.enabled:
+        if (al := kernel.audit) is not None and al.enabled:
             led = al.ledger
             led.copy_provenance(old, new, PAGES_PER_HUGE)
             led.record(new, PAGES_PER_HUGE, audit.EV_MIGRATED, target)
@@ -503,8 +501,7 @@ class NumaState:
                 continue
             frames.first_nonzero[new] = frames.first_nonzero[old]
             frames.content_tag[new] = frames.content_tag[old]
-            if audit.enabled and (al := kernel.audit) is not None \
-                    and al.enabled:
+            if (al := kernel.audit) is not None and al.enabled:
                 led = al.ledger
                 led.copy_provenance(old, new)
                 led.record(new, 1, audit.EV_MIGRATED, target)
@@ -522,6 +519,6 @@ class NumaState:
         kernel = self.kernel
         self._decide(proc, hvpn, "accept", f"migrated_{how}", stage=4,
                      inputs={"target_node": target, "pages": pages})
-        if trace.enabled and (tp := kernel.trace) is not None and tp.enabled:
+        if (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.NUMA_MIGRATE, proc.name, cost, hvpn,
                     detail=f"{how} pages={pages} -> node{target}")

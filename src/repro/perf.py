@@ -75,10 +75,10 @@ def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") 
     ``trace_mode`` selects the observability state under test: ``"off"``
     (no tracer, sampler, audit or heat monitor — the production default),
     ``"disabled"`` (tracer, telemetry sampler, decision audit *and*
-    spatial heat monitor attached, module flags armed, but every
-    instance gate off so each
-    guard is evaluated and rejected — the state the <5 % overhead gate
-    measures) or ``"on"`` (full emission, sampling and auditing).
+    spatial heat monitor attached to the kernel's slots, but every
+    instance gate off so each guard is evaluated and rejected — the
+    state the <5 % overhead gate measures) or ``"on"`` (full emission,
+    sampling and auditing).
     """
     reset_sim_state()
     # make_kernel takes the *full-scale* size; 2x headroom over the region
@@ -123,7 +123,7 @@ def touch_benchmark(
     speedup ratio.  A third timed configuration — a tracer *and* a
     telemetry sampler attached but with emission/sampling disabled
     (``trace_mode="disabled"``) — yields ``trace_overhead``, the
-    fractional cost of the *armed-but-silent* observability guards
+    fractional cost of the *attached-but-silent* observability guards
     relative to the bare run; the zero-cost-when-disabled contract
     gates this below 5 % for tracepoints and registry alike.
     """
@@ -186,7 +186,7 @@ def format_touch_report(result: dict) -> str:
 
 
 #: ceiling on the disabled-tracing overhead ratio (the tentpole's
-#: zero-cost-when-disabled contract): an armed-but-silent tracer must
+#: zero-cost-when-disabled contract): an attached-but-silent tracer must
 #: cost less than this fraction over the no-tracer run.
 TRACE_OVERHEAD_CEILING = 0.05
 
@@ -199,7 +199,7 @@ def check_regression(result: dict, baseline: dict, tolerance: float = 0.25) -> l
     the baseline's; the batched/scalar *ratio* check is machine-neutral
     and is the one CI relies on.  The disabled-tracing overhead check is
     also machine-neutral (same-machine A/B within one result) and fails
-    when the armed-but-silent tracepoint guards cost >= 5 %.
+    when the attached-but-silent tracepoint guards cost >= 5 %.
     """
     failures = []
     floor = baseline["speedup"] * (1 - tolerance)

@@ -26,7 +26,6 @@ order, the sequential scan the paper's §2.3 criticises.
 
 from __future__ import annotations
 
-from repro import audit
 from repro.kernel.kthread import RateLimiter
 from repro.policies.base import HugePagePolicy
 from repro.units import PAGES_PER_HUGE
@@ -112,8 +111,7 @@ class IngensPolicy(HugePagePolicy):
         self._limiter.refill()
         threshold = self.current_threshold()
         per_proc = {p.pid: self._candidates(p, threshold) for p in self.kernel.processes}
-        audited = (audit.enabled and (al := self.kernel.audit) is not None
-                   and al.enabled)
+        audited = (al := self.kernel.audit) is not None and al.enabled
         while self._limiter.available >= 1.0:
             eligible = [p for p in self.kernel.processes if per_proc[p.pid]]
             if not eligible:

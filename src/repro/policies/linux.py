@@ -21,7 +21,6 @@ paper's "Linux-4KB" configuration).
 
 from __future__ import annotations
 
-from repro import audit
 from repro.kernel.kthread import RateLimiter
 from repro.policies.base import HugePagePolicy
 from repro.vm.process import Process
@@ -72,8 +71,7 @@ class LinuxTHPPolicy(HugePagePolicy):
         if not self.khugepaged:
             return
         self._limiter.refill()
-        audited = (audit.enabled and (al := self.kernel.audit) is not None
-                   and al.enabled)
+        audited = (al := self.kernel.audit) is not None and al.enabled
         # FCFS: finish one process's scan before starting the next.
         for proc in sorted(self.kernel.processes, key=lambda p: p.launch_index):
             while True:

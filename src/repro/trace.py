@@ -8,11 +8,12 @@ promotion cost, scan time, …), so a recorded run decomposes into a
 per-subsystem time-attribution table (:func:`attribution`) — a free
 generalisation of the paper's Tables 1 and 8.
 
-Zero-cost-when-disabled contract: every emission site is guarded by the
-module-level :data:`enabled` flag *first*, so with no tracer attached the
-only per-event cost is one global-bool test (the analogue of a nop-patched
-static branch).  ``repro bench touch`` gates this: a tracer attached with
-``tracer.enabled = False`` must cost < 5 % over no tracer at all.
+Zero-cost-when-disabled contract: every emission site is guarded by
+``(tp := kernel.trace) is not None and tp.enabled``, so a kernel with no
+tracer pays one attribute load and one ``None`` test per potential event
+(the analogue of a nop-patched static branch).  ``repro bench touch``
+gates this: a tracer attached with ``tracer.enabled = False`` must cost
+< 5 % over no tracer at all.
 
 Usage::
 
@@ -38,20 +39,12 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`.
-#: Emission sites test this module attribute before anything else, so a
-#: kernel with no tracer pays a single bool check per potential event.
-enabled: bool = False
-
-#: Number of kernels with a tracer currently attached (drives ``enabled``).
-_attached: int = 0
 
 #: Default ring-buffer capacity (events kept before drops start).
 DEFAULT_CAPACITY = 200_000
@@ -280,16 +273,15 @@ class LatencyHistogram:
 
 
 class Tracer:
-    """Per-kernel tracepoint sink: bounded buffer, exact counters, consumers.
+    """Per-kernel tracepoint sink: bounded buffer and exact counters.
 
     The event list keeps the *first* ``capacity`` events; once full, **new
     events are dropped** (and counted in :attr:`dropped`) — the per-kind
     counters, span totals and histograms keep updating, so
-    :meth:`attribution` remains exact regardless of drops.  ``consumers``
-    receive every event (drops included) and back live consumers such as
-    :class:`repro.metrics.events.EventLog`.  :meth:`emit_run` records a
-    run of identical events on consecutive pages in one call, with the
-    same result as emitting them one by one.
+    :meth:`attribution` remains exact regardless of drops.  An event
+    object is built only when the buffer keeps it.  :meth:`emit_run`
+    records a run of identical events on consecutive pages in one call,
+    with the same result as emitting them one by one.
     """
 
     def __init__(self, kernel: "Kernel", capacity: int = DEFAULT_CAPACITY,
@@ -305,7 +297,6 @@ class Tracer:
         self.counts: dict[TraceKind, int] = {}
         self.spans: dict[TraceKind, float] = {}
         self.histograms: dict[TraceKind, LatencyHistogram] = {}
-        self.consumers: list[Callable[[TraceEvent], None]] = []
 
     # ------------------------------------------------------------------ #
     # emission                                                            #
@@ -320,7 +311,6 @@ class Tracer:
         detail: str = "",
     ) -> None:
         """Emit one event at the kernel's current simulated time."""
-        event = TraceEvent(self.kernel.now_us, kind, process, span_us, page, detail)
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.spans[kind] = self.spans.get(kind, 0.0) + span_us
         if span_us > 0.0:
@@ -329,11 +319,10 @@ class Tracer:
                 hist = self.histograms[kind] = LatencyHistogram()
             hist.add(span_us)
         if len(self.events) < self.capacity:
-            self.events.append(event)
+            self.events.append(TraceEvent(self.kernel.now_us, kind, process,
+                                          span_us, page, detail))
         else:
             self._drop(1)
-        for consumer in self.consumers:
-            consumer(event)
 
     def emit_run(
         self,
@@ -349,13 +338,8 @@ class Tracer:
         page0 + i)``: the same counts, span totals (accumulated by ``n``
         sequential additions), histogram, buffered events, drop count and
         one-time warning.  Only the events that still fit under
-        ``capacity`` are built; with subscribed consumers it falls back
-        to per-event emission so each consumer sees every event in order.
+        ``capacity`` are built.
         """
-        if self.consumers:
-            for i in range(n):
-                self.emit(kind, process, span_us, page0 + i)
-            return
         if n <= 0:
             return
         self.counts[kind] = self.counts.get(kind, 0) + n
@@ -386,10 +370,6 @@ class Tracer:
                 RuntimeWarning,
                 stacklevel=3,
             )
-
-    def subscribe(self, consumer: Callable[[TraceEvent], None]) -> None:
-        """Register a callable invoked for every emitted event."""
-        self.consumers.append(consumer)
 
     # ------------------------------------------------------------------ #
     # queries                                                             #
@@ -436,46 +416,26 @@ class Tracer:
 
 def attach(kernel: "Kernel", capacity: int = DEFAULT_CAPACITY,
            warn_on_drop: bool = True) -> Tracer:
-    """Attach a :class:`Tracer` to ``kernel`` and arm the global flag.
+    """Attach a :class:`Tracer` to ``kernel`` (fills ``kernel.trace``).
 
     Returns the kernel's existing tracer unchanged if one is already
     attached (re-attachment is idempotent).  ``warn_on_drop=False``
     silences the one-shot ring-buffer-full warning (telemetry capture
     uses a deliberately small buffer and relies on the exact counters).
     """
-    global enabled, _attached
-    if kernel.trace is not None:
-        return kernel.trace
-    tracer = Tracer(kernel, capacity, warn_on_drop)
-    kernel.trace = tracer
-    _attached += 1
-    enabled = True
-    return tracer
+    if kernel.trace is None:
+        kernel.trace = Tracer(kernel, capacity, warn_on_drop)
+    return kernel.trace
 
 
 def detach(kernel: "Kernel") -> Tracer | None:
-    """Detach ``kernel``'s tracer; disarm the flag when none remain.
+    """Detach ``kernel``'s tracer (empties ``kernel.trace``).
 
     Returns the detached tracer (its buffered events stay readable), or
     None if the kernel had no tracer.
     """
-    global enabled, _attached
-    tracer = kernel.trace
-    if tracer is None:
-        return None
-    kernel.trace = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
+    tracer, kernel.trace = kernel.trace, None
     return tracer
-
-
-def reset() -> None:
-    """Force the module back to the no-tracer state (test isolation)."""
-    global enabled, _attached
-    enabled = False
-    _attached = 0
 
 
 # ---------------------------------------------------------------------- #

@@ -53,7 +53,7 @@ class KSMThread:
         merged = 0
         for vm in self.hypervisor.vms:
             merged += self._scan_vm(vm)
-        if merged and trace.enabled and (tp := host.trace) is not None and tp.enabled:
+        if merged and (tp := host.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.KSM_MERGE, "ksmd",
                     host.stats.khugepaged_cpu_us - cpu_before,
                     detail=f"merged={merged}")
@@ -101,8 +101,7 @@ class KSMThread:
             if pte is None or pte.shared_zero:
                 continue
             host._rmap.pop(pte.frame, None)
-            if audit.enabled and (al := host.audit) is not None \
-                    and al.enabled:
+            if (al := host.audit) is not None and al.enabled:
                 al.ledger.record(pte.frame, 1, audit.EV_KSM_MERGED,
                                  host.zero_registry.zero_frame)
             host.buddy.free(pte.frame, 0)

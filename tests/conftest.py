@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import audit, heat, trace
 from repro.core.hawkeye import HawkEyePolicy
 from repro.metrics import telemetry
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -13,13 +12,10 @@ from repro.units import MB
 
 
 @pytest.fixture(autouse=True)
-def _reset_trace():
-    """Disarm the global trace/telemetry/audit/heat flags after every test."""
+def _reset_capture():
+    """Drop any telemetry sweep capture a test left armed."""
     yield
-    trace.reset()
     telemetry.reset()
-    audit.reset()
-    heat.reset()
 
 
 def small_config(mem_mb: int = 64, **overrides) -> KernelConfig:

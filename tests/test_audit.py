@@ -73,7 +73,7 @@ def test_attach_backfills_preexisting_allocations():
     assert rec["live"] and rec["pid"] == proc.pid
     assert rec["site"] == "preexisting"
     audit.detach(kernel)
-    assert not audit.enabled
+    assert kernel.audit is None and kernel.frames.ledger is None
 
 
 # --------------------------------------------------------------------- #

@@ -6,10 +6,7 @@ import json
 
 import pytest
 
-from repro.metrics.events import Event, EventKind, EventLog
 from repro.metrics.export import (
-    events_to_csv,
-    events_to_json,
     series_to_csv,
     series_to_dict,
     snapshot_to_json,
@@ -42,18 +39,6 @@ def test_series_to_dict():
     ts = TimeSeries("x")
     ts.append(1.0, 2.0)
     assert series_to_dict(ts) == {"name": "x", "times": [1.0], "values": [2.0]}
-
-
-def test_events_json_and_csv():
-    log = EventLog()
-    log.events.append(Event(1.5, EventKind.PROMOTION, "p", 42, "cost=25us"))
-    log.events.append(Event(2.0, EventKind.OOM, "q"))
-    parsed = json.loads(events_to_json(log))
-    assert parsed[0] == {"t_seconds": 1.5, "kind": "promotion",
-                         "process": "p", "hvpn": 42, "detail": "cost=25us"}
-    rows = list(csv.DictReader(io.StringIO(events_to_csv(log))))
-    assert rows[1]["kind"] == "oom"
-    assert rows[1]["hvpn"] == ""
 
 
 def test_series_csv_aligns_ragged_series_by_timestamp(kernel4k):

@@ -30,13 +30,13 @@ def _run_sampled(kernel, epochs=90, **spawn_kw):
 
 
 def test_attach_detach_flags(kernel_hawkeye):
-    assert not heat.enabled and kernel_hawkeye.heat is None
+    assert kernel_hawkeye.heat is None
     monitor = heat.attach(kernel_hawkeye)
-    assert heat.enabled and kernel_hawkeye.heat is monitor
+    assert kernel_hawkeye.heat is monitor
     # idempotent: re-attach returns the same monitor
     assert heat.attach(kernel_hawkeye) is monitor
     assert heat.detach(kernel_hawkeye) is monitor
-    assert not heat.enabled and kernel_hawkeye.heat is None
+    assert kernel_hawkeye.heat is None
     assert heat.detach(kernel_hawkeye) is None
 
 
@@ -50,7 +50,7 @@ def test_attach_forwards_config(kernel_hawkeye):
 def test_no_monitor_keeps_kernel_clean(kernel_hawkeye):
     spawn_simple(kernel_hawkeye)
     kernel_hawkeye.run(max_epochs=40)
-    assert kernel_hawkeye.heat is None and not heat.enabled
+    assert kernel_hawkeye.heat is None
 
 
 def test_instance_gate_pauses_sampling(kernel_hawkeye):
@@ -132,7 +132,6 @@ def test_monitor_is_pure_observer():
         return kernel.now_us, procfs.vmstat(kernel), procfs.meminfo(kernel)
 
     bare, monitored = outcome(False), outcome(True)
-    heat.reset()
     assert bare == monitored
 
 

@@ -25,12 +25,12 @@ def _run(kernel, epochs=12):
 
 
 def test_attach_arms_flag_and_is_idempotent(kernel4k):
-    assert telemetry.enabled is False
+    assert kernel4k.telemetry is None
     sampler = telemetry.attach(kernel4k, every_epochs=2)
-    assert telemetry.enabled is True
+    assert kernel4k.telemetry is sampler
     assert telemetry.attach(kernel4k) is sampler
     assert telemetry.detach(kernel4k) is sampler
-    assert telemetry.enabled is False
+    assert kernel4k.telemetry is None
     assert telemetry.detach(kernel4k) is None
 
 
@@ -153,6 +153,5 @@ def test_reset_clears_capture_state(kernel4k):
     telemetry.start_capture()
     telemetry.attach(kernel4k)
     telemetry.reset()
-    assert telemetry.enabled is False
     assert telemetry.capturing is False
     assert telemetry.end_capture() == []

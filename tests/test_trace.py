@@ -4,27 +4,28 @@ import warnings
 
 import pytest
 
-from repro import trace
+from repro import audit, heat, trace
+from repro.core.hawkeye import HawkEyePolicy
 from repro.errors import OutOfMemoryError
+from repro.kernel import procfs
 from repro.kernel.kernel import Kernel, KernelConfig
+from repro.metrics import telemetry
 from repro.policies.linux import Linux4KPolicy
 from repro.units import MB, PAGES_PER_HUGE
-from tests.conftest import small_config
+from tests.conftest import small_config, spawn_simple
 from tests.test_fault import make_proc
 
 
 # --------------------------------------------------------------------- #
-# attachment and the zero-cost flag                                      #
+# attachment and the kernel slot                                         #
 # --------------------------------------------------------------------- #
 
 
 def test_attach_arms_flag_and_detach_disarms(kernel4k):
-    assert trace.enabled is False
+    assert kernel4k.trace is None
     tracer = trace.attach(kernel4k)
-    assert trace.enabled is True
     assert kernel4k.trace is tracer
     assert trace.detach(kernel4k) is tracer
-    assert trace.enabled is False
     assert kernel4k.trace is None
 
 
@@ -33,18 +34,57 @@ def test_attach_is_idempotent(kernel4k):
     assert trace.attach(kernel4k) is tracer
 
 
-def test_flag_stays_armed_while_any_kernel_traced(kernel4k, kernel_thp):
-    trace.attach(kernel4k)
-    trace.attach(kernel_thp)
-    trace.detach(kernel4k)
-    assert trace.enabled is True
-    trace.detach(kernel_thp)
-    assert trace.enabled is False
-
-
 def test_detach_without_tracer_is_noop(kernel4k):
     assert trace.detach(kernel4k) is None
-    assert trace.enabled is False
+    assert kernel4k.trace is None
+
+
+def _hawkeye_kernel() -> Kernel:
+    return Kernel(small_config(), lambda k: HawkEyePolicy(
+        k, variant="g", promote_per_sec=100.0, prezero_pages_per_sec=1e6))
+
+
+def _observe(kernel: Kernel) -> None:
+    trace.attach(kernel)
+    audit.attach(kernel)
+    heat.attach(kernel)
+    telemetry.attach(kernel)
+
+
+def _outcome(kernel: Kernel, run) -> tuple:
+    return (kernel.stats.epochs, kernel.now_us, run.finish_time_us,
+            run.op_time_us, procfs.vmstat(kernel))
+
+
+def test_observed_and_unobserved_kernels_are_isolated():
+    """Observers on one kernel leave a second kernel in the same process
+    untouched, and see exactly what they see when running alone."""
+    epochs = 90
+    observed, bare = _hawkeye_kernel(), _hawkeye_kernel()
+    _observe(observed)
+    spawn_simple(observed, work_s=100.0)
+    bare_run = spawn_simple(bare, work_s=100.0)
+    for _ in range(epochs):  # interleaved: A's observers live while B runs
+        observed.run_epoch()
+        bare.run_epoch()
+
+    fresh = _hawkeye_kernel()
+    fresh_run = spawn_simple(fresh, work_s=100.0)
+    fresh.run_epochs(epochs)
+    solo = _hawkeye_kernel()
+    _observe(solo)
+    spawn_simple(solo, work_s=100.0)
+    solo.run_epochs(epochs)
+
+    assert (bare.trace, bare.audit, bare.heat, bare.telemetry) == (None,) * 4
+    assert bare.frames.ledger is None
+    assert _outcome(bare, bare_run) == _outcome(fresh, fresh_run)
+    assert observed.trace.counts == solo.trace.counts
+    assert observed.trace.spans == solo.trace.spans
+    assert observed.trace.counts[trace.TraceKind.HEAT_WSS] > 0
+    assert observed.heat.samples == solo.heat.samples > 0
+    assert len(observed.telemetry.scrapes) == len(solo.telemetry.scrapes) > 0
+    assert observed.audit.ledger.live.sum() == solo.audit.ledger.live.sum() > 0
 
 
 def test_no_tracer_emits_nothing(kernel4k):
@@ -117,6 +157,29 @@ def test_promotion_events_distinguish_inplace_and_collapse(kernel_thp):
     collapse = tracer2.of_kind(trace.TraceKind.PROMOTE_COLLAPSE)[0]
     assert collapse.span_us == pytest.approx(
         kernel.costs.promotion_collapse_us(PAGES_PER_HUGE))
+
+
+def test_demote_and_promote_events_carry_process_and_region(kernel_thp):
+    proc, vma = make_proc(kernel_thp)
+    tracer = trace.attach(kernel_thp)
+    hvpn = vma.start >> 9
+    kernel_thp.fault(proc, vma.start)
+    kernel_thp.demote_region(proc, hvpn)
+    kernel_thp.promote_region(proc, hvpn)
+    (demote,) = tracer.of_kind(trace.TraceKind.DEMOTE)
+    (promote,) = tracer.filter(kinds=["promote"])
+    for event in (demote, promote):
+        assert event.process == proc.name
+        assert event.page == hvpn
+    assert demote.span_us == pytest.approx(kernel_thp.costs.remap_us)
+
+
+def test_failed_promotion_emits_no_promote_event(kernel_thp):
+    proc, vma = make_proc(kernel_thp)
+    tracer = trace.attach(kernel_thp)
+    assert kernel_thp.promote_region(proc, vma.start >> 9) is None  # nothing resident
+    assert tracer.filter(kinds=["promote"]) == []
+    assert not tracer.counts
 
 
 def test_cow_break_emits_fault_cow(kernel_thp):
@@ -225,17 +288,6 @@ def test_ring_buffer_drops_new_events_and_warns_once(kernel4k):
     events, span = tracer.attribution()["fault"]
     assert events == 8
     assert span == pytest.approx(8 * tracer.events[0].span_us)
-
-
-def test_consumers_see_dropped_events(kernel4k):
-    proc, vma = make_proc(kernel4k)
-    tracer = trace.attach(kernel4k, capacity=1)
-    seen = []
-    tracer.subscribe(seen.append)
-    with pytest.warns(RuntimeWarning):
-        for offset in range(3):
-            kernel4k.fault(proc, vma.start + offset)
-    assert len(seen) == 3  # subscription is lossless
 
 
 def test_queries_and_filters(kernel4k):
@@ -440,24 +492,6 @@ def test_emit_run_crossing_capacity(kernel4k, capacity):
     assert str(run_warnings[0].message) == str(loop_warnings[0].message)
     assert _state(run) == _state(loop)
     assert len(run.events) == capacity and run.dropped == 27 - capacity
-
-
-def test_emit_run_with_consumer_sees_every_event_in_order(kernel4k):
-    loop, run = _twin_tracers(kernel4k, capacity=5)
-    seen_loop, seen_run = [], []
-    loop.subscribe(seen_loop.append)
-    run.subscribe(seen_run.append)
-
-    def by_loop():
-        _emit_loop(loop, trace.TraceKind.FAULT_BASE, "w", 3.5, 0, 9)
-
-    def by_run():
-        run.emit_run(trace.TraceKind.FAULT_BASE, "w", 3.5, 0, 9)
-
-    assert len(_record_warnings(by_loop)) == len(_record_warnings(by_run)) == 1
-    assert _fields(seen_run) == _fields(seen_loop)
-    assert [e.page for e in seen_run] == list(range(9))
-    assert _state(run) == _state(loop)
 
 
 def test_emit_run_skipped_when_tracer_paused(kernel4k):
