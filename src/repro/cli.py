@@ -570,10 +570,8 @@ def cmd_bench(args) -> int:
     import subprocess
     from pathlib import Path
 
-    if args.target == "touch":
-        return _cmd_bench_touch(args)
-    if args.target == "epoch":
-        return _cmd_bench_epoch(args)
+    if args.target in ("touch", "epoch"):
+        return _cmd_bench_micro(args)
 
     bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
     target = bench_dir / BENCHES[args.target]
@@ -612,12 +610,18 @@ def cmd_bench(args) -> int:
     ])
 
 
-def _cmd_bench_touch(args) -> int:
-    """The touch-throughput microbenchmark with baseline check support."""
+def _cmd_bench_micro(args) -> int:
+    """The touch/epoch microbenchmarks with baseline check support."""
     import json
 
     from repro import perf
 
+    run, report, check, profile = {
+        "touch": (perf.touch_benchmark, perf.format_touch_report,
+                  perf.check_regression, perf.profile_touch),
+        "epoch": (perf.epoch_benchmark, perf.format_epoch_report,
+                  perf.check_epoch_regression, perf.profile_epoch),
+    }[args.target]
     if args.check:
         import os
 
@@ -625,13 +629,13 @@ def _cmd_bench_touch(args) -> int:
             print(f"baseline file not found: {args.check}", file=sys.stderr)
             return 2
     if args.profile:
-        print(perf.profile_touch())
+        print(profile())
         return 0
-    result = perf.touch_benchmark()
+    result = run()
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        print(perf.format_touch_report(result))
+        print(report(result))
     if args.update_baseline:
         with open(args.update_baseline, "w") as fh:
             json.dump(result, fh, indent=2)
@@ -640,47 +644,7 @@ def _cmd_bench_touch(args) -> int:
     if args.check:
         with open(args.check) as fh:
             baseline = json.load(fh)
-        failures = perf.check_regression(result, baseline)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        # Keep stdout valid JSON under --json: status goes to stderr.
-        print(f"within tolerance of {args.check} "
-              f"(baseline speedup {baseline['speedup']:.2f}x)",
-              file=sys.stderr if args.json else sys.stdout)
-    return 0
-
-
-def _cmd_bench_epoch(args) -> int:
-    """The epoch-engine throughput benchmark with baseline check support."""
-    import json
-
-    from repro import perf
-
-    if args.check:
-        import os
-
-        if not os.path.exists(args.check):
-            print(f"baseline file not found: {args.check}", file=sys.stderr)
-            return 2
-    if args.profile:
-        print(perf.profile_epoch())
-        return 0
-    result = perf.epoch_benchmark()
-    if args.json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(perf.format_epoch_report(result))
-    if args.update_baseline:
-        with open(args.update_baseline, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"baseline written to {args.update_baseline}")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = perf.check_epoch_regression(result, baseline)
+        failures = check(result, baseline)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:

@@ -157,17 +157,14 @@ class HawkEyePolicy(HugePagePolicy):
     def on_sample(self, proc: Process) -> None:
         """Fresh access-bit sample: rebuild the process's access_map entries.
 
-        The vectorized path computes the drop/keep partition, the
-        bloat-demoted clear and the NUMA coverage discount as array masks
-        over the region table, then applies them through the access_map's
-        bulk entry points.  Removals and updates touch *distinct* keys, so
-        splitting the scalar loop's interleaved remove/update sequence
+        The drop/keep partition, the bloat-demoted clear and the NUMA
+        coverage discount are array masks over the region table, applied
+        through the access_map's bulk entry points.  Removals and updates
+        touch *distinct* keys, so splitting the per-region reference
+        loop's (:mod:`repro.oracle`) interleaved remove/update sequence
         into all-removals-then-all-updates (each in region order) leaves
         every bucket's contents and internal order identical.
         """
-        if not self.kernel.vectorized:
-            self._on_sample_scalar(proc)
-            return
         amap = self.access_maps.setdefault(proc.pid, AccessMap())
         table = proc.regions
         if not len(table):
@@ -189,25 +186,6 @@ class HawkEyePolicy(HugePagePolicy):
             coverage[remote] *= self.NUMA_REMOTE_COVERAGE_PENALTY
         amap.remove_many(hvpns[drop])
         amap.update_many(keep_hvpns, coverage)
-
-    def _on_sample_scalar(self, proc: Process) -> None:
-        """Reference sample pass: per-region dict work, one update each."""
-        amap = self.access_maps.setdefault(proc.pid, AccessMap())
-        numa = self.kernel.numa
-        cross_node = numa is not None and not numa.replicated_pt
-        for hvpn, region in proc.regions.items():
-            if region.is_huge or region.resident == 0:
-                amap.remove(hvpn)
-                continue
-            if region.bloat_demoted and region.last_coverage > 0:
-                # The region is in use again: it may be re-promoted once
-                # memory pressure subsides.
-                region.bloat_demoted = False
-            coverage = region.coverage_ema
-            if cross_node and numa.region_node(proc, hvpn) not in (
-                    None, proc.home_node):
-                coverage *= self.NUMA_REMOTE_COVERAGE_PENALTY
-            amap.update(hvpn, coverage)
 
     # ------------------------------------------------------------------ #
     # memory pressure                                                     #

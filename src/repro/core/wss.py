@@ -38,17 +38,15 @@ class WSSEstimator:
         Exactly the information HawkEye-G has — the sum of per-region
         EMA coverage — read as a *size* instead of a TLB-entry demand.
 
-        The vectorized path gathers the resident regions' EMAs straight
-        off the region table's column arrays instead of materializing one
-        proxy object per region; the final addition stays sequential in
-        region order, so the float result is bit-identical to the scalar
-        generator (``np.sum``'s pairwise reduction would not be).
+        The resident regions' EMAs are gathered straight off the region
+        table's column arrays instead of materializing one proxy object
+        per region; the final addition stays sequential in region order,
+        so the float result is bit-identical to a per-region generator
+        sum (``np.sum``'s pairwise reduction would not be).
         """
         table = proc.regions
-        if self.kernel.vectorized and len(table):
-            ema = table.coverage_ema_arr()
-            return sum(ema[table.resident_arr() > 0].tolist())
-        return sum(r.coverage_ema for r in table.values() if r.resident > 0)
+        ema = table.coverage_ema_arr()
+        return sum(ema[table.resident_arr() > 0].tolist())
 
     def wss_bytes(self, proc: "Process") -> float:
         """Estimated working set in bytes."""

@@ -188,14 +188,6 @@ class Kernel:
         #: host backing for nested walks; the virt layer overrides this.
         self.host_huge_fraction: Callable[[Process], Optional[float]] = lambda proc: None
         self.epoch_hooks: list[Callable[["Kernel"], None]] = []
-        #: bulk fault fast path toggle (scalar-equivalent; off = per-page
-        #: faults everywhere, used by the equivalence tests and perf A/B).
-        self.batched_faults = True
-        #: vectorized epoch hot paths toggle (scalar-equivalent; off =
-        #: per-region Python loops for access sampling, access_map
-        #: ranking, WSS and NUMA candidate work — the equivalence tests
-        #: and the epoch bench A/B both flip this).
-        self.vectorized = True
         self._va_cursor: dict[int, int] = {}
         self._run_by_pid: dict[int, "WorkloadRun"] = {}
         zero_frame, _ = self.buddy.alloc(order=0, owner=KERNEL_OWNER)
@@ -358,16 +350,10 @@ class Kernel:
     ) -> tuple[float, int]:
         """Touch ``npages`` consecutive virtual pages through the bulk path.
 
-        Scalar-equivalent batched faulting (see
-        :func:`repro.kernel.fault.handle_fault_range`): identical
-        policy-visible state and statistics to per-page :meth:`fault`
-        calls, stopping once the consumed time reaches ``budget_us``.
-        Each page drains ``max(fault_cost + work_us, pace_us)`` of budget
-        (per-page application work and client pacing, as the touch loop
-        charges them); only the fault cost lands in fault-time statistics.
-        ``content`` optionally applies a
-        :class:`~repro.workloads.base.ContentSpec` write to every touched
-        page, as the touch loop would.  Returns ``(consumed_us, pages)``.
+        Exactly equivalent to the per-page touch loop
+        (:func:`repro.workloads.base.touch_pages` with stride 1); see
+        :func:`repro.kernel.fault.handle_fault_range`.  Returns
+        ``(consumed_us, pages)``.
         """
         return handle_fault_range(
             self, proc, vpn0, npages, budget_us, content, vma, work_us, pace_us
@@ -385,17 +371,7 @@ class Kernel:
         for hvpn in range(vpn >> 9, (vpn + npages - 1 >> 9) + 1):
             if hvpn in pt.huge and self._range_overlaps_region(vpn, npages, hvpn):
                 cost += self.demote_region(proc, hvpn)
-        if self.batched_faults:
-            cost += self._unmap_base_batched(proc, vpn, npages)
-        else:
-            for page in range(vpn, vpn + npages):
-                pte = pt.base.get(page)
-                if pte is None:
-                    continue
-                self._unmap_base_page(proc, page)
-                region = proc.region(page >> 9)
-                region.resident -= 1
-                cost += 0.2
+        cost += self._unmap_base_batched(proc, vpn, npages)
         self.policy.on_madvise_free(proc, vpn, npages)
         proc.fault_time_epoch_us += cost
         if (tp := self.trace) is not None and tp.enabled:
@@ -850,13 +826,9 @@ class Kernel:
 
         Ground-truth coverage comes from the workload's access profile —
         the simulator's stand-in for reading hardware-set PTE bits — but
-        the scan *cost* is still charged per region.  The default path is
-        one vectorized pass over each process's region table
-        (bit-identical to the scalar reference, which ``vectorized =
-        False`` restores)."""
-        if not self.vectorized:
-            self._sample_access_bits_scalar()
-            return
+        the scan *cost* is still charged per region.  One vectorized pass
+        over each process's region table, bit-identical to the per-region
+        reference loop in :mod:`repro.oracle`."""
         alpha = self.config.ema_alpha
         for proc in self.processes:
             table = proc.regions
@@ -889,30 +861,6 @@ class Kernel:
                 table.last_coverage_arr()[active] = samples[active]
                 table.idle_arr()[active] = samples[active] == 0
                 ema[active] = alpha * samples[active] + (1.0 - alpha) * ema[active]
-            self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
-            if (tp := self.trace) is not None and tp.enabled:
-                tp.emit(trace.TraceKind.KTHREAD_EPOCH, "ksampled",
-                        scanned * self.costs.sample_region_us,
-                        detail=f"proc={proc.name} regions={scanned}")
-            self.policy.on_sample(proc)
-            if self.numa is not None:
-                self.numa.on_sample(proc)
-
-    def _sample_access_bits_scalar(self) -> None:
-        """Scalar reference for :meth:`_sample_access_bits` (per-region loop)."""
-        alpha = self.config.ema_alpha
-        for proc in self.processes:
-            profile = proc.access_profile
-            coverage = profile.region_coverage(self, proc) if profile is not None else {}
-            scanned = 0
-            for hvpn, region in proc.regions.items():
-                if region.resident == 0:
-                    continue
-                sample = min(coverage.get(hvpn, 0), PAGES_PER_HUGE)
-                region.last_coverage = sample
-                region.idle = sample == 0
-                region.coverage_ema = alpha * sample + (1.0 - alpha) * region.coverage_ema
-                scanned += 1
             self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
             if (tp := self.trace) is not None and tp.enabled:
                 tp.emit(trace.TraceKind.KTHREAD_EPOCH, "ksampled",

@@ -260,11 +260,7 @@ class NumaState:
         self._candidates = {
             key: ema for key, ema in self._candidates.items() if key[0] != pid
         }
-        hints = 0
-        if kernel.vectorized:
-            hints = self._harvest_vectorized(proc)
-        else:
-            hints = self._harvest_scalar(proc)
+        hints = self._harvest(proc)
         if hints:
             cost = hints * kernel.costs.numa_hint_fault_us
             kernel.stats.numa_hint_faults += hints
@@ -273,33 +269,14 @@ class NumaState:
                 tp.emit(trace.TraceKind.NUMA_HINT, proc.name, cost,
                         detail=f"faults={hints}")
 
-    def _harvest_scalar(self, proc: "Process") -> int:
-        """Reference candidate harvest: one region_node call per region."""
-        pid = proc.pid
-        hints = 0
-        for hvpn in sorted(proc.regions):
-            region = proc.regions[hvpn]
-            if region.resident == 0 or region.last_coverage == 0:
-                continue
-            policy = self.resolve_policy(
-                proc, proc.vmas.try_find(hvpn << 9))
-            if policy is not None and policy.strict:
-                continue  # bound memory must not be balanced away
-            node = self.region_node(proc, hvpn)
-            if node is None or node == proc.home_node:
-                continue
-            hints += region.last_coverage
-            self._candidates[(pid, hvpn)] = region.coverage_ema
-        return hints
+    def _harvest(self, proc: "Process") -> int:
+        """Candidate harvest: mask prefilter + bulk node gather.
 
-    def _harvest_vectorized(self, proc: "Process") -> int:
-        """Vectorized harvest: mask prefilter + bulk node gather.
-
-        Equivalent to :meth:`_harvest_scalar` — the active/remote masks
-        and the ascending-hvpn walk reproduce the same candidate set, the
-        same EMA values, and the same hint count; only the strict-policy
-        check (a VMA-tree probe) stays per-region, and only for regions
-        that survived the masks.
+        Equivalent to the per-region reference in :mod:`repro.oracle` —
+        the active/remote masks and the ascending-hvpn walk reproduce the
+        same candidate set, the same EMA values, and the same hint count;
+        only the strict-policy check (a VMA-tree probe) stays per-region,
+        and only for regions that survived the masks.
         """
         pid = proc.pid
         table = proc.regions

@@ -1,0 +1,127 @@
+"""Per-page and per-region reference loops for the kernel's fast paths.
+
+The access-bit sample, the HawkEye access_map rebuild, the NUMA
+candidate harvest, dense faulting and madvise unmapping each run as one
+batched or vectorized pass that is exactly equivalent to a loop kept
+here.  :func:`install` binds the loops onto one kernel instance; the
+equivalence tests compare such a twin with a plain kernel, and
+``repro bench touch|epoch`` time it as the speedup denominator.  No
+simulation path imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from types import MethodType
+from typing import TYPE_CHECKING
+
+from repro import trace
+from repro.core.access_map import AccessMap
+from repro.core.hawkeye import HawkEyePolicy
+from repro.units import PAGES_PER_HUGE
+from repro.workloads.base import touch_pages
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernel.kernel import Kernel
+    from repro.vm.process import Process
+
+
+def sample_access_bits(self: "Kernel") -> None:
+    """Scalar reference for ``Kernel._sample_access_bits`` (per-region loop)."""
+    alpha = self.config.ema_alpha
+    for proc in self.processes:
+        profile = proc.access_profile
+        coverage = profile.region_coverage(self, proc) if profile is not None else {}
+        scanned = 0
+        for hvpn, region in proc.regions.items():
+            if region.resident == 0:
+                continue
+            sample = min(coverage.get(hvpn, 0), PAGES_PER_HUGE)
+            region.last_coverage = sample
+            region.idle = sample == 0
+            region.coverage_ema = alpha * sample + (1.0 - alpha) * region.coverage_ema
+            scanned += 1
+        self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
+        if (tp := self.trace) is not None and tp.enabled:
+            tp.emit(trace.TraceKind.KTHREAD_EPOCH, "ksampled",
+                    scanned * self.costs.sample_region_us,
+                    detail=f"proc={proc.name} regions={scanned}")
+        self.policy.on_sample(proc)
+        if self.numa is not None:
+            self.numa.on_sample(proc)
+
+
+def fault_range(self: "Kernel", proc: "Process", vpn0: int, npages: int,
+                budget_us: float = math.inf, content=None, vma=None,
+                work_us: float = 0.0, pace_us: float = 0.0) -> tuple[float, int]:
+    """Scalar reference for ``Kernel.fault_range``: one fault per page."""
+    return touch_pages(self, proc, vpn0, 1, npages, budget_us, content,
+                       work_us, pace_us)
+
+
+def unmap_base_pages(self: "Kernel", proc: "Process", vpn: int, npages: int) -> float:
+    """Scalar reference for ``Kernel._unmap_base_batched`` (per-page unmap)."""
+    pt = proc.page_table
+    cost = 0.0
+    for page in range(vpn, vpn + npages):
+        pte = pt.base.get(page)
+        if pte is None:
+            continue
+        self._unmap_base_page(proc, page)
+        region = proc.region(page >> 9)
+        region.resident -= 1
+        cost += 0.2
+    return cost
+
+
+def hawkeye_on_sample(self: HawkEyePolicy, proc: "Process") -> None:
+    """Reference sample pass: per-region dict work, one update each."""
+    amap = self.access_maps.setdefault(proc.pid, AccessMap())
+    numa = self.kernel.numa
+    cross_node = numa is not None and not numa.replicated_pt
+    for hvpn, region in proc.regions.items():
+        if region.is_huge or region.resident == 0:
+            amap.remove(hvpn)
+            continue
+        if region.bloat_demoted and region.last_coverage > 0:
+            # The region is in use again: it may be re-promoted once
+            # memory pressure subsides.
+            region.bloat_demoted = False
+        coverage = region.coverage_ema
+        if cross_node and numa.region_node(proc, hvpn) not in (
+                None, proc.home_node):
+            coverage *= self.NUMA_REMOTE_COVERAGE_PENALTY
+        amap.update(hvpn, coverage)
+
+
+def numa_harvest(self, proc: "Process") -> int:
+    """Reference candidate harvest: one region_node call per region."""
+    pid = proc.pid
+    hints = 0
+    for hvpn in sorted(proc.regions):
+        region = proc.regions[hvpn]
+        if region.resident == 0 or region.last_coverage == 0:
+            continue
+        policy = self.resolve_policy(
+            proc, proc.vmas.try_find(hvpn << 9))
+        if policy is not None and policy.strict:
+            continue  # bound memory must not be balanced away
+        node = self.region_node(proc, hvpn)
+        if node is None or node == proc.home_node:
+            continue
+        hints += region.last_coverage
+        self._candidates[(pid, hvpn)] = region.coverage_ema
+    return hints
+
+
+def install(kernel: "Kernel") -> None:
+    """Bind the references over ``kernel``'s own attributes (and its
+    HawkEye policy's and NUMA state's); classes and other kernels keep
+    the production paths."""
+    kernel._sample_access_bits = MethodType(sample_access_bits, kernel)
+    kernel.fault_range = MethodType(fault_range, kernel)
+    kernel._unmap_base_batched = MethodType(unmap_base_pages, kernel)
+    if isinstance(kernel.policy, HawkEyePolicy):
+        kernel.policy.on_sample = MethodType(hawkeye_on_sample, kernel.policy)
+    if kernel.numa is not None:
+        kernel.numa._harvest = MethodType(numa_harvest, kernel.numa)

@@ -3,10 +3,13 @@
 Two entry points, both reachable through ``python -m repro bench``:
 
 * :func:`touch_benchmark` — the touch-throughput microbenchmark: a dense
-  fault-heavy workload (touch, sparse free, re-touch) run once through
-  the batched fault fast path and once with ``kernel.batched_faults``
-  forced off.  Reporting both gives a machine-independent speedup ratio
-  (used by CI) next to the absolute pages/second (used for baselines).
+  fault-heavy workload (touch, free, re-touch) run once through the
+  batched fault fast path and once on a kernel running the per-page
+  references of :mod:`repro.oracle`.  Reporting both gives a
+  machine-independent speedup ratio (used by CI) next to the absolute
+  pages/second (used for baselines).
+* :func:`epoch_benchmark` — the same scheme for the vectorized epoch
+  engine (access-bit sampling, access_map ranking, NUMA harvest).
 * :func:`profile_target` — a cProfile report over a paper benchmark's
   experiment function, bypassing pytest-benchmark (whose timed block
   installs its own profiler hook and would hide everything).
@@ -23,8 +26,9 @@ import io
 import pstats
 import statistics
 import time
+from contextlib import contextmanager
 
-from repro import audit, heat, trace
+from repro import audit, heat, oracle, trace
 from repro.experiments import POLICIES, Scale, make_kernel, reset_sim_state
 from repro.metrics import telemetry
 from repro.units import GB, MB, PAGES_PER_HUGE, SEC
@@ -69,45 +73,69 @@ class _TouchBench(Workload):
         return self.npages * 4096
 
 
-def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") -> float:
+@contextmanager
+def _observers(kernel, trace_mode: str):
+    """Attach tracer, telemetry sampler, audit and heat monitor for the
+    block, emitting (``"on"``) or with every gate off (``"disabled"``,
+    the state the <5 % overhead gate measures); ``"off"`` attaches none.
+    """
+    if trace_mode == "off":
+        yield
+        return
+    observers = (trace, telemetry, audit, heat)
+    for mod in observers:
+        mod.attach(kernel).enabled = trace_mode == "on"
+    try:
+        yield
+    finally:
+        for mod in observers:
+            mod.detach(kernel)
+
+
+def _paired(run_a, run_b, pairs: int) -> tuple[float, float, float]:
+    """Time ``pairs`` adjacent (a, b) runs for a tight ratio gate.
+
+    Returns the best a and b times and the median per-pair ``b / a - 1``.
+    GC is off during each pair (collections over the kernel's object
+    graph land in arbitrary runs), per-pair ratios cancel slow drift, and
+    the order alternates so the post-``gc.collect()`` warm-up bias
+    cancels in the median.
+    """
+    runs, times = (run_a, run_b), ([], [])
+    for i in range(pairs):
+        gc.collect()
+        gc.disable()
+        try:
+            for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+                times[k].append(runs[k]())
+        finally:
+            gc.enable()
+    ratios = [b / a - 1.0 for a, b in zip(*times)]
+    return min(times[0]), min(times[1]), statistics.median(ratios)
+
+
+def _run_once(policy: str, npages: int, reference: bool = False,
+              trace_mode: str = "off") -> float:
     """One timed run; returns wall seconds.
 
-    ``trace_mode`` selects the observability state under test: ``"off"``
-    (no tracer, sampler, audit or heat monitor — the production default),
-    ``"disabled"`` (tracer, telemetry sampler, decision audit *and*
-    spatial heat monitor attached to the kernel's slots, but every
-    instance gate off so each guard is evaluated and rejected — the
-    state the <5 % overhead gate measures) or ``"on"`` (full emission,
-    sampling and auditing).
+    ``reference`` runs the kernel with :func:`repro.oracle.install`'s
+    per-page fault and unmap loops; ``trace_mode`` selects the
+    observability state under test (see :func:`_observers`).
     """
     reset_sim_state()
     # make_kernel takes the *full-scale* size; 2x headroom over the region
     # keeps the pressure paths (reclaim/swap) out of the measurement.
     scale = Scale(1 / 128)
     kernel = make_kernel(2 * npages * 4096 / scale.factor, policy, scale)
-    kernel.batched_faults = batched
-    if trace_mode != "off":
-        tracer = trace.attach(kernel)
-        tracer.enabled = trace_mode == "on"
-        sampler = telemetry.attach(kernel)
-        sampler.enabled = trace_mode == "on"
-        log = audit.attach(kernel)
-        log.enabled = trace_mode == "on"
-        monitor = heat.attach(kernel)
-        monitor.enabled = trace_mode == "on"
-    bench = _TouchBench(npages)
-    run = kernel.spawn(bench)
-    kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
-    try:
+    if reference:
+        oracle.install(kernel)
+    with _observers(kernel, trace_mode):
+        bench = _TouchBench(npages)
+        run = kernel.spawn(bench)
+        kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
         t0 = time.perf_counter()
         kernel.run(max_epochs=20000)
         elapsed = time.perf_counter() - t0
-    finally:
-        if trace_mode != "off":
-            trace.detach(kernel)
-            telemetry.detach(kernel)
-            audit.detach(kernel)
-            heat.detach(kernel)
     if not run.finished:
         raise RuntimeError("touch benchmark did not finish within the epoch cap")
     return elapsed
@@ -116,48 +144,21 @@ def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") 
 def touch_benchmark(
     policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, repeats: int = 3
 ) -> dict:
-    """Touch-throughput microbenchmark, batched vs forced-scalar.
+    """Touch-throughput microbenchmark, batched vs per-page reference.
 
     Returns a JSON-friendly dict with the best-of-``repeats`` wall time
     for each mode, the derived pages/second, and the batched/scalar
-    speedup ratio.  A third timed configuration — a tracer *and* a
-    telemetry sampler attached but with emission/sampling disabled
-    (``trace_mode="disabled"``) — yields ``trace_overhead``, the
-    fractional cost of the *attached-but-silent* observability guards
-    relative to the bare run; the zero-cost-when-disabled contract
-    gates this below 5 % for tracepoints and registry alike.
+    speedup ratio.  A third configuration, every observer attached but
+    silent (``trace_mode="disabled"``), yields ``trace_overhead``: the
+    cost of the guards relative to the bare run, gated below 5 %.
     """
     total_pages = 2 * npages  # grow + regrow both touch the full region
-    scalar_s = min(_run_once(policy, npages, batched=False) for _ in range(repeats))
-    # The no-tracer vs disabled-tracer comparison feeds a tight (<5 %)
-    # ratio gate, so it needs a far lower-variance estimate than the
-    # speedup ratio does.  Three defenses against timing noise:
-    # * GC off during each timed pair (collections over the kernel's
-    #   large object graph otherwise land in arbitrary runs);
-    # * the ratio is computed *per adjacent pair*, so slow drift in
-    #   machine state cancels within each sample;
-    # * the order within a pair alternates — the first run after a
-    #   gc.collect() is systematically slower (allocator/cache warm-up),
-    #   and alternation makes that bias symmetric so the median of an
-    #   even number of pairs cancels it.
-    batched_times, disabled_times, overhead_ratios = [], [], []
-    for i in range(2 * max(repeats, 5)):
-        gc.collect()
-        gc.disable()
-        try:
-            if i % 2 == 0:
-                b = _run_once(policy, npages, batched=True)
-                d = _run_once(policy, npages, batched=True, trace_mode="disabled")
-            else:
-                d = _run_once(policy, npages, batched=True, trace_mode="disabled")
-                b = _run_once(policy, npages, batched=True)
-        finally:
-            gc.enable()
-        batched_times.append(b)
-        disabled_times.append(d)
-        overhead_ratios.append(d / b - 1.0)
-    batched_s = min(batched_times)
-    disabled_s = min(disabled_times)
+    scalar_s = min(_run_once(policy, npages, reference=True) for _ in range(repeats))
+    batched_s, disabled_s, overhead = _paired(
+        lambda: _run_once(policy, npages),
+        lambda: _run_once(policy, npages, trace_mode="disabled"),
+        2 * max(repeats, 5),
+    )
     return {
         "policy": policy,
         "pages": total_pages,
@@ -167,7 +168,7 @@ def touch_benchmark(
         "batched_pages_per_s": round(total_pages / batched_s),
         "scalar_pages_per_s": round(total_pages / scalar_s),
         "speedup": round(scalar_s / batched_s, 2),
-        "trace_overhead": round(statistics.median(overhead_ratios), 4),
+        "trace_overhead": round(overhead, 4),
     }
 
 
@@ -195,27 +196,37 @@ def check_regression(result: dict, baseline: dict, tolerance: float = 0.25) -> l
     """Compare a fresh result against a checked-in baseline.
 
     Returns a list of failure messages (empty when within tolerance).
-    The absolute-throughput check only fires on machines comparable to
-    the baseline's; the batched/scalar *ratio* check is machine-neutral
-    and is the one CI relies on.  The disabled-tracing overhead check is
-    also machine-neutral (same-machine A/B within one result) and fails
-    when the attached-but-silent tracepoint guards cost >= 5 %.
+    Both checks are machine-neutral same-machine A/Bs: the batched/scalar
+    speedup must stay within ``tolerance`` of the baseline's, and the
+    attached-but-silent tracepoint guards must cost < 5 %.
     """
-    failures = []
-    floor = baseline["speedup"] * (1 - tolerance)
-    if result["speedup"] < floor:
-        failures.append(
-            f"batched/scalar speedup {result['speedup']:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline['speedup']:.2f}x - {tolerance:.0%})"
-        )
+    return (_ratio_failures("batched/scalar speedup", "speedup", result,
+                            baseline, tolerance)
+            + _overhead_failures(
+                result, "(tracepoints must be near-free when not emitting)"))
+
+
+def _ratio_failures(label: str, key: str, result: dict, baseline: dict,
+                    tolerance: float, hard_floor: float = 0.0) -> list[str]:
+    """Fail when ``result[key]`` drops below the baseline's ratio minus
+    ``tolerance`` (or below ``hard_floor``, whichever is higher)."""
+    base = baseline.get(key, 0.0)
+    floor = max(hard_floor, base * (1 - tolerance))
+    value = result.get(key, 0.0)
+    if value >= floor:
+        return []
+    hard = f", hard floor {hard_floor:.0f}x" if hard_floor else ""
+    return [f"{label} {value:.2f}x fell below {floor:.2f}x "
+            f"(baseline {base:.2f}x - {tolerance:.0%}{hard})"]
+
+
+def _overhead_failures(result: dict, where: str) -> list[str]:
+    """The disabled-tracing overhead gate shared by both benchmarks."""
     overhead = result.get("trace_overhead")
-    if overhead is not None and overhead >= TRACE_OVERHEAD_CEILING:
-        failures.append(
-            f"disabled-tracing overhead {overhead:+.1%} reached the "
-            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling (tracepoints must be "
-            "near-free when not emitting)"
-        )
-    return failures
+    if overhead is None or overhead < TRACE_OVERHEAD_CEILING:
+        return []
+    return [f"disabled-tracing overhead {overhead:+.1%} reached the "
+            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling {where}"]
 
 
 # ---------------------------------------------------------------------- #
@@ -267,12 +278,13 @@ class _EpochBench(Workload):
 
 
 def _epoch_setup(policy: str, regions: int, serve_epochs: int,
-                 vectorized: bool):
+                 reference: bool = False):
     """Build a kernel and drive the bench workload to its serve phase.
 
     ``epoch_us`` is set to the 30 s sampling interval so *every* epoch
     runs the access-bit sampler — the serve phase then measures the epoch
-    engine, not idle wall-time bookkeeping.
+    engine, not idle wall-time bookkeeping.  ``reference`` installs the
+    per-region loops of :mod:`repro.oracle` on the kernel.
     """
     reset_sim_state()
     scale = Scale(1 / 128)
@@ -280,7 +292,8 @@ def _epoch_setup(policy: str, regions: int, serve_epochs: int,
     kernel = make_kernel(
         2 * regions * PAGES_PER_HUGE * 4096 / scale.factor,
         policy, scale, epoch_us=epoch_us)
-    kernel.vectorized = vectorized
+    if reference:
+        oracle.install(kernel)
     bench = _EpochBench(regions, (serve_epochs + 4) * epoch_us)
     run = kernel.spawn(bench)
     kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
@@ -293,48 +306,28 @@ def _epoch_setup(policy: str, regions: int, serve_epochs: int,
     return kernel, run
 
 
-def _run_epoch_once(policy: str, regions: int, epochs: int, vectorized: bool,
-                    trace_mode: str = "off") -> float:
-    """One timed serve-phase measurement; returns wall seconds.
-
-    ``trace_mode`` mirrors :func:`_run_once`: ``"off"`` (bare),
-    ``"disabled"`` (tracer, sampler, audit and heat monitor attached
-    but gated off) or ``"on"``.
-    """
-    kernel, _run = _epoch_setup(policy, regions, epochs, vectorized)
-    if trace_mode != "off":
-        tracer = trace.attach(kernel)
-        tracer.enabled = trace_mode == "on"
-        sampler = telemetry.attach(kernel)
-        sampler.enabled = trace_mode == "on"
-        log = audit.attach(kernel)
-        log.enabled = trace_mode == "on"
-        monitor = heat.attach(kernel)
-        monitor.enabled = trace_mode == "on"
-    try:
+def _run_epoch_once(policy: str, regions: int, epochs: int,
+                    reference: bool = False, trace_mode: str = "off") -> float:
+    """One timed serve-phase measurement (arguments as :func:`_run_once`)."""
+    kernel, _run = _epoch_setup(policy, regions, epochs, reference)
+    with _observers(kernel, trace_mode):
         t0 = time.perf_counter()
         kernel.run_epochs(epochs)
         return time.perf_counter() - t0
-    finally:
-        if trace_mode != "off":
-            trace.detach(kernel)
-            telemetry.detach(kernel)
-            audit.detach(kernel)
-            heat.detach(kernel)
 
 
 def _scan_speedup(policy: str, regions: int, iters: int = 30) -> float:
-    """Scalar/vectorized ratio of the access-bit scan pass in isolation.
+    """Reference/vectorized ratio of the access-bit scan pass in isolation.
 
     Times repeated ``_sample_access_bits`` calls (which include the
-    policy's on_sample ranking) on one prepared kernel, per mode, after a
-    warm-up call each.
+    policy's on_sample ranking) on two kernels prepared by the same
+    :func:`_epoch_setup` — one plain, one with the oracle installed —
+    each after a warm-up call.
     """
-    kernel, _run = _epoch_setup(policy, regions, serve_epochs=4,
-                                vectorized=True)
-    timings = {}
-    for vectorized in (False, True):
-        kernel.vectorized = vectorized
+    timings = []
+    for reference in (True, False):
+        kernel, _run = _epoch_setup(policy, regions, serve_epochs=4,
+                                    reference=reference)
         kernel._sample_access_bits()  # warm caches / allocator state
         gc.collect()
         gc.disable()
@@ -342,17 +335,17 @@ def _scan_speedup(policy: str, regions: int, iters: int = 30) -> float:
             t0 = time.perf_counter()
             for _ in range(iters):
                 kernel._sample_access_bits()
-            timings[vectorized] = time.perf_counter() - t0
+            timings.append(time.perf_counter() - t0)
         finally:
             gc.enable()
-    return timings[False] / timings[True]
+    return timings[0] / timings[1]
 
 
 def epoch_benchmark(
     policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
     epochs: int = EPOCH_EPOCHS, repeats: int = 3,
 ) -> dict:
-    """Epoch-engine throughput, vectorized vs forced-scalar.
+    """Epoch-engine throughput, vectorized vs per-region reference.
 
     The default policy is HawkEye with huge faults off, which keeps every
     region base-mapped: the sampler, EMA ranking and access_map churn
@@ -363,26 +356,13 @@ def epoch_benchmark(
     the same GC-paired A/B scheme as :func:`touch_benchmark`.
     """
     scalar_s = min(
-        _run_epoch_once(policy, regions, epochs, vectorized=False)
+        _run_epoch_once(policy, regions, epochs, reference=True)
         for _ in range(repeats))
-    vector_times, overhead_ratios = [], []
-    for i in range(2 * max(repeats, 4)):
-        gc.collect()
-        gc.disable()
-        try:
-            if i % 2 == 0:
-                v = _run_epoch_once(policy, regions, epochs, vectorized=True)
-                d = _run_epoch_once(policy, regions, epochs, vectorized=True,
-                                    trace_mode="disabled")
-            else:
-                d = _run_epoch_once(policy, regions, epochs, vectorized=True,
-                                    trace_mode="disabled")
-                v = _run_epoch_once(policy, regions, epochs, vectorized=True)
-        finally:
-            gc.enable()
-        vector_times.append(v)
-        overhead_ratios.append(d / v - 1.0)
-    vectorized_s = min(vector_times)
+    vectorized_s, _disabled_s, overhead = _paired(
+        lambda: _run_epoch_once(policy, regions, epochs),
+        lambda: _run_epoch_once(policy, regions, epochs, trace_mode="disabled"),
+        2 * max(repeats, 4),
+    )
     return {
         "policy": policy,
         "regions": regions,
@@ -393,7 +373,7 @@ def epoch_benchmark(
         "scalar_epochs_per_s": round(epochs / scalar_s),
         "speedup": round(scalar_s / vectorized_s, 2),
         "scan_speedup": round(_scan_speedup(policy, regions), 2),
-        "trace_overhead": round(statistics.median(overhead_ratios), 4),
+        "trace_overhead": round(overhead, 4),
     }
 
 
@@ -421,29 +401,11 @@ def check_epoch_regression(result: dict, baseline: dict,
     ``tolerance``, and the disabled-tracing overhead must stay under the
     same <5 % ceiling the touch benchmark enforces.
     """
-    failures = []
-    floor = max(EPOCH_SPEEDUP_FLOOR, baseline["speedup"] * (1 - tolerance))
-    if result["speedup"] < floor:
-        failures.append(
-            f"vectorized/scalar epoch speedup {result['speedup']:.2f}x fell "
-            f"below {floor:.2f}x (baseline {baseline['speedup']:.2f}x - "
-            f"{tolerance:.0%}, hard floor {EPOCH_SPEEDUP_FLOOR:.0f}x)"
-        )
-    scan_floor = baseline.get("scan_speedup", 0.0) * (1 - tolerance)
-    if result.get("scan_speedup", 0.0) < scan_floor:
-        failures.append(
-            f"access-scan speedup {result.get('scan_speedup', 0.0):.2f}x "
-            f"fell below {scan_floor:.2f}x "
-            f"(baseline {baseline['scan_speedup']:.2f}x - {tolerance:.0%})"
-        )
-    overhead = result.get("trace_overhead")
-    if overhead is not None and overhead >= TRACE_OVERHEAD_CEILING:
-        failures.append(
-            f"disabled-tracing overhead {overhead:+.1%} reached the "
-            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling on the vectorized "
-            "epoch path"
-        )
-    return failures
+    return (_ratio_failures("vectorized/scalar epoch speedup", "speedup",
+                            result, baseline, tolerance, EPOCH_SPEEDUP_FLOOR)
+            + _ratio_failures("access-scan speedup", "scan_speedup",
+                              result, baseline, tolerance)
+            + _overhead_failures(result, "on the vectorized epoch path"))
 
 
 def profile_epoch(policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
@@ -452,7 +414,7 @@ def profile_epoch(policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     return profile_target(
-        lambda: _run_epoch_once(policy, regions, epochs, vectorized=True),
+        lambda: _run_epoch_once(policy, regions, epochs),
         f"epoch microbenchmark ({policy})",
         top,
     )
@@ -482,7 +444,7 @@ def profile_touch(policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, top: int
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     return profile_target(
-        lambda: _run_once(policy, npages, batched=True),
+        lambda: _run_once(policy, npages),
         f"touch microbenchmark ({policy})",
         top,
     )

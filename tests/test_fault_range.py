@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import oracle
 from repro.errors import InvalidAddressError
 from repro.experiments import POLICIES, Scale
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -157,10 +158,11 @@ class _Idle(Workload):
         return [Phase("idle", duration_us=1.0)]
 
 
-def build_kernel(policy="linux-4kb", batched=True, mem_mb=32, heap_mb=16):
+def build_kernel(policy="linux-4kb", reference=False, mem_mb=32, heap_mb=16):
     Process._next_pid = 1
     kernel = Kernel(KernelConfig(mem_bytes=mem_mb * MB), POLICIES[policy](Scale(1 / 128)))
-    kernel.batched_faults = batched
+    if reference:
+        oracle.install(kernel)
     run = kernel.spawn(_Idle())
     proc = run.proc
     kernel.mmap(proc, heap_mb * MB, "heap")
@@ -183,14 +185,11 @@ def test_fault_range_counts_and_stats():
 def test_fault_range_budget_stop_matches_scalar():
     """A mid-gap budget stops both paths after the same page count."""
     budget = 100.0  # 100 / 2.65 = 37.7 pages: nowhere near a float boundary
-    kernel, proc, vma = build_kernel(batched=True)
+    kernel, proc, vma = build_kernel()
     _, pages = kernel.fault_range(proc, vma.start, 2000, budget_us=budget)
-    ks, ps, vs = build_kernel(batched=False)
-    consumed = 0.0
-    scalar_pages = 0
-    while scalar_pages < 2000 and consumed < budget:
-        consumed += ks.fault(ps, vs.start + scalar_pages)
-        scalar_pages += 1
+    ks, ps, vs = build_kernel(reference=True)
+    _, scalar_pages = ks.fault_range(ps, vs.start, 2000, budget_us=budget)
+    assert ps.stats.faults == scalar_pages
     assert pages == scalar_pages
     assert len(proc.page_table.base) == len(ps.page_table.base)
 
@@ -245,8 +244,8 @@ def test_freeop_reuses_seeded_rng():
 
 
 def test_batched_madvise_matches_scalar_unmap():
-    kb, pb, vb = build_kernel(batched=True)
-    ks, ps, vs = build_kernel(batched=False)
+    kb, pb, vb = build_kernel()
+    ks, ps, vs = build_kernel(reference=True)
     for kernel, proc, vma in ((kb, pb, vb), (ks, ps, vs)):
         for vpn in range(vma.start, vma.start + 900):
             kernel.fault(proc, vpn)

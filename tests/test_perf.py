@@ -3,7 +3,12 @@ bench regression gates."""
 
 import pytest
 
-from repro.perf import TRACE_OVERHEAD_CEILING, check_regression
+from repro.perf import (
+    EPOCH_SPEEDUP_FLOOR,
+    TRACE_OVERHEAD_CEILING,
+    check_epoch_regression,
+    check_regression,
+)
 from repro.tlb.perf import LOAD_FRACTION, PMUCounters
 
 
@@ -67,3 +72,29 @@ def test_check_regression_flags_trace_overhead():
 def test_check_regression_tolerates_pre_trace_results():
     # results produced before the tracing gate carry no trace_overhead key
     assert check_regression({"speedup": 4.0}, BASELINE) == []
+
+
+EPOCH_BASELINE = {"speedup": 10.0, "scan_speedup": 20.0}
+
+
+def test_check_epoch_regression_passes_within_tolerance():
+    result = {"speedup": 8.0, "scan_speedup": 16.0, "trace_overhead": 0.01}
+    assert check_epoch_regression(result, EPOCH_BASELINE) == []
+
+
+def test_check_epoch_regression_flags_each_gate():
+    failures = check_epoch_regression(
+        {"speedup": 7.0, "scan_speedup": 14.0,
+         "trace_overhead": TRACE_OVERHEAD_CEILING}, EPOCH_BASELINE)
+    assert len(failures) == 3
+    assert failures[0].startswith("vectorized/scalar epoch speedup 7.00x")
+    assert failures[1].startswith("access-scan speedup 14.00x")
+    assert "disabled-tracing overhead" in failures[2]
+
+
+def test_check_epoch_regression_hard_floor_beats_a_low_baseline():
+    low = {"speedup": 3.2, "scan_speedup": 0.0}
+    failures = check_epoch_regression({"speedup": 2.9}, low)
+    assert len(failures) == 1
+    assert f"hard floor {EPOCH_SPEEDUP_FLOOR:.0f}x" in failures[0]
+    assert check_epoch_regression({"speedup": EPOCH_SPEEDUP_FLOOR}, low) == []

@@ -1,7 +1,8 @@
 """Provenance-ledger invariants under arbitrary kernel step sequences.
 
 A twin-kernel state machine (same shape as ``test_prop_vectorized``)
-drives a vectorized and a scalar kernel — each with an audit log
+drives a vectorized kernel and a scalar one (built with
+:func:`repro.oracle.install`) — each with an audit log
 attached — through randomized faults, frees, promotions, demotions and
 access-bit samples, asserting after every step that
 
@@ -26,7 +27,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import audit
+from repro import audit, oracle
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import reset_sim_state
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -50,7 +51,8 @@ def _build(vectorized: bool):
         KernelConfig(mem_bytes=32 * MB),
         lambda k: HawkEyePolicy(k, huge_faults=False, prezero_enabled=False),
     )
-    kernel.vectorized = vectorized
+    if not vectorized:
+        oracle.install(kernel)
     audit.attach(kernel)
     proc = Process("prop-audit")
     kernel.processes.append(proc)

@@ -3,10 +3,12 @@
 For random interleavings of touches (with per-page work and pacing),
 madvise frees, promotions and demotions, running the ops through
 ``Kernel.fault_range`` + the batched madvise path must leave every piece
-of policy-visible state byte-for-byte identical to per-page
-``Kernel.fault`` calls: page tables (including flag bits), rmap, buddy
-free lists (contents *and* dict order, which drives future allocations),
-frame-table arrays and fault counters.  Latency totals may differ only
+of policy-visible state byte-for-byte identical to a reference twin
+built by :func:`repro.oracle.install`, whose ``fault_range`` and
+madvise unmap run one ``Kernel.fault`` / one unmap per page: page
+tables (including flag bits), rmap, buddy free lists (contents *and*
+dict order, which drives future allocations), frame-table arrays and
+fault counters.  Latency totals may differ only
 by float rounding (they are charged as ``count x per-page cost``).
 
 The equivalence extends to the tracepoint stream: both paths must emit
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import trace
+from repro import oracle, trace
 from repro.errors import OutOfMemoryError
 from repro.experiments import POLICIES, Scale
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -83,7 +85,8 @@ ops_strategy = st.lists(
 def _build(policy_name: str, batched: bool, capacity: int = trace.DEFAULT_CAPACITY):
     Process._next_pid = 1  # class-global counter: reset so owner arrays compare
     kernel = Kernel(KernelConfig(mem_bytes=16 * MB), POLICIES[policy_name](Scale(1 / 128)))
-    kernel.batched_faults = batched
+    if not batched:
+        oracle.install(kernel)
     tracer = trace.attach(kernel, capacity, warn_on_drop=False)
     run = kernel.spawn(_Idle())
     proc = run.proc
@@ -91,30 +94,19 @@ def _build(policy_name: str, batched: bool, capacity: int = trace.DEFAULT_CAPACI
     return kernel, proc, tracer
 
 
-def _apply(kernel, proc, ops, batched) -> tuple[float, bool]:
+def _apply(kernel, proc, ops) -> tuple[float, bool]:
     content = ContentSpec(first_nonzero=9)
     vma = kernel.find_vma(proc, "heap")
     total = 0.0
     try:
         for kind, a, b, work, pace in ops:
             if kind == "touch":
-                vpn0 = vma.start + a
                 n = min(b, REGION_PAGES - a)
-                if batched:
-                    consumed, pages = kernel.fault_range(
-                        proc, vpn0, n, content=content, work_us=work, pace_us=pace
-                    )
-                    assert pages == n
-                    total += consumed
-                else:
-                    for vpn in range(vpn0, vpn0 + n):
-                        cost = kernel.fault(proc, vpn)
-                        translated = proc.page_table.translate(vpn)
-                        if translated is not None:
-                            kernel.frames.write(
-                                translated[0], content.first_nonzero, content.shared_tag
-                            )
-                        total += max(cost + work, pace)
+                consumed, pages = kernel.fault_range(
+                    proc, vma.start + a, n, content=content, work_us=work, pace_us=pace
+                )
+                assert pages == n
+                total += consumed
             elif kind == "free":
                 n = min(b, REGION_PAGES - a)
                 total += kernel.madvise_free(proc, vma.start + a, n)
@@ -180,9 +172,9 @@ def _assert_tracers_match(ts, tb, policy_name: str) -> None:
 @given(ops=ops_strategy)
 def test_batched_equals_scalar(policy_name, ops):
     ks, ps, ts = _build(policy_name, batched=False)
-    scalar_total, scalar_oom = _apply(ks, ps, ops, batched=False)
+    scalar_total, scalar_oom = _apply(ks, ps, ops)
     kb, pb, tb = _build(policy_name, batched=True)
-    batched_total, batched_oom = _apply(kb, pb, ops, batched=True)
+    batched_total, batched_oom = _apply(kb, pb, ops)
 
     assert scalar_oom == batched_oom
     # Event-stream equality: same tracepoints, same order, same spans
@@ -214,9 +206,9 @@ def test_batched_equals_scalar(policy_name, ops):
 @given(ops=ops_strategy, capacity=st.integers(1, 600))
 def test_batched_equals_scalar_small_capacity(policy_name, ops, capacity):
     ks, ps, ts = _build(policy_name, batched=False, capacity=capacity)
-    scalar_oom = _apply(ks, ps, ops, batched=False)[1]
+    scalar_oom = _apply(ks, ps, ops)[1]
     kb, pb, tb = _build(policy_name, batched=True, capacity=capacity)
-    batched_oom = _apply(kb, pb, ops, batched=True)[1]
+    batched_oom = _apply(kb, pb, ops)[1]
 
     assert scalar_oom == batched_oom
     meta_s = [(e.t_us, e.kind, e.process, e.page, e.detail) for e in ts.events]

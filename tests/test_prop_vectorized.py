@@ -1,9 +1,10 @@
 """Scalar-vs-vectorized equivalence of the epoch engine.
 
-The vectorized hot paths (``kernel.vectorized = True``, the default)
-promise *bit-identical* behaviour to the scalar reference loops they
-replaced.  A twin-kernel state machine drives two kernels — one
-vectorized, one forced scalar — through the same randomized sequence of
+The vectorized hot paths promise *bit-identical* behaviour to the
+scalar reference loops they replaced, which :mod:`repro.oracle` keeps.
+A twin-kernel state machine drives two kernels — one plain (vectorized),
+one with :func:`repro.oracle.install` applied (scalar) — through the
+same randomized sequence of
 faults, frees, promotions, demotions, profile changes and access-bit
 samples, and asserts after every step that
 
@@ -23,6 +24,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import oracle
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import reset_sim_state
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -44,7 +46,8 @@ def _build(vectorized: bool, nodes: int = 1, balance: bool = False):
         ),
         lambda k: HawkEyePolicy(k, huge_faults=False, prezero_enabled=False),
     )
-    kernel.vectorized = vectorized
+    if not vectorized:
+        oracle.install(kernel)
     proc = Process("prop")
     kernel.processes.append(proc)
     kernel.pmu[proc.pid] = PMUCounters()
@@ -161,10 +164,10 @@ TwinMachine.TestCase.settings = settings(
 TestVectorizedEquivalence = TwinMachine.TestCase
 
 
-def _drive_numa(vectorized: bool):
-    """Interleaved placement + balancing: run samples, snapshot state."""
+def _drive_numa(vectorized: bool, balance: bool = True):
+    """Interleaved placement (+ balancing): run samples, snapshot state."""
     reset_sim_state()
-    kernel, proc, vma = _build(vectorized, nodes=2, balance=True)
+    kernel, proc, vma = _build(vectorized, nodes=2, balance=balance)
     proc.mempolicy = MemPolicy(kind=MemPolicyKind.INTERLEAVE)
     for region in range(8):
         for page in range(0, PAGES_PER_HUGE, 64):
@@ -196,3 +199,14 @@ def test_numa_harvest_vectorized_matches_scalar():
     scalar = _drive_numa(False)
     assert vec == scalar
     assert vec["hint_faults"] > 0  # the interleave actually went remote
+
+
+def test_numa_remote_discount_vectorized_matches_scalar():
+    """Without knumad the interleaved regions stay remote, so every sample
+    ranks them with HawkEye's remote-coverage discount on both paths (with
+    balancing on, the first migrations make them local and the final
+    bucket order no longer shows the discount)."""
+    vec = _drive_numa(True, balance=False)
+    scalar = _drive_numa(False, balance=False)
+    assert vec == scalar
+    assert vec["hint_faults"] == 0 and vec["migrated"] == 0

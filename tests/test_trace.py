@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro import audit, heat, trace
+from repro import audit, heat, oracle, trace
 from repro.core.hawkeye import HawkEyePolicy
 from repro.errors import OutOfMemoryError
 from repro.kernel import procfs
@@ -498,9 +498,10 @@ def test_emit_run_skipped_when_tracer_paused(kernel4k):
     """``tracer.enabled = False`` at the call site: the batched fault path
     leaves the tracer exactly as the per-page path does (untouched)."""
     states = []
-    for batched in (False, True):
+    for reference in (True, False):
         kernel = Kernel(small_config(), Linux4KPolicy)
-        kernel.batched_faults = batched
+        if reference:
+            oracle.install(kernel)
         proc, vma = make_proc(kernel)
         tracer = trace.attach(kernel)
         tracer.enabled = False
