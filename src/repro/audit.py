@@ -161,12 +161,13 @@ class FrameLedger:
 
     # -- frame-table hooks --------------------------------------------- #
 
-    def on_alloc(self, start: int, count: int, owner: int) -> None:
-        """A frame range was marked allocated: open fresh records."""
+    def on_alloc(self, start: int, count: int, owner: int, order: int = 0) -> None:
+        """A frame range was marked allocated (at buddy ``order``): open
+        fresh records."""
         sl = slice(start, start + count)
         self.live[sl] = True
         self.alloc_pid[sl] = owner
-        self.alloc_order[sl] = max(count.bit_length() - 1, 0)
+        self.alloc_order[sl] = order
         self.alloc_epoch[sl] = self.kernel.stats.epochs
         self.alloc_site[sl] = (
             SITE_KERNEL if owner == _KERNEL_OWNER else SITE_FAULT)
@@ -177,6 +178,11 @@ class FrameLedger:
         self.live[start:start + count] = False
         self.record(start, count, EV_FREED)
 
+    def on_free_frames(self, frames: np.ndarray) -> None:
+        """:meth:`on_free` over an index array of distinct frames."""
+        self.live[frames] = False
+        self.record_frames(frames, EV_FREED)
+
     def on_zero(self, start: int, count: int) -> None:
         """A frame range had its content zero-filled."""
         self.record(start, count, EV_ZEROED)
@@ -185,29 +191,38 @@ class FrameLedger:
 
     def record(self, start: int, count: int, ev: int, arg: int = 0) -> None:
         """Append one lifecycle event to each frame in the range."""
-        epoch = self.kernel.stats.epochs
         if count == 1:
             pos = self.ev_len[start] % RING_SLOTS
             self.ev_code[start, pos] = ev
-            self.ev_epoch[start, pos] = epoch
+            self.ev_epoch[start, pos] = self.kernel.stats.epochs
             self.ev_arg[start, pos] = arg
             self.ev_len[start] += 1
+            self.events_recorded += 1
         else:
-            idx = np.arange(start, start + count)
-            pos = self.ev_len[idx] % RING_SLOTS
-            self.ev_code[idx, pos] = ev
-            self.ev_epoch[idx, pos] = epoch
-            self.ev_arg[idx, pos] = arg
-            self.ev_len[idx] += 1
-        self.events_recorded += count
+            self.record_frames(np.arange(start, start + count), ev, arg)
+
+    def record_frames(self, frames: np.ndarray, ev: int, arg=0) -> None:
+        """:meth:`record` over an index array of distinct frames; ``arg``
+        is one value or one per frame."""
+        pos = self.ev_len[frames] % RING_SLOTS
+        self.ev_code[frames, pos] = ev
+        self.ev_epoch[frames, pos] = self.kernel.stats.epochs
+        self.ev_arg[frames, pos] = arg
+        self.ev_len[frames] += 1
+        self.events_recorded += len(frames)
 
     def set_site(self, start: int, count: int, site: int) -> None:
         """Re-attribute an allocation to a non-fault site (post-alloc)."""
         self.alloc_site[start:start + count] = site
 
-    def copy_provenance(self, old: int, new: int, count: int = 1) -> None:
-        """Provenance travels with page content (migration/compaction)."""
-        so, sn = slice(old, old + count), slice(new, new + count)
+    def copy_provenance(self, old, new, count: int | None = 1) -> None:
+        """Provenance travels with page content (migration/compaction).
+
+        ``count`` frames from ``old``/``new`` on, or with ``count=None``
+        two index arrays of frames paired by position.
+        """
+        so, sn = ((old, new) if count is None else
+                  (slice(old, old + count), slice(new, new + count)))
         self.alloc_pid[sn] = self.alloc_pid[so]
         self.alloc_order[sn] = self.alloc_order[so]
         self.alloc_epoch[sn] = self.alloc_epoch[so]
@@ -216,6 +231,14 @@ class FrameLedger:
         self.ev_epoch[sn] = self.ev_epoch[so]
         self.ev_arg[sn] = self.ev_arg[so]
         self.ev_len[sn] = self.ev_len[so]
+
+    def on_compact(self, old: np.ndarray, new: np.ndarray) -> None:
+        """Compaction moved each ``old[i]`` to ``new[i]``: provenance
+        travels with the content, and the migration itself is an event on
+        the destination frame, attributed to compaction."""
+        self.copy_provenance(old, new, None)
+        self.record_frames(new, EV_COMPACTED, old)
+        self.alloc_site[new] = SITE_COMPACT
 
     # -- queries -------------------------------------------------------- #
 

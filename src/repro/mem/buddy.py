@@ -22,7 +22,7 @@ block, exactly as real memory would behave.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -141,34 +141,48 @@ class BuddyAllocator:
         for want_zeroed in (prefer_zero, not prefer_zero):
             for have in range(order, self.max_order + 1):
                 popped = self._pop_block(have, want_zeroed)
-                if popped is None:
-                    continue
-                start, _ = popped
-                # Split excess halves back onto the free lists.  A block
-                # off a zero list is all-zero, so every half is too; a
-                # dirty block's halves are classified off one scan of its
-                # nonzero positions instead of one scan per level.
-                if want_zeroed:
-                    while have > order:
-                        have -= 1
-                        self._insert(start + (1 << have), have, zeroed=True)
-                    zeroed = True
-                elif have > order:
-                    nz = np.nonzero(
-                        self.frames.first_nonzero[start:start + (1 << have)]
-                        >= 0)[0]
-                    while have > order:
-                        have -= 1
-                        half = 1 << have
-                        lo = np.searchsorted(nz, half)
-                        hi = np.searchsorted(nz, 2 * half)
-                        self._insert(start + half, have, zeroed=bool(lo == hi))
-                    zeroed = bool(nz.size == 0 or nz[0] >= (1 << order))
-                else:
-                    zeroed = self._block_is_zero(start, order)
-                self.frames.mark_allocated(start, 1 << order, owner)
-                return start, zeroed
+                if popped is not None:
+                    start = popped[0]
+                    return start, self._take(start, have, want_zeroed,
+                                             1 << order, owner, order)
         return None
+
+    def _take(self, start: int, have: int, zeroed: bool, take: int,
+              owner: int, order: int = 0, uniform: bool = False) -> bool:
+        """Allocate the first ``take`` frames of the order-``have`` block at
+        ``start`` (already off the free lists) at buddy ``order``.
+
+        The rest goes back as the split cascade leaves it: the maximal
+        buddy pieces of ``[start + take, end)``, highest first (each split
+        inserts its upper half before splitting the lower one further).
+        A block off a zero list is all-zero, so every piece is too, as is
+        every piece of a block the caller found ``uniform``; any other
+        dirty block's pieces are classified off one scan of its nonzero
+        positions.  Returns whether the taken frames are all zero.
+        """
+        end = start + (1 << have)
+        pieces = []
+        s = start + take
+        while s < end:
+            o = (s & -s).bit_length() - 1  # the aligned piece fits: end is aligned
+            pieces.append((s, o))
+            s += 1 << o
+        self.frames.mark_allocated(start, take, owner, order)
+        if zeroed or uniform:
+            for s, o in reversed(pieces):
+                self._insert(s, o, zeroed=zeroed)
+            return zeroed
+        if not pieces:
+            return self._block_is_zero(start, have)
+        nz = np.flatnonzero(self.frames.first_nonzero[start:end] >= 0)
+        # below[i]: dirty frames before the i-th boundary (take, then the
+        # end of each piece); a piece is clean iff none lies inside it.
+        below = nz.searchsorted(
+            [take] + [p - start + (1 << o) for p, o in pieces]).tolist()
+        for i in range(len(pieces) - 1, -1, -1):
+            s, o = pieces[i]
+            self._insert(s, o, zeroed=below[i + 1] == below[i])
+        return below[0] == 0
 
     def alloc(self, order: int = 0, prefer_zero: bool = True, owner: int = NO_OWNER) -> tuple[int, bool]:
         """Like :meth:`try_alloc` but raises :class:`AllocationError` on failure."""
@@ -194,51 +208,49 @@ class BuddyAllocator:
         low half and dict pops are LIFO), so a content-uniform block can
         be consumed wholesale in O(1) pops instead of O(pages).  Blocks of
         mixed content (where scalar draining would interleave the zero
-        and non-zero sub-pieces) fall back to one scalar allocation.
+        and non-zero sub-pieces) give one page, split off exactly as the
+        scalar path splits it.
         """
+        nxt = self._next_extent(max_pages, prefer_zero)
+        if nxt is None:
+            return None
+        start, order, want_zeroed, take, uniform = nxt
+        del (self._zero if want_zeroed else self._nonzero)[order][start]
+        del self._block_order[start]
+        self.free_pages -= 1 << order
+        return start, take, self._take(start, order, want_zeroed, take, owner,
+                                       uniform=uniform)
+
+    def peek_run_extent(
+        self, max_pages: int, prefer_zero: bool = True
+    ) -> tuple[int, int] | None:
+        """``(start, count)`` of the extent :meth:`try_alloc_run_extent`
+        would allocate now, allocating nothing.  Asking it for fewer pages
+        right after allocates a prefix of this extent."""
+        nxt = self._next_extent(max_pages, prefer_zero)
+        return None if nxt is None else (nxt[0], nxt[3])
+
+    def _next_extent(
+        self, max_pages: int, prefer_zero: bool
+    ) -> tuple[int, int, bool, int, bool] | None:
+        """Where the next extent comes from: ``(start, order, zeroed,
+        pages, uniform)`` for the free block scalar ``try_alloc(0)`` would
+        pop next.  It gives up to ``max_pages`` pages if its content is
+        uniform (a zero-list block is all-zero by invariant), else one."""
         if max_pages <= 0:
             return None
-        first_nonzero = self.frames.first_nonzero
         for want_zeroed in (prefer_zero, not prefer_zero):
             lists = self._zero if want_zeroed else self._nonzero
             for order in range(self.max_order + 1):
                 bucket = lists[order]
-                if not bucket:
-                    continue
-                start = next(reversed(bucket))  # the block popitem() would take
-                count = 1 << order
-                uniform = (
-                    want_zeroed  # zero-list blocks are all-zero by invariant
-                    or order == 0
-                    or bool((first_nonzero[start:start + count] >= 0).all())
-                )
-                if not uniform:
-                    # Mixed block: scalar draining would jump between the
-                    # zero and non-zero halves, so take exactly one page
-                    # through the scalar path.
-                    got = self.try_alloc(0, prefer_zero, owner)
-                    assert got is not None
-                    return got[0], 1, got[1]
-                del bucket[start]
-                del self._block_order[start]
-                self.free_pages -= count
-                take = min(count, max_pages)
-                self.frames.mark_allocated(start, take, owner)
-                if take < count:
-                    # Reinsert the un-drained tail exactly as the scalar
-                    # split cascade would have left it: the maximal buddy
-                    # decomposition of [start+take, start+count), at most
-                    # one piece per order.
-                    s, end = start + take, start + count
-                    while s < end:
-                        o = 0
-                        while s % (1 << (o + 1)) == 0 and s + (1 << (o + 1)) <= end:
-                            o += 1
-                        # content-uniform block: the tail keeps the
-                        # popped list's zero-ness
-                        self._insert(s, o, zeroed=want_zeroed)
-                        s += 1 << o
-                return start, take, want_zeroed
+                if bucket:
+                    start = next(reversed(bucket))  # the block popitem() takes
+                    size = 1 << order
+                    uniform = (want_zeroed or order == 0 or bool(
+                        (self.frames.first_nonzero[start:start + size]
+                         >= 0).all()))
+                    pages = min(size, max_pages) if uniform else 1
+                    return start, order, want_zeroed, pages, uniform
         return None
 
     def try_alloc_run(
@@ -365,6 +377,148 @@ class BuddyAllocator:
                 start, order, bool(csum[lo + (1 << order)] == csum[lo]))
             start += 1 << order
 
+    def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
+        """Free order-0 frames in list order, in bulk.
+
+        Leaves exactly the state of ``for f in frames: free(f, 0)``: frame
+        table, ledger, ``free_pages``, and free-list membership and dict
+        order.  Coalescing is computed in one vectorized pass over the
+        max-order windows the frames touch (see :meth:`_coalesce_plan`);
+        each block the loop would end with is inserted at its completion
+        time, the list index of its last freed frame.  If a frame is
+        already free, outside this zone or listed twice, the scalar loop
+        is replayed so the same frame raises with the earlier frees applied.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0:
+            return
+        plan = self._coalesce_plan(idx)
+        if plan is None:
+            for frame in idx.tolist():
+                self.free(frame, 0)
+            return
+        deletes, inserts, _ = plan
+        self.frames.mark_free_frames(idx)
+        for start, order in deletes:
+            self._remove(start, order)
+        for start, order, zeroed in inserts:
+            self._insert(start, order, zeroed)
+
+    def completion_times(self, frames: Sequence[int] | np.ndarray,
+                         order: int) -> np.ndarray:
+        """Sorted list indices at which freeing ``frames`` in list order
+        would complete a free block of ``order`` (the frees whose
+        :meth:`free` would return at least ``order``).  Changes nothing;
+        the frames must be allocated, in this zone and distinct."""
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0 or order > self.max_order:
+            return np.zeros(0, dtype=np.int64)
+        plan = self._coalesce_plan(idx, order)
+        if plan is None:
+            raise AllocationError("completion_times needs distinct allocated frames")
+        return np.sort(plan[2])
+
+    def _coalesce_plan(self, frames: np.ndarray, completion_order: int = -1):
+        """How freeing ``frames`` in list order would change the free lists.
+
+        Returns None unless every frame is allocated, inside the zone and
+        listed once.  Otherwise ``(deletes, inserts, completions)``: the
+        free blocks the frees merge away, the ``(start, order, zeroed)``
+        blocks they leave in completion order, and the completion times
+        of the order-``completion_order`` blocks the frees make free.
+
+        Write *whole* for "is a free block, or lies inside one".  A free
+        block the frees merge with is a sibling of a block holding a freed
+        frame, so only those siblings are looked up in ``_block_order``
+        (and only when their first frame is free).  A block holding freed
+        frames becomes whole when its last frame is freed, if both its
+        halves are whole by then (for one frame: the frame itself).  That
+        is exactly when a scalar free's coalescing climb reaches it: the
+        climb merges a buddy only if the buddy is a free block of the same
+        order.  Wholeness only grows, so the frees end with the whole
+        blocks whose parent is not whole; a block whose parent holds a
+        freed frame has a whole parent iff the parent is completed.
+        Merges never cross a max-order window, so the pass covers only
+        the windows the frames touch.
+        """
+        n = frames.size
+        if int(frames.min()) < self.start or int(frames.max()) >= self.end:
+            return None
+        table = self.frames
+        if not bool(table.allocated[frames].all()):
+            return None
+        top = self.max_order
+        width = 1 << top
+        first_win = self.start >> top
+        touched = np.zeros(((self.end - 1) >> top) - first_win + 1, dtype=bool)
+        touched[(frames >> top) - first_win] = True
+        wins = np.flatnonzero(touched) + first_win
+        slot = np.cumsum(touched) - 1
+        local = slot[(frames >> top) - first_win] * width + (frames & (width - 1))
+        # completion time of each block: list index of its last freed frame
+        ctime = np.full(wins.size * width, -1, dtype=np.int64)
+        listed = np.arange(n, dtype=np.int64)
+        ctime[local] = listed
+        if not bool((ctime[local] == listed).all()):
+            return None  # a frame is listed twice
+        pos = (wins[:, None] * width + np.arange(width)).ravel()
+        inside = (pos >= self.start) & (pos < self.end)
+        clipped = np.where(inside, pos, self.start)
+        free_here = inside & ~table.allocated[clipped]
+        dirty = table.first_nonzero[clipped] >= 0
+        block_order = self._block_order
+        deletes: list[tuple[int, int]] = []
+        starts, orders, zeroed, times = [], [], [], []
+        completions = np.zeros(0, dtype=np.int64)
+        look = bool(free_here.any())  # any free block to merge with at all
+        completed = ctime >= 0
+        for order in range(top + 1):
+            if order == completion_order:
+                completions = ctime[completed]
+            if order == top or not completed.any():
+                # nothing completes above a level where nothing completes
+                final = np.flatnonzero(completed)
+                up_ctime = None
+            else:
+                up_ctime = np.maximum(ctime[0::2], ctime[1::2])
+                up_has = up_ctime >= 0
+                whole = completed
+                hits: list[int] = []
+                if look:
+                    sib = np.flatnonzero(
+                        ((ctime < 0) & free_here[::1 << order]).reshape(-1, 2)
+                        & up_has[:, None])
+                    sib_start = pos[sib << order].tolist()
+                    hits = [k for k, start in enumerate(sib_start)
+                            if block_order.get(start) == order]
+                    if hits:
+                        whole = completed.copy()
+                        whole[sib[hits]] = True
+                halves = whole.reshape(-1, 2)
+                up_completed = up_has & halves[:, 0] & halves[:, 1]
+                if hits:
+                    merged = up_completed[sib[hits] >> 1].tolist()
+                    deletes.extend((sib_start[k], order)
+                                   for k, gone in zip(hits, merged) if gone)
+                final = np.flatnonzero(completed.reshape(-1, 2)
+                                       & ~up_completed[:, None])
+            if final.size:
+                starts.append(pos[final << order])
+                orders.append(np.full(final.size, order, dtype=np.int64))
+                zeroed.append(~dirty[final])
+                times.append(ctime[final])
+            if up_ctime is None:
+                break
+            ctime, completed = up_ctime, up_completed
+            dirty = dirty[0::2] | dirty[1::2]
+        if not times:
+            return deletes, [], completions
+        by_time = np.argsort(np.concatenate(times))
+        inserts = list(zip(np.concatenate(starts)[by_time].tolist(),
+                           np.concatenate(orders)[by_time].tolist(),
+                           np.concatenate(zeroed)[by_time].tolist()))
+        return deletes, inserts, completions
+
     # ------------------------------------------------------------------ #
     # pre-zeroing support                                                #
     # ------------------------------------------------------------------ #
@@ -396,6 +550,54 @@ class BuddyAllocator:
     # ------------------------------------------------------------------ #
     # introspection                                                      #
     # ------------------------------------------------------------------ #
+
+    def check(self) -> None:
+        """Raise :class:`AllocationError` unless the free lists are consistent.
+
+        Every free block is aligned, inside the zone, on exactly one of
+        its order's zero and non-zero lists, and in ``_block_order`` with
+        that order; it is on the zero list iff its frames' content is all
+        zero; free blocks are disjoint and maximal (no two free buddies of
+        one order below ``max_order``); and their union is exactly the
+        zone's unallocated frames, ``free_pages`` of them.
+        """
+        def fail(msg: str) -> None:
+            raise AllocationError(f"buddy zone [{self.start}, {self.end}): {msg}")
+
+        covered = np.zeros(self.end - self.start, dtype=np.int64)
+        blocks = 0
+        for order in range(self.max_order + 1):
+            size = 1 << order
+            for lists, zeroed in ((self._zero, True), (self._nonzero, False)):
+                for start in lists[order]:
+                    blocks += 1
+                    if start % size or start < self.start or start + size > self.end:
+                        fail(f"block {start} order {order} misaligned or outside")
+                    if start in (self._nonzero if zeroed else self._zero)[order]:
+                        fail(f"block {start} order {order} on both lists")
+                    if self._block_order.get(start) != order:
+                        fail(f"block {start} order {order} has index order "
+                             f"{self._block_order.get(start)}")
+                    if zeroed != bool(self.frames.zero_mask(start, size).all()):
+                        fail(f"block {start} order {order} on the "
+                             f"{'zero' if zeroed else 'non-zero'} list "
+                             "against its content")
+                    if (order < self.max_order
+                            and self._block_order.get(start ^ size) == order):
+                        fail(f"free buddies {start}/{start ^ size} at order "
+                             f"{order} left unmerged")
+                    covered[start - self.start:start - self.start + size] += 1
+        if blocks != len(self._block_order):
+            fail(f"{len(self._block_order)} indexed blocks, {blocks} listed")
+        if (covered > 1).any():
+            fail(f"free blocks overlap at frame "
+                 f"{self.start + int(np.argmax(covered > 1))}")
+        unallocated = ~self.frames.allocated[self.start:self.end]
+        if not np.array_equal(covered == 1, unallocated):
+            fail(f"free blocks differ from the unallocated frames at frame "
+                 f"{self.start + int(np.argmax((covered == 1) != unallocated))}")
+        if self.free_pages != int(covered.sum()):
+            fail(f"free_pages {self.free_pages}, blocks hold {int(covered.sum())}")
 
     @property
     def total_pages(self) -> int:

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import audit
 from repro.mem.buddy import BuddyAllocator
 from repro.units import HUGE_PAGE_ORDER, PAGES_PER_HUGE
 
@@ -108,56 +107,53 @@ class Compactor:
         so destination allocations always land outside; migrated frames
         are freed into the carved-out "hole" afterwards, letting buddy
         coalescing rebuild the full order-9 block.
+
+        Destinations come one buddy extent at a time, the frame sequence
+        of per-page ``try_alloc(0)`` calls.  Each extent is peeked first
+        and its pages offered to the migrate callback in turn; then
+        exactly the pages the per-page loop would have allocated are
+        taken, a prefix of the peeked extent, up to and including a
+        destination the callback refused (freed again at once, as the
+        per-page loop frees it).  The callback never reads allocator
+        state, so calling it before the allocation changes nothing.
         """
-        frames = self.buddy.frames
+        buddy = self.buddy
+        frames = buddy.frames
         chunk_end = chunk_start + PAGES_PER_HUGE
-        occupied = np.flatnonzero(frames.allocated[chunk_start:chunk_end]) + chunk_start
-        carved = self.buddy.carve_range(chunk_start, chunk_end)
-        ok = True
-        emptied: list[int] = []
-        for old in occupied:
-            new = self._alloc_outside(chunk_start, chunk_end)
-            if new is None:
-                ok = False
+        occupied = (np.flatnonzero(frames.allocated[chunk_start:chunk_end])
+                    + chunk_start).tolist()
+        carved = buddy.carve_range(chunk_start, chunk_end)
+        dests: list[int] = []
+        moved = 0
+        refused = None
+        while moved < len(occupied) and refused is None:
+            ext = buddy.peek_run_extent(len(occupied) - moved, prefer_zero=False)
+            if ext is None:
                 break
-            old = int(old)
-            if not self.migrate(old, new):
-                self.buddy.free(new, 0)
-                ok = False
-                break
-            # Content moves with the page.
-            frames.first_nonzero[new] = frames.first_nonzero[old]
-            frames.content_tag[new] = frames.content_tag[old]
-            frames.owner[new] = frames.owner[old]
-            # ... and so does its provenance (page_owner's
-            # __folio_copy_owner); the migration itself is an event on
-            # the destination frame, attributed to compaction.
-            if (led := frames.ledger) is not None and led.enabled:
-                led.copy_provenance(old, new)
-                led.record(new, 1, audit.EV_COMPACTED, old)
-                led.set_site(new, 1, audit.SITE_COMPACT)
-            emptied.append(old)
+            start, count = ext
+            for new in range(start, start + count):
+                if not self.migrate(occupied[moved], new):
+                    refused = new
+                    break
+                moved += 1
+            take = count if refused is None else refused + 1 - start
+            got = buddy.try_alloc_run_extent(take, prefer_zero=False)
+            assert got is not None and got[:2] == (start, take)
+            dests.extend(range(start, start + take))
+        old = np.asarray(occupied[:moved], dtype=np.int64)
+        new = np.asarray(dests[:moved], dtype=np.int64)
+        # Content moves with the page, and so does its provenance.
+        frames.first_nonzero[new] = frames.first_nonzero[old]
+        frames.content_tag[new] = frames.content_tag[old]
+        frames.owner[new] = frames.owner[old]
+        if (led := frames.ledger) is not None and led.enabled:
+            led.on_compact(old, new)
+        if refused is not None:
+            buddy.free(refused, 0)
         # Reassemble the hole only after all destinations are allocated,
         # so in-chunk frames never re-enter the free lists mid-migration.
         for start, order in carved:
-            self.buddy.insert_free_block(start, order)
-        for old in emptied:
-            self.buddy.free(old, 0)
-        run_stats.pages_moved += len(emptied)
-        return ok
-
-    def _alloc_outside(self, lo: int, hi: int) -> int | None:
-        """Allocate a destination frame outside ``[lo, hi)``.
-
-        The caller carved the chunk's free blocks off the free lists, so
-        a fresh allocation cannot land inside; the guard below is a
-        safety net only.
-        """
-        got = self.buddy.try_alloc(order=0, prefer_zero=False)
-        if got is None:
-            return None
-        frame = got[0]
-        if lo <= frame < hi:  # pragma: no cover - carved chunks prevent this
-            self.buddy.free(frame, 0)
-            return None
-        return frame
+            buddy.insert_free_block(start, order)
+        buddy.free_frames(old)
+        run_stats.pages_moved += moved
+        return moved == len(occupied)

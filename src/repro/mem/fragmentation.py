@@ -20,9 +20,10 @@ them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from repro.mem.buddy import BuddyAllocator
-from repro.units import HUGE_PAGE_ORDER
+from repro.units import HUGE_PAGE_ORDER, PAGES_PER_HUGE
 
 #: Owner id used for fragmenter (file-cache) frames.
 FILE_CACHE_OWNER = -2
@@ -30,11 +31,19 @@ FILE_CACHE_OWNER = -2
 
 def fmfi(buddy: BuddyAllocator, order: int = 9) -> float:
     """Fraction of free memory unusable for an order-``order`` allocation."""
-    free = buddy.free_pages
+    return _unusable(buddy.free_pages, _usable(buddy, order))
+
+
+def _usable(buddy: BuddyAllocator, order: int) -> int:
+    """Free pages in blocks of at least ``order``."""
+    counts = buddy.free_block_counts()
+    return sum((1 << o) * n for o, n in enumerate(counts) if o >= order)
+
+
+def _unusable(free: int, usable: int) -> float:
+    """The FMFI arithmetic: unusable share of ``free`` pages."""
     if free == 0:
         return 1.0
-    counts = buddy.free_block_counts()
-    usable = sum((1 << o) * n for o, n in enumerate(counts) if o >= order)
     return (free - usable) / free
 
 
@@ -64,35 +73,47 @@ class Fragmenter:
 
         Returns the resulting order-9 FMFI.  ``target_fmfi`` stops early
         once the index is reached (useful for partially fragmented setups).
+
+        The fill is one bulk allocation and the evict one bulk free, each
+        leaving the state of the per-frame loop they replace.
         """
-        taken: list[int] = []
-        while True:
-            got = self.buddy.try_alloc(order=0, prefer_zero=False, owner=FILE_CACHE_OWNER)
-            if got is None:
-                break
-            taken.append(got[0])
+        buddy = self.buddy
+        taken = [
+            frame
+            for start, count, _ in buddy.try_alloc_run(
+                buddy.free_pages, prefer_zero=False, owner=FILE_CACHE_OWNER)
+            for frame in range(start, start + count)
+        ]
         self._rng.shuffle(taken)
         keep = int(len(taken) * keep_fraction)
         kept, to_free = taken[:keep], taken[keep:]
         self._cache_pages.update(kept)
-        # The early-stop check used to recompute the index after every
-        # freed frame.  Between frees that do not coalesce up to the huge
-        # order, `usable` is constant while `free` grows, so the index is
-        # non-decreasing — it can only drop below the target at a free
-        # whose block reaches order >= HUGE_PAGE_ORDER.  Checking only at
-        # those events (plus the first free, for degenerate targets that
-        # are already met) stops at exactly the same frame as the
-        # every-free scan.
-        for i, frame in enumerate(to_free):
-            end_order = self.buddy.free(frame, 0)
-            if (
-                target_fmfi is not None
-                and (i == 0 or end_order >= HUGE_PAGE_ORDER)
-                and fmfi(self.buddy) <= target_fmfi
-            ):
-                self._cache_pages.update(to_free[i + 1:])
-                return fmfi(self.buddy)
-        return fmfi(self.buddy)
+        if target_fmfi is not None and to_free:
+            stop = self._early_stop(to_free, target_fmfi)
+            self._cache_pages.update(to_free[stop + 1:])
+            to_free = to_free[:stop + 1]
+        buddy.free_frames(to_free)
+        return fmfi(buddy)
+
+    def _early_stop(self, to_free: list[int], target_fmfi: float) -> int:
+        """Index of the free after which the order-9 FMFI first reaches
+        ``target_fmfi`` (the last index when it never does).
+
+        Between frees that do not complete an order-9 block, ``usable``
+        is constant while ``free`` grows, so the index cannot drop; it
+        can only reach the target at the first free, or at a free that
+        makes an order-9 block whole (each adds 512 usable pages).  The
+        index is evaluated at exactly those frees.
+        """
+        buddy = self.buddy
+        free0 = buddy.free_pages
+        usable0 = _usable(buddy, HUGE_PAGE_ORDER)
+        done = buddy.completion_times(to_free, HUGE_PAGE_ORDER).tolist()
+        for i in [0] + done:
+            usable = usable0 + bisect_right(done, i) * PAGES_PER_HUGE
+            if _unusable(free0 + i + 1, usable) <= target_fmfi:
+                return i
+        return len(to_free) - 1
 
     def reclaim(self, npages: int) -> int:
         """Evict up to ``npages`` file-cache pages (memory-pressure path).
@@ -100,11 +121,10 @@ class Fragmenter:
         Clean page-cache pages are the kernel's cheapest reclaim target;
         the simulator evicts them before declaring out-of-memory.
         """
-        evicted = 0
-        while self._cache_pages and evicted < npages:
-            self.buddy.free(self._cache_pages.pop(), 0)
-            evicted += 1
-        return evicted
+        victims = [self._cache_pages.pop()
+                   for _ in range(min(max(npages, 0), len(self._cache_pages)))]
+        self.buddy.free_frames(victims)
+        return len(victims)
 
     def release_all(self) -> int:
         """Drop the entire simulated file cache."""

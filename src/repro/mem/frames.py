@@ -139,12 +139,17 @@ class FrameTable:
     # allocation bookkeeping (driven by the buddy allocator)             #
     # ------------------------------------------------------------------ #
 
-    def mark_allocated(self, start: int, count: int, owner: int = NO_OWNER) -> None:
-        """Buddy bookkeeping: mark a frame range allocated to an owner."""
+    def mark_allocated(self, start: int, count: int, owner: int = NO_OWNER,
+                       order: int = 0) -> None:
+        """Buddy bookkeeping: mark a frame range allocated to an owner.
+
+        ``order`` is the buddy order of the allocation (0 for every page
+        of a run of base frames, however long the run).
+        """
         self.allocated[start:start + count] = True
         self.owner[start:start + count] = owner
         if (led := self.ledger) is not None and led.enabled:
-            led.on_alloc(start, count, owner)
+            led.on_alloc(start, count, owner, order)
 
     def mark_free(self, start: int, count: int) -> None:
         """Buddy bookkeeping: mark a frame range free and unpinned."""
@@ -153,6 +158,14 @@ class FrameTable:
         self.pinned[start:start + count] = False
         if (led := self.ledger) is not None and led.enabled:
             led.on_free(start, count)
+
+    def mark_free_frames(self, frames: np.ndarray) -> None:
+        """:meth:`mark_free` over an index array of distinct frames."""
+        self.allocated[frames] = False
+        self.owner[frames] = NO_OWNER
+        self.pinned[frames] = False
+        if (led := self.ledger) is not None and led.enabled:
+            led.on_free_frames(frames)
 
     def allocated_count(self) -> int:
         """Number of currently allocated frames."""

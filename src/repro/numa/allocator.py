@@ -17,7 +17,9 @@ asked to land.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import AllocationError
 from repro.mem.buddy import BuddyAllocator
@@ -168,6 +170,37 @@ class NodeAllocator:
             zone.free_range(start, stop - start)
             start = stop
 
+    def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
+        """Free order-0 frames in list order, each zone's share in one
+        bulk :meth:`BuddyAllocator.free_frames` (zones never merge with
+        each other, so only the order within a zone matters).  A frame
+        already free or listed twice replays the per-frame loop across
+        all zones, so the same frame raises with the earlier frees applied.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0:
+            return
+        if (not bool(self.frames.allocated[idx].all())
+                or np.unique(idx).size != idx.size):
+            for frame in idx.tolist():
+                self.free(frame, 0)
+            return
+        nodes = self.node_of_arr(idx)
+        for node, zone in enumerate(self.zones):
+            zone.free_frames(idx[nodes == node])
+
+    def completion_times(self, frames: Sequence[int] | np.ndarray,
+                         order: int) -> np.ndarray:
+        """:meth:`BuddyAllocator.completion_times` over every zone."""
+        idx = np.asarray(frames, dtype=np.int64)
+        nodes = self.node_of_arr(idx)
+        times = [np.zeros(0, dtype=np.int64)]
+        for node, zone in enumerate(self.zones):
+            pick = np.flatnonzero(nodes == node)
+            if pick.size:
+                times.append(pick[zone.completion_times(idx[pick], order)])
+        return np.sort(np.concatenate(times))
+
     def carve_range(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Carve free blocks out of [lo, hi), split at zone boundaries."""
         carved: list[tuple[int, int]] = []
@@ -205,6 +238,11 @@ class NodeAllocator:
     # ------------------------------------------------------------------ #
     # introspection                                                      #
     # ------------------------------------------------------------------ #
+
+    def check(self) -> None:
+        """:meth:`BuddyAllocator.check` on every zone."""
+        for zone in self.zones:
+            zone.check()
 
     @property
     def free_pages(self) -> int:

@@ -1,9 +1,10 @@
 """Per-page and per-region reference loops for the kernel's fast paths.
 
 The access-bit sample, the HawkEye access_map rebuild, the NUMA
-candidate harvest, dense faulting and madvise unmapping each run as one
-batched or vectorized pass that is exactly equivalent to a loop kept
-here.  :func:`install` binds the loops onto one kernel instance; the
+candidate harvest, dense faulting, madvise unmapping, the set-up
+fragmenter and compaction's chunk evacuation each run as one batched or
+vectorized pass that is exactly equivalent to a loop kept here.
+:func:`install` binds the loops onto one kernel instance; the
 equivalence tests compare such a twin with a plain kernel, and
 ``repro bench touch|epoch`` time it as the speedup denominator.  No
 simulation path imports this module.
@@ -15,10 +16,15 @@ import math
 from types import MethodType
 from typing import TYPE_CHECKING
 
-from repro import trace
+import numpy as np
+
+from repro import audit, trace
 from repro.core.access_map import AccessMap
 from repro.core.hawkeye import HawkEyePolicy
-from repro.units import PAGES_PER_HUGE
+from repro.mem.compaction import CompactionStats, Compactor
+from repro.mem.fragmentation import FILE_CACHE_OWNER, Fragmenter, fmfi
+from repro.numa.allocator import NodeCompactor
+from repro.units import HUGE_PAGE_ORDER, PAGES_PER_HUGE
 from repro.workloads.base import touch_pages
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,10 +120,101 @@ def numa_harvest(self, proc: "Process") -> int:
     return hints
 
 
+def fragment(self: Fragmenter, keep_fraction: float = 0.1,
+             target_fmfi: float | None = None) -> float:
+    """Reference for ``Fragmenter.fragment``: one buddy call per frame."""
+    taken: list[int] = []
+    while True:
+        got = self.buddy.try_alloc(order=0, prefer_zero=False, owner=FILE_CACHE_OWNER)
+        if got is None:
+            break
+        taken.append(got[0])
+    self._rng.shuffle(taken)
+    keep = int(len(taken) * keep_fraction)
+    kept, to_free = taken[:keep], taken[keep:]
+    self._cache_pages.update(kept)
+    # The early-stop check used to recompute the index after every
+    # freed frame.  Between frees that do not coalesce up to the huge
+    # order, `usable` is constant while `free` grows, so the index is
+    # non-decreasing — it can only drop below the target at a free
+    # whose block reaches order >= HUGE_PAGE_ORDER.  Checking only at
+    # those events (plus the first free, for degenerate targets that
+    # are already met) stops at exactly the same frame as the
+    # every-free scan.
+    for i, frame in enumerate(to_free):
+        end_order = self.buddy.free(frame, 0)
+        if (
+            target_fmfi is not None
+            and (i == 0 or end_order >= HUGE_PAGE_ORDER)
+            and fmfi(self.buddy) <= target_fmfi
+        ):
+            self._cache_pages.update(to_free[i + 1:])
+            return fmfi(self.buddy)
+    return fmfi(self.buddy)
+
+
+def empty_chunk(self: Compactor, chunk_start: int,
+                run_stats: CompactionStats) -> bool:
+    """Reference for ``Compactor._empty_chunk``: one buddy call per page."""
+    frames = self.buddy.frames
+    chunk_end = chunk_start + PAGES_PER_HUGE
+    occupied = np.flatnonzero(frames.allocated[chunk_start:chunk_end]) + chunk_start
+    carved = self.buddy.carve_range(chunk_start, chunk_end)
+    ok = True
+    emptied: list[int] = []
+    for old in occupied:
+        new = _alloc_outside(self.buddy, chunk_start, chunk_end)
+        if new is None:
+            ok = False
+            break
+        old = int(old)
+        if not self.migrate(old, new):
+            self.buddy.free(new, 0)
+            ok = False
+            break
+        # Content moves with the page.
+        frames.first_nonzero[new] = frames.first_nonzero[old]
+        frames.content_tag[new] = frames.content_tag[old]
+        frames.owner[new] = frames.owner[old]
+        # ... and so does its provenance (page_owner's
+        # __folio_copy_owner); the migration itself is an event on
+        # the destination frame, attributed to compaction.
+        if (led := frames.ledger) is not None and led.enabled:
+            led.copy_provenance(old, new)
+            led.record(new, 1, audit.EV_COMPACTED, old)
+            led.set_site(new, 1, audit.SITE_COMPACT)
+        emptied.append(old)
+    # Reassemble the hole only after all destinations are allocated,
+    # so in-chunk frames never re-enter the free lists mid-migration.
+    for start, order in carved:
+        self.buddy.insert_free_block(start, order)
+    for old in emptied:
+        self.buddy.free(old, 0)
+    run_stats.pages_moved += len(emptied)
+    return ok
+
+
+def _alloc_outside(buddy, lo: int, hi: int) -> int | None:
+    """Allocate a destination frame outside ``[lo, hi)``.
+
+    The caller carved the chunk's free blocks off the free lists, so
+    a fresh allocation cannot land inside; the guard below is a
+    safety net only.
+    """
+    got = buddy.try_alloc(order=0, prefer_zero=False)
+    if got is None:
+        return None
+    frame = got[0]
+    if lo <= frame < hi:  # pragma: no cover - carved chunks prevent this
+        buddy.free(frame, 0)
+        return None
+    return frame
+
+
 def install(kernel: "Kernel") -> None:
     """Bind the references over ``kernel``'s own attributes (and its
-    HawkEye policy's and NUMA state's); classes and other kernels keep
-    the production paths."""
+    HawkEye policy's, NUMA state's, fragmenter's and zone compactors');
+    classes and other kernels keep the production paths."""
     kernel._sample_access_bits = MethodType(sample_access_bits, kernel)
     kernel.fault_range = MethodType(fault_range, kernel)
     kernel._unmap_base_batched = MethodType(unmap_base_pages, kernel)
@@ -125,3 +222,9 @@ def install(kernel: "Kernel") -> None:
         kernel.policy.on_sample = MethodType(hawkeye_on_sample, kernel.policy)
     if kernel.numa is not None:
         kernel.numa._harvest = MethodType(numa_harvest, kernel.numa)
+    kernel.fragmenter.fragment = MethodType(fragment, kernel.fragmenter)
+    compactors = (kernel.compactor.compactors
+                  if isinstance(kernel.compactor, NodeCompactor)
+                  else [kernel.compactor])
+    for compactor in compactors:
+        compactor._empty_chunk = MethodType(empty_chunk, compactor)

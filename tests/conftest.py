@@ -18,6 +18,33 @@ def _reset_capture():
     telemetry.reset()
 
 
+#: every per-frame column of the provenance ledger (repro.audit.FrameLedger).
+LEDGER_COLUMNS = (
+    "live", "alloc_pid", "alloc_order", "alloc_epoch", "alloc_site",
+    "ev_code", "ev_epoch", "ev_arg", "ev_len",
+)
+
+
+def buddy_snapshot(allocator) -> dict:
+    """A buddy allocator's (or every NUMA zone's) free lists with dict
+    order kept, ``free_pages``, and the frame-table columns allocation
+    touches; two allocators with equal snapshots hand out the same
+    frames from then on."""
+    frames = allocator.frames
+    return {
+        "zones": [
+            ([list(d.items()) for d in zone._zero],
+             [list(d.items()) for d in zone._nonzero],
+             list(zone._block_order.items()),
+             zone.free_pages)
+            for zone in getattr(allocator, "zones", [allocator])
+        ],
+        "columns": {name: getattr(frames, name).tolist()
+                    for name in ("allocated", "owner", "pinned",
+                                 "first_nonzero", "content_tag")},
+    }
+
+
 def small_config(mem_mb: int = 64, **overrides) -> KernelConfig:
     return KernelConfig(mem_bytes=mem_mb * MB, **overrides)
 

@@ -1,12 +1,20 @@
 """Unit tests for memory compaction."""
 
+import copy
+from types import MethodType, SimpleNamespace
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro import oracle
+from repro.audit import FrameLedger
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.compaction import CompactionStats, Compactor
 from repro.mem.frames import FrameTable
 from repro.units import PAGES_PER_HUGE
+from tests.conftest import LEDGER_COLUMNS, buddy_snapshot
 
 
 class MigrationRegistry:
@@ -129,3 +137,90 @@ def test_free_page_conservation():
     compactor.run(budget_pages=300)
     assert buddy.free_pages == before_free
     assert frames.allocated_count() == before_alloc
+
+
+def _random_layout(data, num_frames):
+    """Frames mapped at random (per-chunk density varies), the rest freed
+    in random order; some mappings refuse to move."""
+    frames = FrameTable(num_frames)
+    frames.first_nonzero[:] = np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1), label="content")
+    ).choice([-1, -1, 0, 9], num_frames)
+    buddy = BuddyAllocator(frames)
+    frames.ledger = FrameLedger(SimpleNamespace(
+        frames=frames, stats=SimpleNamespace(epochs=5)))
+    reg = MigrationRegistry()
+    taken = []
+    while (got := buddy.try_alloc(0, prefer_zero=False, owner=4)) is not None:
+        taken.append(got[0])
+    density = data.draw(st.lists(st.floats(0.0, 1.0), min_size=num_frames // 512,
+                                 max_size=num_frames // 512), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="keep"))
+    keep = [f for f in taken if rng.random() < density[f // 512] * 0.6]
+    kept = set(keep)
+    for logical, frame in enumerate(keep):
+        reg.place(logical, frame)
+    buddy.free_frames(rng.permutation([f for f in taken if f not in kept]))
+    refuse = data.draw(st.lists(st.sampled_from(keep), max_size=4)
+                       if keep else st.just([]), label="refuse")
+    reg.refuse.update(refuse)
+    return frames, buddy, reg
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_evacuation_matches_per_page_reference(data):
+    """Per-extent ``_empty_chunk`` against the per-page reference body in
+    :mod:`repro.oracle`, refused migrations included: same stats, free
+    lists (dict order kept), frame columns, ledger and mappings."""
+    frames, buddy, reg = _random_layout(data, data.draw(
+        st.sampled_from([2048, 4096]), label="frames"))
+    twin_frames, twin_buddy, twin_reg = copy.deepcopy((frames, buddy, reg))
+    batched = Compactor(buddy, reg.migrate)
+    reference = Compactor(twin_buddy, twin_reg.migrate)
+    reference._empty_chunk = MethodType(oracle.empty_chunk, reference)
+    for budget in data.draw(st.lists(st.integers(1, 1500), min_size=1,
+                                     max_size=3), label="budgets"):
+        assert batched.run(budget) == reference.run(budget)
+        assert buddy_snapshot(buddy) == buddy_snapshot(twin_buddy)
+        for name in LEDGER_COLUMNS:
+            assert np.array_equal(getattr(frames.ledger, name),
+                                  getattr(twin_frames.ledger, name)), name
+        assert frames.ledger.events_recorded == twin_frames.ledger.events_recorded
+        assert reg.locations == twin_reg.locations
+        buddy.check()
+
+
+def test_refused_migration_mid_extent_matches_reference():
+    """A refusal in the middle of a destination extent: only the pages
+    the per-page reference allocates are taken, and the state matches."""
+    def layout():
+        frames = FrameTable(2048)
+        frames.first_nonzero[:] = 0  # dirty: destinations come whole
+        buddy = BuddyAllocator(frames)
+        frames.ledger = FrameLedger(SimpleNamespace(
+            frames=frames, stats=SimpleNamespace(epochs=2)))
+        reg = MigrationRegistry()
+        taken = [buddy.alloc(0, prefer_zero=False)[0] for _ in range(2048)]
+        movable = list(range(10))  # ten pages in chunk 0
+        hole = range(1024 + 64, 1024 + 96)  # one free order-5 block
+        for logical, frame in enumerate(movable):
+            reg.place(logical, frame)
+        buddy.free_frames([f for f in taken
+                           if f not in movable and f not in range(1024, 2048)]
+                          + list(hole))
+        reg.refuse.add(movable[3])
+        return frames, buddy, reg
+
+    frames, buddy, reg = layout()
+    twin_frames, twin_buddy, twin_reg = layout()
+    reference = Compactor(twin_buddy, twin_reg.migrate)
+    reference._empty_chunk = MethodType(oracle.empty_chunk, reference)
+    stats = Compactor(buddy, reg.migrate).run(512)
+    assert stats == reference.run(512)
+    assert stats.chunks_abandoned == 1 and stats.pages_moved == 3
+    assert buddy_snapshot(buddy) == buddy_snapshot(twin_buddy)
+    for name in LEDGER_COLUMNS:
+        assert np.array_equal(getattr(frames.ledger, name),
+                              getattr(twin_frames.ledger, name)), name
+    buddy.check()

@@ -1,10 +1,16 @@
 """Unit tests for FMFI and the controlled fragmenter."""
 
+from types import MethodType
+
 import pytest
 
+from repro import oracle
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.frames import FrameTable
+from repro.numa.allocator import NodeAllocator
+from repro.numa.topology import NumaTopology
+from tests.conftest import buddy_snapshot
 
 
 def make(num_frames=8192):
@@ -153,3 +159,36 @@ def test_migrate_page_moves_cache_entry():
     assert victim not in frag._cache_pages
     assert 999_999 in frag._cache_pages
     assert frag.migrate_page(victim, 5) is False
+
+
+def _fragmenter(nodes: int) -> Fragmenter:
+    frames = FrameTable(4096)
+    frames.first_nonzero[::3] = 0  # mixed content: zero and dirty blocks
+    if nodes == 1:
+        return Fragmenter(BuddyAllocator(frames))
+    return Fragmenter(NodeAllocator(frames, NumaTopology(
+        nodes=3, ranges=[(0, 1000), (1000, 2600), (2600, 4096)])))
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+@pytest.mark.parametrize("keep", [0.0, 0.05, 0.5])
+def test_target_fmfi_sweep_matches_reference(nodes, keep):
+    """Bulk fill + evict against the per-frame reference body for a sweep
+    of targets: unreachable ones (below any index the evict reaches),
+    already-met ones (stop after the first free) and everything between,
+    on one zone and on three unaligned NUMA zones."""
+    for target in (None, -0.1, 0.0, 0.3, 0.6, 0.9, 0.99, 1.0, 1.5):
+        bulk, ref = _fragmenter(nodes), _fragmenter(nodes)
+        ref.fragment = MethodType(oracle.fragment, ref)
+        result = bulk.fragment(keep_fraction=keep, target_fmfi=target)
+        assert result == ref.fragment(keep_fraction=keep, target_fmfi=target)
+        assert bulk._cache_pages == ref._cache_pages
+        assert buddy_snapshot(bulk.buddy) == buddy_snapshot(ref.buddy)
+        bulk.buddy.check()
+        # a second burst starts from the fragmented state
+        result = bulk.fragment(keep_fraction=keep, target_fmfi=target)
+        assert result == ref.fragment(keep_fraction=keep, target_fmfi=target)
+        assert buddy_snapshot(bulk.buddy) == buddy_snapshot(ref.buddy)
+        assert bulk.reclaim(300) == ref.reclaim(300)
+        assert buddy_snapshot(bulk.buddy) == buddy_snapshot(ref.buddy)
+        assert bulk._cache_pages == ref._cache_pages

@@ -1,7 +1,8 @@
 """Isolation of :mod:`repro.oracle`, the scalar reference bodies.
 
 ``oracle.install`` must patch exactly one kernel instance (and that
-kernel's policy and NUMA state), never a class or a sibling kernel, and
+kernel's policy, NUMA state, fragmenter and zone compactors), never a
+class or a sibling kernel, and
 a plain simulation must never import the module at all.
 """
 
@@ -25,6 +26,8 @@ from tests.conftest import small_config, spawn_simple
 KERNEL_NAMES = ("_sample_access_bits", "fault_range", "_unmap_base_batched")
 POLICY_NAMES = ("on_sample",)
 NUMA_NAMES = ("_harvest",)
+FRAGMENTER_NAMES = ("fragment",)
+COMPACTOR_NAMES = ("_empty_chunk",)
 
 
 def _build() -> Kernel:
@@ -54,6 +57,10 @@ def _patched(kernel: Kernel) -> dict[str, set[str]]:
         "kernel": set(vars(kernel)) & set(KERNEL_NAMES),
         "policy": set(vars(kernel.policy)) & set(POLICY_NAMES),
         "numa": set(vars(kernel.numa)) & set(NUMA_NAMES),
+        "fragmenter": set(vars(kernel.fragmenter)) & set(FRAGMENTER_NAMES),
+        # one zone compactor per node
+        "compactors": [set(vars(c)) & set(COMPACTOR_NAMES)
+                       for c in kernel.compactor.compactors],
     }
 
 
@@ -62,11 +69,20 @@ def test_install_patches_only_its_own_kernel():
     oracle.install(a)
     assert _patched(a) == {"kernel": set(KERNEL_NAMES),
                            "policy": set(POLICY_NAMES),
-                           "numa": set(NUMA_NAMES)}
-    assert _patched(b) == {"kernel": set(), "policy": set(), "numa": set()}
+                           "numa": set(NUMA_NAMES),
+                           "fragmenter": set(FRAGMENTER_NAMES),
+                           "compactors": [set(COMPACTOR_NAMES)] * 2}
+    assert _patched(b) == {"kernel": set(), "policy": set(), "numa": set(),
+                           "fragmenter": set(), "compactors": [set(), set()]}
 
+    for kernel in (a, b):
+        kernel.fragmenter.fragment(keep_fraction=0.05)
+        kernel.compactor.run(2000)
     b_result, b_vmstat = _run_sampled(b)
-    fresh_result, fresh_vmstat = _run_sampled(_build())
+    fresh = _build()
+    fresh.fragmenter.fragment(keep_fraction=0.05)
+    fresh.compactor.run(2000)
+    fresh_result, fresh_vmstat = _run_sampled(fresh)
     assert b.stats.epochs // b.config.sample_period >= 5
     assert b_result == fresh_result
     assert b_vmstat == fresh_vmstat

@@ -7,6 +7,7 @@ from repro.core.prezero import (
     INTERFERENCE_PER_GBPS_NT,
     PreZeroThread,
 )
+from repro.errors import AllocationError
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import Linux4KPolicy
 from repro.units import GB, MB
@@ -77,3 +78,13 @@ def test_interference_zero_when_idle():
     thread = PreZeroThread(kernel, pages_per_sec=1e9)
     thread.run_epoch()
     assert kernel.prezero_interference == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AllocationError, reason=(
+    "PreZeroThread._split reinserts both halves of an order-10 block "
+    "without coalescing them, so the free lists keep buddy pairs the "
+    "allocator's check() rejects; simulated results depend on it"))
+def test_prezero_leaves_free_lists_maximal():
+    kernel = make_kernel()
+    PreZeroThread(kernel, pages_per_sec=1e9).run_epoch()
+    kernel.buddy.check()

@@ -3,8 +3,9 @@
 A twin-kernel state machine (same shape as ``test_prop_vectorized``)
 drives a vectorized kernel and a scalar one (built with
 :func:`repro.oracle.install`) — each with an audit log
-attached — through randomized faults, frees, promotions, demotions and
-access-bit samples, asserting after every step that
+attached — through randomized faults (single and bulk), frees,
+promotions, demotions, access-bit samples, fragmenter bursts and
+compaction runs, asserting after every step that
 
 * the ledger's ``live`` column is exactly the frame table's
   ``allocated`` bitmap, and live records carry the frame's owner pid —
@@ -35,12 +36,8 @@ from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests.conftest import LEDGER_COLUMNS
 
-#: ledger columns that must be identical across the vectorized twins.
-_LEDGER_COLUMNS = (
-    "live", "alloc_pid", "alloc_order", "alloc_epoch", "alloc_site",
-    "ev_code", "ev_epoch", "ev_arg", "ev_len",
-)
 
 
 def _build(vectorized: bool):
@@ -76,6 +73,25 @@ class AuditTwinMachine(RuleBasedStateMachine):
     def fault(self, offset):
         for kernel, proc, vma in self.twins:
             kernel.fault(proc, vma.start + offset)
+
+    @rule(offset=st.integers(0, 4000), npages=st.integers(1, 300))
+    def fault_range(self, offset, npages):
+        """Bulk base faults vs the per-page reference: every frame of a
+        run records buddy order 0, however long its extent."""
+        for kernel, proc, vma in self.twins:
+            kernel.fault_range(proc, vma.start + offset,
+                               min(npages, vma.npages - offset))
+
+    @rule(keep=st.sampled_from([0.0, 0.05, 0.3]),
+          fmfi=st.sampled_from([None, 0.5, 1.0]))
+    def fragment(self, keep, fmfi):
+        for kernel, _proc, _vma in self.twins:
+            kernel.fragmenter.fragment(keep_fraction=keep, target_fmfi=fmfi)
+
+    @rule(budget=st.integers(1, 3000))
+    def compact(self, budget):
+        for kernel, _proc, _vma in self.twins:
+            kernel.compactor.run(budget)
 
     @rule(offset=st.integers(0, 4000), npages=st.integers(1, 300))
     def madvise(self, offset, npages):
@@ -144,7 +160,7 @@ class AuditTwinMachine(RuleBasedStateMachine):
     def twin_ledgers_identical(self):
         led0 = self.twins[0][0].audit.ledger
         led1 = self.twins[1][0].audit.ledger
-        for column in _LEDGER_COLUMNS:
+        for column in LEDGER_COLUMNS:
             assert np.array_equal(getattr(led0, column),
                                   getattr(led1, column)), column
 

@@ -5,14 +5,18 @@ scalar reference loops they replaced, which :mod:`repro.oracle` keeps.
 A twin-kernel state machine drives two kernels — one plain (vectorized),
 one with :func:`repro.oracle.install` applied (scalar) — through the
 same randomized sequence of
-faults, frees, promotions, demotions, profile changes and access-bit
-samples, and asserts after every step that
+faults, frees, promotions, demotions, profile changes, access-bit
+samples, fragmenter bursts and compaction runs, and asserts after every
+step that
 
 * page-table translations (base and huge) are identical,
 * each page table's flat mirror arrays agree with its dicts,
-* region-table metadata (residency, EMAs, idle bits) is float-exact, and
+* region-table metadata (residency, EMAs, idle bits) is float-exact,
 * every AccessMap bucket holds the same regions in the same order
-  (order encodes recency — the promotion engine consumes it head first).
+  (order encodes recency — the promotion engine consumes it head first),
+  and
+* the buddy free lists agree with dict order kept, as do the frame-table
+  columns and the file cache, and the free lists pass ``check()``.
 
 A directed NUMA test does the same for the hint-fault candidate harvest
 with an interleave mempolicy forcing half the regions remote.
@@ -34,10 +38,13 @@ from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE, SEC
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests.conftest import buddy_snapshot
 
 
 def _build(vectorized: bool, nodes: int = 1, balance: bool = False):
     """One kernel + process + 16 MiB heap, base-mapped HawkEye."""
+    # same pid on both twins, so the frame-table owner columns compare
+    reset_sim_state()
     kernel = Kernel(
         KernelConfig(
             mem_bytes=32 * MB,
@@ -102,6 +109,22 @@ class TwinMachine(RuleBasedStateMachine):
         for kernel, _proc, _vma in self.twins:
             kernel._sample_access_bits()
 
+    @rule(keep=st.sampled_from([0.0, 0.05, 0.3]),
+          fmfi=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]))
+    def fragment(self, keep, fmfi):
+        """Bulk fill + evict vs the per-frame reference (oracle)."""
+        results = [kernel.fragmenter.fragment(keep_fraction=keep,
+                                              target_fmfi=fmfi)
+                   for kernel, _proc, _vma in self.twins]
+        assert results[0] == results[1]
+
+    @rule(budget=st.integers(1, 3000))
+    def compact(self, budget):
+        """Per-extent evacuation vs the per-page reference (oracle)."""
+        stats = [kernel.compactor.run(budget)
+                 for kernel, _proc, _vma in self.twins]
+        assert stats[0] == stats[1]
+
     # -- equivalence invariants ----------------------------------------- #
 
     @invariant()
@@ -145,6 +168,14 @@ class TwinMachine(RuleBasedStateMachine):
             assert r0.last_coverage == r1.last_coverage
             assert r0.idle == r1.idle
             assert r0.bloat_demoted == r1.bloat_demoted
+
+    @invariant()
+    def buddy_identical(self):
+        """Free lists (with dict order), frame columns and file cache."""
+        (k0, _, _), (k1, _, _) = self.twins
+        assert buddy_snapshot(k0.buddy) == buddy_snapshot(k1.buddy)
+        assert k0.fragmenter._cache_pages == k1.fragmenter._cache_pages
+        k0.buddy.check()
 
     @invariant()
     def access_maps_identical(self):
@@ -210,3 +241,29 @@ def test_numa_remote_discount_vectorized_matches_scalar():
     scalar = _drive_numa(False, balance=False)
     assert vec == scalar
     assert vec["hint_faults"] == 0 and vec["migrated"] == 0
+
+
+def _drive_compaction(vectorized: bool):
+    """Fragment a 2-node kernel, fault and free around the holes, compact
+    (per-zone compactors), and snapshot the allocator."""
+    kernel, proc, vma = _build(vectorized, nodes=2)
+    kernel.fragmenter.fragment(keep_fraction=0.05)
+    stats = []
+    for offset in range(0, 4096, 1024):
+        kernel.fault_range(proc, vma.start + offset, 700)
+        stats.append(kernel.compactor.run(1500))
+        kernel.madvise_free(proc, vma.start + offset + 100, 400)
+        stats.append(kernel.compactor.run(1500))
+    return {
+        "buddy": buddy_snapshot(kernel.buddy),
+        "cache": sorted(kernel.fragmenter._cache_pages),
+        "stats": stats,
+        "mapped": {v: e.frame for v, e in proc.page_table.base.items()},
+    }
+
+
+def test_numa_compaction_matches_reference():
+    """NodeCompactor's zone compactors, batched vs the per-page body."""
+    vec = _drive_compaction(True)
+    assert vec == _drive_compaction(False)
+    assert sum(s.pages_moved for s in vec["stats"]) > 0
