@@ -155,3 +155,43 @@ def test_reset_clears_capture_state(kernel4k):
     telemetry.reset()
     assert telemetry.capturing is False
     assert telemetry.end_capture() == []
+
+
+# --------------------------------------------------------------------- #
+# artifact byte pin                                                      #
+# --------------------------------------------------------------------- #
+
+#: sha256 of one captured artifact's canonical JSON (sorted keys,
+#: ``self_profile`` dropped).  A change here means the telemetry bytes
+#: moved; refactors of the publication path must leave it alone.
+PINNED_ARTIFACT_SHA256 = (
+    "09ea3e309c8b552bf7d03d5a23cc65a2b241cb03be35eba2ff4a548a828cd99d")
+
+
+def test_captured_artifact_bytes_are_pinned():
+    """Tracer, audit, heat, fleet and limits all publish into one cell."""
+    import hashlib
+
+    from repro.experiments import Scale, make_kernel, reset_sim_state
+    from repro.fleet import FleetManager, FleetSpec
+    from repro.units import GB
+
+    reset_sim_state()
+    telemetry.start_capture(every_epochs=5)
+    try:
+        kernel = make_kernel(8 * GB, "hawkeye-g", Scale(1 / 128),
+                             boot_zeroed=True)
+        FleetManager(kernel, FleetSpec(rate_per_s=2.0, seed=1,
+                                       group_limits={"batch-*": 4}),
+                     scale_factor=1 / 128)
+        kernel.run_epochs(120)
+    finally:
+        (artifact,) = telemetry.end_capture({"cell_id": "pin"})
+    doc = artifact.to_dict()
+    doc.pop("self_profile")
+    assert {"decisions", "heat", "fleet"} <= set(doc)
+    gauges = doc["scrapes"][-1]["gauges"]
+    assert "heat_wss_pages" in gauges and "limit_group_held" in gauges
+    assert doc["attribution"]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_ARTIFACT_SHA256
