@@ -37,7 +37,7 @@ Usage::
 
     log = audit.attach(kernel)
     ... run the workload ...
-    print(audit.format_funnel(log.funnel_summary()))
+    print(audit.format_funnel(log.summary()))
     for rec in log.decisions_for(pid=proc.pid, hvpn=hvpn):
         print(rec)
     audit.detach(kernel)
@@ -56,6 +56,7 @@ from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
 
 #: per-frame lifecycle ring slots (newest events win once full).
 RING_SLOTS = 8
@@ -402,18 +403,17 @@ class AuditLog:
                 break
         return out
 
-    def funnel_summary(self) -> dict[str, dict[str, int]]:
-        """point -> {stage: count}, points sorted by name."""
+    def summary(self) -> dict:
+        """The artifact section: ``funnel`` (point -> {stage: count}),
+        ``rejections`` (point -> {reason: count}), both sorted, and the
+        ``recorded``/``dropped`` record counts."""
         return {
-            point: dict(zip(FUNNEL_STAGES, counts))
-            for point, counts in sorted(self.funnel.items())
-        }
-
-    def rejection_summary(self) -> dict[str, dict[str, int]]:
-        """point -> {reason: count}, both levels sorted."""
-        return {
-            point: {r: n for r, n in sorted(reasons.items())}
-            for point, reasons in sorted(self.rejections.items())
+            "funnel": {point: dict(zip(FUNNEL_STAGES, counts))
+                       for point, counts in sorted(self.funnel.items())},
+            "rejections": {point: dict(sorted(reasons.items()))
+                           for point, reasons in sorted(self.rejections.items())},
+            "recorded": self.recorded,
+            "dropped": self.dropped,
         }
 
 
@@ -454,28 +454,87 @@ def detach(kernel: "Kernel") -> AuditLog | None:
 
 
 # ---------------------------------------------------------------------- #
-# rendering                                                               #
+# publication: families, artifact section, scalars, rows, rendering       #
 # ---------------------------------------------------------------------- #
 
 
-def format_funnel(summary: dict[str, dict[str, int]],
-                  rejections: dict[str, dict[str, int]] | None = None,
-                  title: str = "decision funnel") -> str:
-    """Render the funnel (and optional rejection breakdown) as text."""
+def format_funnel(section: dict, title: str = "decision funnel") -> str:
+    """Render a decisions section's :func:`rows` as text tables."""
     from repro.metrics.tables import format_table
 
-    rows = [
-        [point] + [counts[stage] for stage in FUNNEL_STAGES]
-        for point, counts in summary.items()
-    ]
-    out = format_table(["point", *FUNNEL_STAGES], rows, title=title)
+    funnel, rejections = rows(section)
+    out = format_table(["point", *FUNNEL_STAGES], funnel, title=title)
     if rejections:
-        rej_rows = [
-            [point, reason, count]
-            for point, reasons in rejections.items()
-            for reason, count in reasons.items()
-        ]
         out += "\n" + format_table(
-            ["point", "reason", "rejections"], rej_rows,
+            ["point", "reason", "rejections"], rejections,
             title="rejections by reason")
+    return out
+
+
+#: the decisions section's key in a telemetry artifact.
+SECTION = "decisions"
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish the funnel and rejection counters of an attached log."""
+    if (log := kernel.audit) is None:
+        return
+    funnel = registry.counter(
+        "decision_funnel_total",
+        "policy decisions reaching each funnel stage",
+        labelnames=("point", "stage"))
+    rejections = registry.counter(
+        "decision_rejections_total",
+        "policy rejections per decision point and reason",
+        labelnames=("point", "reason"))
+    for point, counts in log.funnel.items():
+        for stage, count in zip(FUNNEL_STAGES, counts):
+            funnel.labels(point=point, stage=stage).sync(count)
+    for point, reasons in log.rejections.items():
+        for reason, count in reasons.items():
+            rejections.labels(point=point, reason=reason).sync(count)
+
+
+def section(kernel: "Kernel") -> dict:
+    """The artifact section: funnel, rejections and record counts."""
+    return kernel.audit.summary() if kernel.audit is not None else {}
+
+
+def merge(sections: Iterable[dict]) -> dict:
+    """Sum several sections' funnels and rejections into one."""
+    funnel: dict[str, dict[str, int]] = {}
+    rejections: dict[str, dict[str, int]] = {}
+    for sec in sections:
+        for point, stages in (sec.get("funnel") or {}).items():
+            agg = funnel.setdefault(point, dict.fromkeys(FUNNEL_STAGES, 0))
+            for stage, count in stages.items():
+                agg[stage] += count
+        for point, reasons in (sec.get("rejections") or {}).items():
+            rej = rejections.setdefault(point, {})
+            for reason, count in reasons.items():
+                rej[reason] = rej.get(reason, 0) + count
+    return {"funnel": funnel, "rejections": rejections}
+
+
+def rows(section: dict) -> tuple[list[list], list[list]]:
+    """``[point, *FUNNEL_STAGES]`` funnel rows and ``[point, reason,
+    count]`` rejection rows, sorted: the CLI and HTML tables."""
+    funnel = [[point, *(stages.get(s, 0) for s in FUNNEL_STAGES)]
+              for point, stages in sorted((section.get("funnel") or {}).items())]
+    rejections = [[point, reason, count]
+                  for point, reasons in sorted(
+                      (section.get("rejections") or {}).items())
+                  for reason, count in sorted(reasons.items())]
+    return funnel, rejections
+
+
+def scalars(section: dict) -> dict[str, float]:
+    """``decision.<point>.<stage>`` and ``decision.<point>.reject.<reason>``."""
+    out = {}
+    for point, stages in (section.get("funnel") or {}).items():
+        for stage, count in stages.items():
+            out[f"decision.{point}.{stage}"] = count
+    for point, reasons in (section.get("rejections") or {}).items():
+        for reason, count in reasons.items():
+            out[f"decision.{point}.reject.{reason}"] = count
     return out

@@ -1180,18 +1180,14 @@ def cmd_audit(args) -> int:
         "workload": args.workload,
         "policy": args.policy,
         "outcome": result["outcome"],
-        "funnel": log.funnel_summary(),
-        "rejections": log.rejection_summary(),
-        "recorded": log.recorded,
-        "dropped": log.dropped,
+        **log.summary(),
     }
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
         print(audit.format_funnel(
-            doc["funnel"], doc["rejections"],
-            title=f"decision funnel: {args.workload}/{args.policy} "
-                  f"({log.recorded} decisions)"))
+            doc, title=f"decision funnel: {args.workload}/{args.policy} "
+                       f"({log.recorded} decisions)"))
     return 0 if result["outcome"] == "completed" else 1
 
 
@@ -1200,43 +1196,32 @@ def _cmd_audit_cache(args) -> int:
     import json
 
     from repro import audit
-    from repro.report.data import latest_envelopes
+    from repro.report.data import cell_sections, latest_envelopes
 
     cache, _ = _sweep_paths(args)
-    cells: dict[str, dict] = {}
-    total_funnel: dict[str, dict[str, int]] = {}
-    total_rej: dict[str, dict[str, int]] = {}
-    envelopes = latest_envelopes(cache)
-    for cell_id in sorted(envelopes):
-        for artifact in envelopes[cell_id].get("telemetry") or []:
-            decisions = artifact.get("decisions") or {}
-            if not decisions:
-                continue
-            cells[cell_id] = decisions
-            for point, stages in (decisions.get("funnel") or {}).items():
-                agg = total_funnel.setdefault(
-                    point, {s: 0 for s in audit.FUNNEL_STAGES})
-                for stage, count in stages.items():
-                    agg[stage] += count
-            for point, reasons in (decisions.get("rejections") or {}).items():
-                rej = total_rej.setdefault(point, {})
-                for reason, count in reasons.items():
-                    rej[reason] = rej.get(reason, 0) + count
+    sections = cell_sections(latest_envelopes(cache), audit.SECTION)
+    cells = dict(sections)
+    total = audit.merge(sec for _, sec in sections)
     if args.json:
-        print(json.dumps(
-            {"cells": cells,
-             "total": {"funnel": total_funnel, "rejections": total_rej}},
-            indent=2, sort_keys=True))
+        print(json.dumps({"cells": cells, "total": total},
+                         indent=2, sort_keys=True))
         return 0
     if not cells:
         print(f"no captured decision audits in {cache.root} "
               f"(cells cached before the audit layer, or audit disabled)")
         return 0
     print(audit.format_funnel(
-        {p: total_funnel[p] for p in sorted(total_funnel)},
-        {p: dict(sorted(total_rej[p].items())) for p in sorted(total_rej)},
-        title=f"decision funnel: {len(cells)} cells in {cache.root}"))
+        total, title=f"decision funnel: {len(cells)} cells in {cache.root}"))
     return 0
+
+
+def _write_heat_svgs(snapshots: dict[str, dict], svg_dir: str) -> None:
+    """Write every labelled heat snapshot's SVG panels; report the count."""
+    from repro.report.html import write_heat_svgs
+
+    written = sum(len(write_heat_svgs(snap, svg_dir, label=label))
+                  for label, snap in snapshots.items())
+    print(f"{written} SVG heatmap(s) written to {svg_dir}", file=sys.stderr)
 
 
 def _print_heat_proc(proc_snap: dict, args) -> None:
@@ -1336,13 +1321,8 @@ def cmd_heat(args) -> int:
                   file=sys.stderr)
             return 2
     if args.svg_dir:
-        from repro.report.html import write_heat_svgs
-
-        written = write_heat_svgs(
-            {"processes": procs}, args.svg_dir,
-            label=f"{args.workload}-{args.policy}")
-        print(f"{len(written)} SVG heatmap(s) written to {args.svg_dir}",
-              file=sys.stderr)
+        _write_heat_svgs({f"{args.workload}-{args.policy}":
+                          {"processes": procs}}, args.svg_dir)
     if args.json:
         print(json.dumps(
             {"workload": args.workload, "policy": args.policy,
@@ -1362,15 +1342,13 @@ def _cmd_heat_cache(args) -> int:
     """Aggregate captured heat snapshots across a sweep cache."""
     import json
 
-    from repro.report.data import latest_envelopes
+    from repro import heat
+    from repro.report.data import cell_sections, latest_envelopes
 
     cache, _ = _sweep_paths(args)
-    cells: dict[str, dict] = {}
-    for cell_id, env in sorted(latest_envelopes(cache).items()):
-        for artifact in env.get("telemetry") or []:
-            snap = artifact.get("heat") or {}
-            if snap.get("processes"):
-                cells[cell_id] = snap
+    cells = {cell_id: snap for cell_id, snap in
+             cell_sections(latest_envelopes(cache), heat.SECTION)
+             if snap.get("processes")}
     if args.json:
         print(json.dumps({"cells": cells}, indent=2, sort_keys=True))
         return 0
@@ -1379,36 +1357,19 @@ def _cmd_heat_cache(args) -> int:
               f"(cells cached before the heat layer)")
         return 0
     if args.svg_dir:
-        from repro.report.html import write_heat_svgs
-
-        written = [path for cell_id, snap in cells.items()
-                   for path in write_heat_svgs(snap, args.svg_dir,
-                                               label=cell_id)]
-        print(f"{len(written)} SVG heatmap(s) written to {args.svg_dir}",
-              file=sys.stderr)
-    rows = []
-    for cell_id, snap in cells.items():
-        for proc in snap.get("processes") or ():
-            if args.process and proc.get("process") != args.process:
-                continue
-            wss = proc.get("wss") or {}
-            rows.append([cell_id, proc.get("process"),
-                         proc.get("samples", 0),
-                         len(proc.get("regions") or ()),
-                         proc.get("hot_regions", 0),
-                         wss.get("p50", ""), wss.get("p95", ""),
-                         wss.get("p99", "")])
+        _write_heat_svgs(cells, args.svg_dir)
+    rows = [[cell_id, *row] for cell_id, snap in cells.items()
+            for row in heat.rows(snap)
+            if not args.process or row[0] == args.process]
     print(format_table(
         ["cell", "process", "samples", "regions", "hot",
          "wss_p50", "wss_p95", "wss_p99"],
         rows, title=f"heat: {len(cells)} cells in {cache.root}"))
-    if args.process:
-        # with a process filter the cache view also renders the full
-        # per-cell heatmaps, same layout as a live run.
-        for cell_id, snap in cells.items():
-            for proc in snap.get("processes") or ():
-                if proc.get("process") != args.process:
-                    continue
+    # with a process filter the cache view also renders the full
+    # per-cell heatmaps, same layout as a live run.
+    for cell_id, snap in cells.items():
+        for proc in snap["processes"]:
+            if args.process and proc.get("process") == args.process:
                 print(f"\n[{cell_id}]")
                 _print_heat_proc(proc, args)
     return 0

@@ -25,7 +25,13 @@ Limits come in two flavours:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.vm.process import Process
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
 
 
 class HugePageLimits:
@@ -133,3 +139,24 @@ class HugePageLimits:
             self.group_refusals += 1
             return False
         return True
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish §3.5 cap refusals and group occupancy, once the policy
+    has limits (a fleet may install group caps mid-run)."""
+    if (limits := getattr(kernel.policy, "limits", None)) is None:
+        return
+    refusals = registry.counter(
+        "limit_refusals_total", "huge-page promotions refused by §3.5 caps",
+        labelnames=("kind",))
+    held = registry.gauge(
+        "limit_group_held", "huge pages currently held by a limit group",
+        labelnames=("group",))
+    cap_gauge = registry.gauge(
+        "limit_group_cap", "huge-page cap of a limit group",
+        labelnames=("group",))
+    refusals.labels(kind="total").sync(limits.refusals)
+    refusals.labels(kind="group").sync(limits.group_refusals)
+    for group, (n, cap) in limits.group_stats().items():
+        held.labels(group=group).set(n)
+        cap_gauge.labels(group=group).set(cap)

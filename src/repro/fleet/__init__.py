@@ -20,8 +20,8 @@ experiments use.  This package is that load generator:
 * :mod:`repro.fleet.experiment` — the ``fleet`` / ``fleet-smoke``
   registry experiments.
 
-A kernel without a fleet pays nothing: the manager drives itself through
-``kernel.epoch_hooks`` and the ``kernel.fleet`` slot stays None.
+The manager fills the ``kernel.fleet`` observer slot, and
+``Kernel.run_epoch`` calls it on the slot guard alone.
 """
 
 from repro.fleet.arrivals import PoissonArrivals, TraceArrivals

@@ -21,7 +21,7 @@ from __future__ import annotations
 import zlib
 
 from repro.experiments import Scale, make_kernel
-from repro.fleet.manager import FleetManager, FleetSpec
+from repro.fleet.manager import AGGREGATES, FleetManager, FleetSpec
 from repro.runner.registry import register
 from repro.units import GB, SEC
 
@@ -70,28 +70,18 @@ def fleet_result(kernel, manager: FleetManager, epochs: int) -> dict:
     overall = manager.qos.overall()
     limits = getattr(kernel.policy, "limits", None)
     snap = manager.snapshot()
-    classes = {}
-    for name, cls in snap["classes"].items():
-        hist = cls["fault_us"]
-        classes[name] = {
-            "tenants": cls["tenants"],
-            "oom_kills": cls["oom_kills"],
-            "promotions": cls["promotions"],
-            "mean_huge_coverage": cls["mean_huge_coverage"],
-            "mean_bloat_mb": cls["mean_bloat_mb"],
-            "fault_p50_us": hist.get("p50", 0.0),
-            "fault_p99_us": hist.get("p99", 0.0),
-        }
+    classes = {
+        name: {**{key: cls[key] for key in (
+                   "tenants", "oom_kills", "promotions",
+                   "mean_huge_coverage", "mean_bloat_mb")},
+               "fault_p50_us": cls["fault_us"].get("p50", 0.0),
+               "fault_p99_us": cls["fault_us"].get("p99", 0.0)}
+        for name, cls in snap["classes"].items()
+    }
     return {
         "epochs": epochs,
         "t_end_s": kernel.now_us / SEC,
-        "spawned": snap["spawned"],
-        "exited": snap["exited"],
-        "oom_kills": snap["oom_kills"],
-        "protected_kills": snap["protected_kills"],
-        "deferred": snap["deferred"],
-        "peak_active": snap["peak_active"],
-        "fairness_spread": snap["fairness_spread"],
+        **{key: snap[key] for key in AGGREGATES},
         "fault_p50_us": overall.quantile(0.50),
         "fault_p99_us": overall.quantile(0.99),
         "mean_fault_us": overall.mean_us,

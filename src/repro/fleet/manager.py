@@ -1,8 +1,9 @@
 """The fleet manager: arrivals in, QoS out.
 
-A :class:`FleetManager` attaches to a kernel (setting ``kernel.fleet``
-and appending itself to ``kernel.epoch_hooks``) and, at every epoch
-boundary:
+A :class:`FleetManager` attaches to a kernel by filling the
+``kernel.fleet`` slot; ``Kernel.run_epoch`` calls its
+:meth:`~FleetManager.on_epoch` after the telemetry sampler, at every
+epoch boundary:
 
 1. **reaps** tenants whose workload finished, recording their QoS and
    tearing them down through ``Kernel.exit_process`` (runs do not exit
@@ -39,6 +40,7 @@ from repro.mem.watermarks import Watermarks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
     from repro.workloads.base import WorkloadRun
 
 
@@ -111,7 +113,6 @@ class FleetManager:
         if self.spec.group_limits:
             self._install_group_limits()
         kernel.fleet = self
-        kernel.epoch_hooks.append(self.on_epoch)
 
     # ------------------------------------------------------------------ #
     # wiring                                                              #
@@ -269,3 +270,72 @@ class FleetManager:
             "fairness_spread": round(self.qos.fairness_spread(), 4),
             "classes": self.qos.snapshot(),
         }
+
+
+# ---------------------------------------------------------------------- #
+# publication: metric families, artifact section, scalars, rows           #
+# ---------------------------------------------------------------------- #
+
+#: the fleet section's key in a telemetry artifact.
+SECTION = "fleet"
+
+#: aggregate snapshot keys, in cell-result and ``fleet.<key>`` scalar order.
+AGGREGATES = ("spawned", "exited", "oom_kills", "protected_kills",
+              "deferred", "peak_active", "fairness_spread")
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish tenant lifecycle counters and the live population."""
+    if (fleet := kernel.fleet) is None:
+        return
+    counters = registry.counter(
+        "fleet_tenants_total", "cumulative fleet tenant lifecycle events",
+        labelnames=("event",))
+    gauges = registry.gauge(
+        "fleet_tenants", "current fleet tenant population",
+        labelnames=("state",))
+    for event, value in (("spawned", fleet.spawned),
+                         ("exited", fleet.exited),
+                         ("oom_killed", fleet.oom_kills),
+                         ("deferred", fleet.deferred)):
+        counters.labels(event=event).sync(value)
+    gauges.labels(state="active").set(fleet.active)
+    gauges.labels(state="pending").set(fleet.pending)
+
+
+def section(kernel: "Kernel") -> dict:
+    """The fleet snapshot, or ``{}`` on a kernel without a fleet."""
+    return kernel.fleet.snapshot() if kernel.fleet is not None else {}
+
+
+def scalars(section: dict) -> dict[str, float]:
+    """``fleet.<aggregate>`` plus per-class tenants, kills, promotions
+    and fault p50/p99."""
+    out = {f"fleet.{key}": section[key]
+           for key in AGGREGATES if key in section}
+    for name, cls in (section.get("classes") or {}).items():
+        out[f"fleet.{name}.tenants"] = cls.get("tenants", 0)
+        out[f"fleet.{name}.oom_kills"] = cls.get("oom_kills", 0)
+        out[f"fleet.{name}.promotions"] = cls.get("promotions", 0)
+        hist = cls.get("fault_us") or {}
+        for p in ("p50", "p99"):
+            if p in hist:
+                out[f"fleet.{name}.fault_{p}_us"] = hist[p]
+    return out
+
+
+def rows(section: dict) -> tuple[list[list], list[list]]:
+    """One aggregate row and one row per tenant class: the HTML tables."""
+    aggregate = [[*(section.get(key, 0) for key in (
+        "spawned", "exited", "oom_kills", "protected_kills", "peak_active",
+        "deferred")), section.get("fairness_spread", 0.0)]]
+    classes = []
+    for name, cls in sorted((section.get("classes") or {}).items()):
+        hist = cls.get("fault_us") or {}
+        classes.append([
+            name, *(cls.get(key, 0) for key in (
+                "tenants", "oom_kills", "promotions")),
+            *(cls.get(key, 0.0) for key in (
+                "mean_huge_coverage", "mean_bloat_mb")),
+            hist.get("p50", ""), hist.get("p99", "")])
+    return aggregate, classes

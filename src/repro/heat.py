@@ -70,6 +70,7 @@ from repro.units import HUGE_PAGE_SIZE, PAGES_PER_HUGE, SEC, bytes_human
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
     from repro.vm.process import Process
 
 #: Region-budget floor: splitting stops shrinking resolution below this.
@@ -531,8 +532,66 @@ def detach(kernel: "Kernel") -> HeatMonitor | None:
 
 
 # ---------------------------------------------------------------------- #
-# rendering                                                               #
+# publication: families, artifact section, scalars, rows, rendering       #
 # ---------------------------------------------------------------------- #
+
+#: the heat section's key in a telemetry artifact.
+SECTION = "heat"
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish per-process region counts and WSS of an attached monitor."""
+    if (monitor := kernel.heat) is None:
+        return
+    regions = registry.gauge(
+        "heat_monitoring_regions", "adaptive monitoring regions per process",
+        labelnames=("process",))
+    hot = registry.gauge(
+        "heat_hot_regions",
+        "monitoring regions above the hot-density threshold",
+        labelnames=("process",))
+    wss = registry.gauge(
+        "heat_wss_pages",
+        "monitoring-region working-set estimate in base pages",
+        labelnames=("process",))
+    for state in monitor.procs.values():
+        regions.labels(process=state.name).set(len(state.regions))
+        hot.labels(process=state.name).set(state.hot_regions())
+        wss.labels(process=state.name).set(round(state.last_estimate, 2))
+
+
+def section(kernel: "Kernel") -> dict:
+    """The monitor snapshot, or ``{}`` until it has seen anything."""
+    if kernel.heat is None:
+        return {}
+    snap = kernel.heat.snapshot()
+    return snap if snap["samples"] or snap["processes"] else {}
+
+
+def scalars(section: dict) -> dict[str, float]:
+    """``heat.<process>.{regions,hot_regions,wss_p50,wss_p95,wss_p99}``."""
+    out: dict[str, float] = {}
+    for proc in section.get("processes") or ():
+        name = proc.get("process")
+        out[f"heat.{name}.regions"] = len(proc.get("regions") or ())
+        out[f"heat.{name}.hot_regions"] = proc.get("hot_regions", 0)
+        wss = proc.get("wss") or {}
+        for p in ("p50", "p95", "p99"):
+            if p in wss:
+                out[f"heat.{name}.wss_{p}"] = wss[p]
+    return out
+
+
+def rows(section: dict) -> list[list]:
+    """``[process, samples, regions, hot, wss p50, p95, p99]`` per process:
+    the CLI and HTML table."""
+    out = []
+    for proc in section.get("processes") or ():
+        wss = proc.get("wss") or {}
+        out.append([proc.get("process"), proc.get("samples", 0),
+                    len(proc.get("regions") or ()), proc.get("hot_regions", 0),
+                    wss.get("p50", ""), wss.get("p95", ""), wss.get("p99", "")])
+    return out
 
 
 def ramp_char(value: float, vmax: float) -> str:

@@ -56,6 +56,7 @@ from repro.vm.vma import VMA, VMAKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro import heat as heat_mod
+    from repro.fleet.manager import FleetManager
     from repro.policies.base import HugePagePolicy
     from repro.workloads.base import Workload, WorkloadRun
 
@@ -161,11 +162,9 @@ class Kernel:
         #: DAMON-style spatial heat monitor; attach with
         #: :func:`repro.heat.attach`.
         self.heat: Optional["heat_mod.HeatMonitor"] = None
-        #: fleet load generator (multi-tenant churn); attached by
-        #: :class:`repro.fleet.manager.FleetManager`.  The manager drives
-        #: itself through ``epoch_hooks``, so this slot is pure metadata —
-        #: a kernel without a fleet pays nothing for it.
-        self.fleet = None
+        #: multi-tenant churn driver, run after the sampler; filled by
+        #: :class:`repro.fleet.manager.FleetManager` (no pause state).
+        self.fleet: Optional["FleetManager"] = None
         self.now_us = 0.0
         self.processes: list[Process] = []
         self.runs: list["WorkloadRun"] = []
@@ -785,6 +784,8 @@ class Kernel:
                 hm.on_sample(self)
         if (ts := self.telemetry) is not None and ts.enabled:
             ts.on_epoch(self)
+        if (fl := self.fleet) is not None:
+            fl.on_epoch(self)
         for hook in self.epoch_hooks:
             hook(self)
 

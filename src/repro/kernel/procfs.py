@@ -14,6 +14,7 @@ from repro.units import BASE_PAGE_SIZE, KB, PAGES_PER_HUGE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
     from repro.vm.process import Process
 
 
@@ -73,6 +74,53 @@ def vmstat(kernel: "Kernel") -> dict[str, float]:
         "audit_decisions": audit_log.recorded if audit_log is not None else 0,
         "audit_dropped": audit_log.dropped if audit_log is not None else 0,
     }
+
+
+#: vmstat keys that are point-in-time state, not cumulative counters.
+VMSTAT_GAUGES = frozenset({"trace_attached", "audit_attached"})
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish the core families (vmstat, meminfo, buddy, per-process),
+    declared on every kernel."""
+    vm_counters = registry.counter(
+        "vmstat", "cumulative kernel counters (/proc/vmstat analogue)",
+        labelnames=("name",))
+    vm_gauges = registry.gauge(
+        "vmstat_state", "point-in-time vmstat keys (e.g. trace_attached)",
+        labelnames=("name",))
+    for name, value in vmstat(kernel).items():
+        if name in VMSTAT_GAUGES:
+            vm_gauges.labels(name=name).set(value)
+        else:
+            vm_counters.labels(name=name).sync(value)
+    mem = registry.gauge(
+        "meminfo_kb", "memory gauges in KiB (/proc/meminfo analogue)",
+        labelnames=("field",))
+    for fieldname, value in meminfo(kernel).items():
+        mem.labels(field=fieldname).set(value)
+    registry.gauge(
+        "fmfi", "free memory fragmentation index at order 9",
+    ).child().set(kernel.fmfi())
+    registry.gauge(
+        "allocated_fraction", "fraction of physical memory allocated",
+    ).child().set(kernel.allocated_fraction())
+    free_blocks = registry.gauge(
+        "buddy_free_blocks", "free blocks per buddy order",
+        labelnames=("order",))
+    for order, count in enumerate(kernel.buddy.free_block_counts()):
+        free_blocks.labels(order=str(order)).set(count)
+    rss = registry.gauge(
+        "process_rss_pages", "resident pages per process",
+        labelnames=("process",))
+    mmu = registry.gauge(
+        "process_mmu_overhead", "lifetime MMU overhead per process",
+        labelnames=("process",))
+    for proc in kernel.processes:
+        rss.labels(process=proc.name).set(proc.rss_pages())
+        pmu = kernel.pmu.get(proc.pid)
+        if pmu is not None:
+            mmu.labels(process=proc.name).set(pmu.read_overhead())
 
 
 def numastat(kernel: "Kernel") -> dict[str, int]:

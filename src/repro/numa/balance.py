@@ -40,6 +40,7 @@ from repro.units import CYCLES_PER_USEC, PAGES_PER_HUGE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
     from repro.vm.process import Process
     from repro.vm.vma import VMA
 
@@ -499,3 +500,26 @@ class NumaState:
         if (tp := kernel.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.NUMA_MIGRATE, proc.name, cost, hvpn,
                     detail=f"{how} pages={pages} -> node{target}")
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish numastat; single-node kernels declare no NUMA family."""
+    if (numa := kernel.numa) is None:
+        return
+    from repro.kernel import procfs
+
+    gauges = registry.gauge(
+        "numastat_pages", "per-node page gauges (numastat analogue)",
+        labelnames=("name",))
+    counters = registry.counter(
+        "numastat", "cumulative NUMA placement/migration counters",
+        labelnames=("name",))
+    for name, value in procfs.numastat(kernel).items():
+        if name.endswith("_pages") or name == "numa_nodes":
+            gauges.labels(name=name).set(value)
+        else:
+            counters.labels(name=name).sync(value)
+    registry.gauge(
+        "numa_remote_walk_share",
+        "share of all page-walk cycles hitting remote-node memory",
+    ).child().set(numa.remote_walk_share())

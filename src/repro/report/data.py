@@ -31,6 +31,15 @@ def latest_envelopes(cache: ResultCache) -> dict[str, dict]:
     return latest
 
 
+def cell_sections(envelopes: dict[str, dict], key: str) -> list[tuple[str, dict]]:
+    """``(cell_id, section)`` for every captured artifact carrying a
+    non-empty ``key`` section, cells in sorted order."""
+    return [(cell_id, artifact[key])
+            for cell_id in sorted(envelopes)
+            for artifact in envelopes[cell_id].get("telemetry") or []
+            if artifact.get(key)]
+
+
 def flatten_scalars(value, prefix: str = "") -> dict[str, float]:
     """Flatten nested dicts into dotted-key numeric scalars.
 

@@ -27,7 +27,9 @@ import json
 import math
 from typing import Sequence
 
-from repro.report.data import flatten_scalars, latest_envelopes
+from repro import audit, heat
+from repro.fleet import manager as fleet
+from repro.report.data import cell_sections, flatten_scalars, latest_envelopes
 from repro.runner.cache import ResultCache
 
 #: categorical palette, slots assigned in order (validated all-pairs
@@ -448,26 +450,6 @@ def write_heat_svgs(snapshot: dict, out_dir: str, label: str = "",
 _MAX_HEAT_PANELS = 12
 
 
-def _heat_rows(envelopes: dict[str, dict]):
-    """Summary rows + (cell_id, proc-snapshot) panels from captured heat."""
-    rows, panels = [], []
-    for cell_id in sorted(envelopes):
-        env = envelopes[cell_id]
-        for artifact in env.get("telemetry") or []:
-            snap = artifact.get("heat") or {}
-            for proc in snap.get("processes") or ():
-                wss = proc.get("wss") or {}
-                rows.append([cell_id, proc.get("process"),
-                             proc.get("samples", 0),
-                             len(proc.get("regions") or ()),
-                             proc.get("hot_regions", 0),
-                             wss.get("p50", ""), wss.get("p95", ""),
-                             wss.get("p99", "")])
-                if proc.get("heat"):
-                    panels.append((cell_id, proc))
-    return rows, panels
-
-
 def _group_by_experiment(envelopes: dict[str, dict]) -> dict[str, list[dict]]:
     groups: dict[str, list[dict]] = {}
     for cell_id in sorted(envelopes):
@@ -541,51 +523,14 @@ def _attribution_rows(envelopes: dict[str, dict]):
     return rows, hist_rows, profiles
 
 
-def _decision_rows(envelopes: dict[str, dict]):
-    """Funnel + rejection-breakdown rows from captured decision audits."""
-    funnel_rows = []
-    reject_rows = []
-    for cell_id in sorted(envelopes):
-        env = envelopes[cell_id]
-        for artifact in env.get("telemetry") or []:
-            decisions = artifact.get("decisions") or {}
-            for point, stages in sorted(
-                    (decisions.get("funnel") or {}).items()):
-                funnel_rows.append([
-                    cell_id, point,
-                    stages.get("candidates", 0), stages.get("eligible", 0),
-                    stages.get("budget_passed", 0), stages.get("acted", 0)])
-            for point, reasons in sorted(
-                    (decisions.get("rejections") or {}).items()):
-                for reason, count in sorted(reasons.items()):
-                    reject_rows.append([cell_id, point, reason, count])
-    return funnel_rows, reject_rows
-
-
-def _fleet_rows(envelopes: dict[str, dict]):
-    """Aggregate + per-class QoS rows from captured fleet snapshots."""
-    agg_rows = []
-    class_rows = []
-    for cell_id in sorted(envelopes):
-        env = envelopes[cell_id]
-        for artifact in env.get("telemetry") or []:
-            fleet = artifact.get("fleet") or {}
-            if not fleet:
-                continue
-            agg_rows.append([
-                cell_id, fleet.get("spawned", 0), fleet.get("exited", 0),
-                fleet.get("oom_kills", 0), fleet.get("protected_kills", 0),
-                fleet.get("peak_active", 0), fleet.get("deferred", 0),
-                fleet.get("fairness_spread", 0.0)])
-            for name, cls in sorted((fleet.get("classes") or {}).items()):
-                hist = cls.get("fault_us") or {}
-                class_rows.append([
-                    cell_id, name, cls.get("tenants", 0),
-                    cls.get("oom_kills", 0), cls.get("promotions", 0),
-                    cls.get("mean_huge_coverage", 0.0),
-                    cls.get("mean_bloat_mb", 0.0),
-                    hist.get("p50", ""), hist.get("p99", "")])
-    return agg_rows, class_rows
+def _cell_tables(envelopes: dict[str, dict], mod) -> tuple[list, list]:
+    """``mod.rows``' two tables over every captured section, each row
+    led by its cell id."""
+    tables: tuple[list, list] = ([], [])
+    for cell_id, sec in cell_sections(envelopes, mod.SECTION):
+        for out, rows in zip(tables, mod.rows(sec)):
+            out += [[cell_id, *row] for row in rows]
+    return tables
 
 
 def render_report(cache: ResultCache, title: str = "HawkEye repro — run report") -> str:
@@ -626,7 +571,7 @@ def render_report(cache: ResultCache, title: str = "HawkEye repro — run report
             + _table(["cell", "tracepoint", "samples", "p50 (µs)",
                       "p95 (µs)", "p99 (µs)"], hist_rows, numeric_from=2)
             + "</section>")
-    funnel_rows, reject_rows = _decision_rows(envelopes)
+    funnel_rows, reject_rows = _cell_tables(envelopes, audit)
     if funnel_rows:
         sections.append(
             '<section class="card"><h2>Decision funnel '
@@ -640,7 +585,7 @@ def render_report(cache: ResultCache, title: str = "HawkEye repro — run report
             + _table(["cell", "point", "reason", "rejections"],
                      reject_rows, numeric_from=3)
             + "</section>")
-    fleet_agg, fleet_classes = _fleet_rows(envelopes)
+    fleet_agg, fleet_classes = _cell_tables(envelopes, fleet)
     if fleet_agg:
         body = _table(["cell", "spawned", "exited", "OOM kills",
                        "protected kills", "peak active", "deferred",
@@ -655,11 +600,16 @@ def render_report(cache: ResultCache, title: str = "HawkEye repro — run report
             '<section class="card"><h2>Fleet churn '
             "(tenant lifetimes, OOM accounting, per-class QoS)</h2>"
             + body + "</section>")
-    heat_rows, heat_panels = _heat_rows(envelopes)
+    heat_sections = cell_sections(envelopes, heat.SECTION)
+    heat_rows = [[cell_id, *row] for cell_id, sec in heat_sections
+                 for row in heat.rows(sec)]
     if heat_rows:
         body = _table(["cell", "process", "samples", "regions", "hot",
                        "wss p50 (pages)", "p95", "p99"],
                       heat_rows, numeric_from=2)
+        heat_panels = [(cell_id, proc) for cell_id, sec in heat_sections
+                       for proc in sec.get("processes") or ()
+                       if proc.get("heat")]
         shown = heat_panels[:_MAX_HEAT_PANELS]
         for cell_id, proc in shown:
             body += (f"<h3>{_esc(cell_id)} — {_esc(proc.get('process'))} "

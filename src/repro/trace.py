@@ -45,6 +45,7 @@ from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
+    from repro.metrics.registry import MetricsRegistry
 
 #: Default ring-buffer capacity (events kept before drops start).
 DEFAULT_CAPACITY = 200_000
@@ -436,6 +437,22 @@ def detach(kernel: "Kernel") -> Tracer | None:
     """
     tracer, kernel.trace = kernel.trace, None
     return tracer
+
+
+def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
+    """Publish the exact per-subsystem attribution table (the families
+    exist on every kernel, so a late tracer adds no family)."""
+    events = registry.counter(
+        "trace_events_total", "tracepoint emissions per subsystem",
+        labelnames=("subsystem",))
+    spans = registry.counter(
+        "trace_span_us_total", "traced simulated-time span per subsystem",
+        labelnames=("subsystem",))
+    if (tracer := kernel.trace) is None:
+        return
+    for subsystem, (count, span_us) in tracer.attribution().items():
+        events.labels(subsystem=subsystem).sync(count)
+        spans.labels(subsystem=subsystem).sync(span_us)
 
 
 # ---------------------------------------------------------------------- #

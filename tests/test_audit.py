@@ -148,7 +148,7 @@ def test_funnel_monotone_and_consistent():
     for point, reasons in log.rejections.items():
         assert sum(reasons.values()) <= log.funnel[point][0]
     assert log.dropped == max(0, log.recorded - len(log.decisions))
-    summary = log.funnel_summary()
+    summary = log.summary()["funnel"]
     acted = sum(c["acted"] for c in summary.values())
     assert acted == sum(counts[3] for counts in log.funnel.values())
     audit.detach(kernel)
@@ -216,6 +216,70 @@ def test_cli_audit_cache_mode_empty(tmp_path, capsys):
     rc = main(["audit", "--cache-dir", str(tmp_path)])
     assert rc == 0
     assert "no captured decision audits" in capsys.readouterr().out
+
+
+def _decisions_cache(root, sections):
+    from repro.runner.cache import ResultCache
+
+    cache = ResultCache(root)
+    cache.results_dir.mkdir(parents=True, exist_ok=True)
+    for i, (cell_id, section) in enumerate(sections.items()):
+        env = {"cell_id": cell_id,
+               "cell": {"experiment": "exp", "case": "c", "policy": "hawkeye-g",
+                        "scale_denominator": 128},
+               "result": {}, "source": "test",
+               "telemetry": [{"version": 1, "meta": {}, "scrapes": [],
+                              "attribution": {}, "histograms": {},
+                              audit.SECTION: section}],
+               "timing": {"finished_at": 1.0, "wall_s": 0.1}}
+        (cache.results_dir / f"k{i}.json").write_text(json.dumps(env))
+    return cache
+
+
+def test_cli_audit_cache_mode_merges_cells(tmp_path, capsys):
+    sections = {
+        f"exp/c{i}:hawkeye-g@128": {
+            "funnel": {"promote": {"candidates": 5 * i, "eligible": 4 * i,
+                                   "budget_passed": 3 * i, "acted": 2 * i}},
+            "rejections": {"promote": {"not_promotable": i}},
+            "recorded": 5 * i, "dropped": 0}
+        for i in (1, 2)}
+    _decisions_cache(tmp_path / "cache", sections)
+    cache_dir = str(tmp_path / "cache")
+    assert main(["audit", "--cache-dir", cache_dir, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cells"] == sections
+    assert doc["total"] == {
+        "funnel": {"promote": {"candidates": 15, "eligible": 12,
+                               "budget_passed": 9, "acted": 6}},
+        "rejections": {"promote": {"not_promotable": 3}}}
+    assert main(["audit", "--cache-dir", cache_dir]) == 0
+    out = capsys.readouterr().out
+    assert out == audit.format_funnel(
+        doc["total"], title=f"decision funnel: 2 cells in {cache_dir}") + "\n"
+    assert out.splitlines()[3].split() == ["promote", "15", "12", "9", "6"]
+
+
+def test_audit_cache_views_render_shared_rows(tmp_path, capsys, monkeypatch):
+    """``repro audit --cache-dir`` and the HTML cards both render
+    :func:`repro.audit.rows`."""
+    from repro.report.html import render_report
+
+    cache = _decisions_cache(tmp_path / "cache", {
+        "exp/c:hawkeye-g@128": {"funnel": {"p": {}}, "recorded": 0,
+                                "dropped": 0}})
+    monkeypatch.setattr(audit, "rows", lambda section: (
+        [["sentinel-point", 41, 31, 21, 11]],
+        [["sentinel-point", "sentinel-reason", 7]]))
+    assert main(["audit", "--cache-dir", str(tmp_path / "cache")]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[3].split() == [
+        "sentinel-point", "41", "31", "21", "11"]
+    assert "sentinel-reason" in out
+    html = render_report(cache)
+    assert ('<td>exp/c:hawkeye-g@128</td><td>sentinel-point</td>'
+            '<td class="num">41</td>') in html
+    assert "<td>sentinel-reason</td>" in html
 
 
 def test_cli_pagemap_region_table(capsys):

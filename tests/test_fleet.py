@@ -255,7 +255,7 @@ def test_telemetry_carries_fleet_snapshot_only_when_attached():
     sampler = tmod.attach(plain)
     plain.run_epochs(3)
     art = sampler.telemetry()
-    assert art.fleet == {}
+    assert "fleet" not in art.sections
     assert "fleet" not in art.to_dict()
     tmod.detach(plain)
 
@@ -266,17 +266,17 @@ def test_telemetry_carries_fleet_snapshot_only_when_attached():
     kernel.run_epochs(40)
     art = sampler.telemetry()
     tmod.detach(kernel)
-    assert art.fleet["spawned"] > 0
+    assert art.sections["fleet"]["spawned"] > 0
     assert "fleet" in art.to_dict()
     scalars = art.scalar_metrics()
-    assert scalars["fleet.spawned"] == art.fleet["spawned"]
+    assert scalars["fleet.spawned"] == art.sections["fleet"]["spawned"]
     assert any(name.startswith("fleet.web.") for name in scalars)
     # the prometheus-style families are live too.  The sampler scrapes
     # before the fleet hook runs each epoch, so the last scrape may lag
     # the final snapshot by at most that one hook's actions.
     counters = art.scrapes[-1]["counters"]["fleet_tenants_total"]
-    assert 0 < counters["event=spawned"] <= art.fleet["spawned"]
-    assert counters["event=exited"] <= art.fleet["exited"]
+    assert 0 < counters["event=spawned"] <= art.sections["fleet"]["spawned"]
+    assert counters["event=exited"] <= art.sections["fleet"]["exited"]
 
 
 def test_kernel_fleet_slot_defaults_to_none():

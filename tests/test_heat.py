@@ -384,6 +384,39 @@ def test_cli_heat_cache_mode(tmp_path, capsys, kernel_hawkeye):
     assert "exp/c:hawkeye-g@128" in doc["cells"]
 
 
+def test_heat_cache_views_render_shared_rows(tmp_path, capsys, monkeypatch,
+                                            kernel_hawkeye):
+    """``repro heat --cache-dir`` and the HTML card both render
+    :func:`repro.heat.rows`, row for row."""
+    from repro.cli import main
+    from repro.metrics.tables import format_table
+    from repro.report.html import render_report
+
+    monitor, _ = _run_sampled(kernel_hawkeye)
+    snap = monitor.snapshot()
+    cache = _seed_cache(tmp_path / "cache",
+                        [_heat_envelope("exp/c:hawkeye-g@128", snap)])
+    cache_dir = str(tmp_path / "cache")
+    (row,) = heat.rows(snap)
+    assert row[:4] == ["w", snap["processes"][0]["samples"],
+                       len(snap["processes"][0]["regions"]),
+                       snap["processes"][0]["hot_regions"]]
+    headers = ["cell", "process", "samples", "regions", "hot",
+               "wss_p50", "wss_p95", "wss_p99"]
+    title = f"heat: 1 cells in {cache_dir}"
+    assert main(["heat", "--cache-dir", cache_dir]) == 0
+    assert capsys.readouterr().out == format_table(
+        headers, [["exp/c:hawkeye-g@128", *row]], title=title) + "\n"
+    sentinel = ["sentinel-proc", 9, 8, 7, 6.5, 5.5, 4.5]
+    monkeypatch.setattr(heat, "rows", lambda section: [sentinel])
+    assert main(["heat", "--cache-dir", cache_dir]) == 0
+    assert capsys.readouterr().out == format_table(
+        headers, [["exp/c:hawkeye-g@128", *sentinel]], title=title) + "\n"
+    html = render_report(cache)
+    assert ('<td>exp/c:hawkeye-g@128</td><td>sentinel-proc</td>'
+            '<td class="num">9</td>') in html
+
+
 def test_cli_heat_cache_empty(tmp_path, capsys):
     from repro.cli import main
 

@@ -91,3 +91,33 @@ def test_line_chart_skips_empty_series():
     chart.add_series("full", [(0.0, 1.0), (1.0, 2.0)])
     svg = chart.render()
     assert svg.count("<polyline") == 1
+
+
+def test_report_fleet_card_rows(tmp_path):
+    """One fleet-smoke envelope: the aggregate row and one row per class."""
+    from repro.fleet import manager as fleet
+    from repro.report.html import _fmt
+    from repro.runner import Cell, run_sweep
+
+    cache = ResultCache(tmp_path / "cache")
+    cell = Cell("fleet-smoke", "arrival-smoke", "hawkeye-g")
+    report = run_sweep([cell], jobs=1, cache=cache)
+    assert report.ok
+    (artifact,) = cache.get(report.outcomes[0].key)["telemetry"]
+    section = artifact[fleet.SECTION]
+    assert section["exited"] >= 100 and section["classes"]
+    html = render_report(cache).split("Fleet churn (tenant lifetimes")[1]
+    html = html.split("</section>")[0]
+    assert "<h3>Per tenant class</h3>" in html
+    cell_td = f"<td>{cell.cell_id}</td>"
+    aggregate = [section[key] for key in (
+        "spawned", "exited", "oom_kills", "protected_kills", "peak_active",
+        "deferred", "fairness_spread")]
+    assert cell_td + "".join(
+        f'<td class="num">{_fmt(v)}</td>' for v in aggregate) in html
+    for name, cls in section["classes"].items():
+        assert (f"{cell_td}<td>{name}</td>"
+                f'<td class="num">{_fmt(cls["tenants"])}</td>'
+                f'<td class="num">{_fmt(cls["oom_kills"])}</td>'
+                f'<td class="num">{_fmt(cls["promotions"])}</td>') in html
+    assert html.count(cell_td) == 1 + len(section["classes"])

@@ -157,6 +157,33 @@ def test_reset_clears_capture_state(kernel4k):
     assert telemetry.end_capture() == []
 
 
+def _attach_order_scrapes(order):
+    from repro import audit, heat
+    from repro.experiments import Scale, make_kernel
+    from repro.units import GB, SEC
+    from repro.workloads.microbench import AllocTouchFree
+
+    kernel = make_kernel(16 * GB, "hawkeye-g", Scale(1 / 256))
+    attach = {"telemetry": lambda: telemetry.attach(kernel, every_epochs=5),
+              "audit": lambda: audit.attach(kernel),
+              "heat": lambda: heat.attach(kernel)}
+    for name in order:
+        attach[name]()
+    kernel.spawn(AllocTouchFree(scale=1 / 256, rounds=3, gap_us=20 * SEC))
+    kernel.run(max_epochs=200)
+    return kernel.telemetry.telemetry().scrapes
+
+
+def test_scrapes_do_not_depend_on_attach_order():
+    """Observers attached after the sampler still publish their families."""
+    late = _attach_order_scrapes(("telemetry", "audit", "heat"))
+    early = _attach_order_scrapes(("audit", "heat", "telemetry"))
+    names = set(late[-1]["counters"]) | set(late[-1]["gauges"])
+    assert {"decision_funnel_total", "decision_rejections_total",
+            "heat_wss_pages"} <= names
+    assert late == early
+
+
 # --------------------------------------------------------------------- #
 # artifact byte pin                                                      #
 # --------------------------------------------------------------------- #
