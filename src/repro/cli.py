@@ -1365,13 +1365,14 @@ def _cmd_heat_cache(args) -> int:
         ["cell", "process", "samples", "regions", "hot",
          "wss_p50", "wss_p95", "wss_p99"],
         rows, title=f"heat: {len(cells)} cells in {cache.root}"))
-    # with a process filter the cache view also renders the full
-    # per-cell heatmaps, same layout as a live run.
-    for cell_id, snap in cells.items():
-        for proc in snap["processes"]:
-            if args.process and proc.get("process") == args.process:
-                print(f"\n[{cell_id}]")
-                _print_heat_proc(proc, args)
+    if args.process:
+        # with a process filter the cache view also renders the full
+        # per-cell heatmaps, same layout as a live run.
+        for cell_id, snap in cells.items():
+            for proc in snap["processes"]:
+                if proc.get("process") == args.process:
+                    print(f"\n[{cell_id}]")
+                    _print_heat_proc(proc, args)
     return 0
 
 

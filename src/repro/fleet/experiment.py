@@ -70,14 +70,18 @@ def fleet_result(kernel, manager: FleetManager, epochs: int) -> dict:
     overall = manager.qos.overall()
     limits = getattr(kernel.policy, "limits", None)
     snap = manager.snapshot()
-    classes = {
-        name: {**{key: cls[key] for key in (
-                   "tenants", "oom_kills", "promotions",
-                   "mean_huge_coverage", "mean_bloat_mb")},
-               "fault_p50_us": cls["fault_us"].get("p50", 0.0),
-               "fault_p99_us": cls["fault_us"].get("p99", 0.0)}
-        for name, cls in snap["classes"].items()
-    }
+    classes = {}
+    for name, cls in snap["classes"].items():
+        hist = cls["fault_us"]
+        classes[name] = {
+            "tenants": cls["tenants"],
+            "oom_kills": cls["oom_kills"],
+            "promotions": cls["promotions"],
+            "mean_huge_coverage": cls["mean_huge_coverage"],
+            "mean_bloat_mb": cls["mean_bloat_mb"],
+            "fault_p50_us": hist.get("p50", 0.0),
+            "fault_p99_us": hist.get("p99", 0.0),
+        }
     return {
         "epochs": epochs,
         "t_end_s": kernel.now_us / SEC,
