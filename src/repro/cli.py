@@ -1105,13 +1105,9 @@ def cmd_pagemap(args) -> int:
         if huge is not None:
             frame, mapping = huge.frame, "huge"
         else:
-            frame, mapping = -1, "base"
-            for vpn in range(hvpn * PAGES_PER_HUGE,
-                             (hvpn + 1) * PAGES_PER_HUGE):
-                pte = pt.base.get(vpn)
-                if pte is not None:
-                    frame = pte.frame
-                    break
+            frames, _ = pt.region_mirror(hvpn)
+            mapped = frames[frames >= 0]
+            frame, mapping = (int(mapped[0]) if mapped.size else -1), "base"
         if frame < 0:
             continue
         d, last = prov(frame)

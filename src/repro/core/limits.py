@@ -84,7 +84,7 @@ class HugePageLimits:
 
     def held(self, proc: Process) -> int:
         """Huge pages the process currently maps."""
-        return len(proc.page_table.huge)
+        return proc.page_table.nhuge
 
     # ------------------------------------------------------------------ #
     # group accounting                                                    #
@@ -112,7 +112,7 @@ class HugePageLimits:
 
     def group_held(self, prefix: str) -> int:
         """Huge pages currently held across a group's live members."""
-        return sum(len(p.page_table.huge) for p in self._group_members(prefix))
+        return sum(p.page_table.nhuge for p in self._group_members(prefix))
 
     def group_stats(self) -> dict[str, tuple[int, int]]:
         """``prefix -> (held, cap)`` for every configured group."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.trace import LatencyHistogram
-from repro.units import BASE_PAGE_SIZE, MB, PAGES_PER_HUGE
+from repro.units import BASE_PAGE_SIZE, MB
 from repro.vm.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +66,7 @@ class TenantQoS:
         cq.promotions += int(stats.promotions)
         cq.fault_us.add(stats.fault_time_us / max(stats.faults, 1))
         rss = proc.rss_pages()
-        huge_pages = len(proc.page_table.huge) * PAGES_PER_HUGE
+        huge_pages = proc.page_table.huge_mapped_pages()
         cq.huge_cov_sum += huge_pages / max(rss, 1)
         from repro.experiments import useful_bytes
 

@@ -361,11 +361,11 @@ class ProcessHeat:
             heat = util = huge = np.zeros(nb)
         bloat = np.zeros(nb, dtype=np.int64)
         fnz = kernel.frames.first_nonzero
-        for hv, pte in proc.page_table.huge.items():
-            if lo <= hv < hi:
-                b = min((hv - lo) * nb // span, nb - 1)
-                bloat[b] += int(
-                    (fnz[pte.frame:pte.frame + PAGES_PER_HUGE] < 0).sum())
+        hframe = proc.page_table.hframe
+        hvs = np.flatnonzero(hframe[lo:hi] >= 0) + lo
+        for hv, frame in zip(hvs.tolist(), hframe[hvs].tolist()):
+            b = min((hv - lo) * nb // span, nb - 1)
+            bloat[b] += int((fnz[frame:frame + PAGES_PER_HUGE] < 0).sum())
         numa = kernel.numa
         node_row: Optional[list[int]] = None
         if numa is not None and len(h):

@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import audit, trace
 from repro.policies.base import HugePagePolicy
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import ACCESSED, DIRTY, SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
 from repro.vm.vma import VMA, HugePageHint, VMAKind
 
@@ -32,22 +35,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def handle_fault(kernel: "Kernel", proc: Process, vpn: int, vma: VMA | None = None) -> float:
     """Fault on ``vpn``; returns the fault latency in µs (0 if already mapped)."""
     pt = proc.page_table
-    pte = pt.base.get(vpn)
-    if pte is not None:
-        if pte.shared_zero:
+    if vpn < pt.frame.shape[0] and pt.frame[vpn] >= 0:
+        flags = pt.flags[vpn]
+        if flags & SHARED_ZERO:
             return _cow_break(kernel, proc, vpn)
-        if pte.shared_cow:
+        if flags & SHARED_COW:
             return _cow_break_shared(kernel, proc, vpn)
-        pte.accessed = True
+        pt.flags[vpn] = flags | ACCESSED
         return 0.0
-    huge_pte = pt.huge.get(vpn >> 9)
-    if huge_pte is not None:
-        huge_pte.accessed = True
+    hvpn = vpn >> 9
+    if hvpn < pt.hframe.shape[0] and pt.hframe[hvpn] >= 0:
+        pt.hflags[hvpn] |= ACCESSED
         return 0.0
 
     if vma is None:
         vma = proc.vmas.find(vpn)
-    hvpn = vpn >> 9
     region = proc.region(hvpn)
     policy = kernel.policy
     anon = vma.kind is VMAKind.ANON
@@ -96,8 +98,7 @@ def _try_huge_fault(kernel: "Kernel", proc: Process, vma: VMA, hvpn: int, anon: 
     needs_zero = anon and (not zeroed or not kernel.policy.trusts_zero_lists)
     if needs_zero:
         kernel.frames.zero_fill(frame, PAGES_PER_HUGE)
-    pt_entry = proc.page_table.map_huge(hvpn, frame)
-    pt_entry.accessed = True
+    proc.page_table.map_huge(hvpn, frame, accessed=True)
     kernel.rmap_add_huge(frame, proc, hvpn)
     region = proc.region(hvpn)
     region.is_huge = True
@@ -142,8 +143,7 @@ def _base_fault(
     needs_zero = not swapped_in and anon and (not zeroed or not policy.trusts_zero_lists)
     if needs_zero:
         kernel.frames.zero_fill(frame, 1)
-    pte = proc.page_table.map_base(vpn, frame)
-    pte.accessed = True
+    proc.page_table.map_base(vpn, frame, accessed=True)
     kernel.rmap_add(frame, proc, vpn)
     region.resident += 1
     latency = kernel.costs.base_fault(needs_zero) + backing_us
@@ -205,8 +205,6 @@ def handle_fault_range(
         or type(policy).post_fault is not HugePagePolicy.post_fault
         or kernel.frame_alloc_hook is not None
     )
-    base = pt.base
-    huge = pt.huge
     swapped = kernel.swap.swapped if kernel.swap is not None else None
     pid = proc.pid
     # Budget increment for a page whose fault cost is zero (already mapped).
@@ -217,91 +215,73 @@ def handle_fault_range(
         vpn = vpn0 + pos
         if vma is None or not vma.contains(vpn):
             vma = proc.vmas.find(vpn)
-        if scalar_only:
-            cost = handle_fault(kernel, proc, vpn, vma)
-            if content is not None:
-                _write_content_page(kernel, proc, vpn, content)
-            consumed += max(cost + work_us, pace_us)
-            pos += 1
-            continue
-        hvpn = vpn >> 9
-        seg_end = min((hvpn + 1) << 9, vma.end, vpn0 + npages)
-        huge_pte = huge.get(hvpn)
-        if huge_pte is not None:
-            # Whole tail of the region is huge-mapped: touch + write only.
-            n = seg_end - vpn
-            if flat_inc > 0.0 and not math.isinf(budget_us):
-                n = min(n, int(math.ceil((budget_us - consumed) / flat_inc)))
-            huge_pte.accessed = True
-            if content is not None:
-                frame0 = huge_pte.frame + (vpn & (PAGES_PER_HUGE - 1))
-                _write_content_run(kernel, frame0, n, content)
-            consumed += n * flat_inc
-            pos += n
-            continue
-        pte = base.get(vpn)
-        if pte is not None:
-            if pte.shared_zero or pte.shared_cow:
-                cost = handle_fault(kernel, proc, vpn, vma)
-                if content is not None:
-                    _write_content_page(kernel, proc, vpn, content)
-                consumed += max(cost + work_us, pace_us)
-                pos += 1
-                continue
-            # Run of private already-mapped base pages: touch + write only.
+        if not scalar_only:
+            hvpn = vpn >> 9
+            seg_end = min((hvpn + 1) << 9, vma.end, vpn0 + npages)
+            # Touching an already-mapped page costs flat_inc: the budget
+            # stops a touch-only run after this many pages.
             limit = seg_end
             if flat_inc > 0.0 and not math.isinf(budget_us):
                 limit = min(limit, vpn + int(math.ceil((budget_us - consumed) / flat_inc)))
-            run_frames = []
-            v = vpn
-            while v < limit:
-                p = base.get(v)
-                if p is None or p.shared_zero or p.shared_cow:
-                    break
-                p.accessed = True
-                run_frames.append(p.frame)
-                v += 1
-            if content is not None:
-                _write_content_frames(kernel, run_frames, content)
-            consumed += (v - vpn) * flat_inc
-            pos += v - vpn
-            continue
-        if swapped and (pid, vpn) in swapped:
-            cost = handle_fault(kernel, proc, vpn, vma)
-            if content is not None:
-                _write_content_page(kernel, proc, vpn, content)
-            consumed += max(cost + work_us, pace_us)
-            pos += 1
-            continue
-        region = proc.region(hvpn)
-        if vma.hint is HugePageHint.NEVER:
-            want_huge = False
-        elif vma.hint is HugePageHint.ALWAYS:
-            want_huge = True
-        else:
-            want_huge = policy.fault_size(proc, vma, vpn) == "huge"
-        if want_huge and region.resident == 0 and vma.covers(hvpn << 9, PAGES_PER_HUGE):
-            # Huge-fault-eligible: scalar for this page; on success the
-            # rest of the region takes the huge-mapped run above, on
-            # fallback it becomes resident>0 and bulk base faults apply.
-            cost = handle_fault(kernel, proc, vpn, vma)
-            if content is not None:
-                _write_content_page(kernel, proc, vpn, content)
-            consumed += max(cost + work_us, pace_us)
-            pos += 1
-            continue
-        # Contiguous unmapped, unswapped run: the bulk base-fault path.
-        v = vpn + 1
-        while v < seg_end and v not in base and not (swapped and (pid, v) in swapped):
-            v += 1
-        run_us, run_pages = _bulk_base_fault(
-            kernel, proc, vma, region, vpn, v - vpn, budget_us - consumed, content,
-            work_us, pace_us,
-        )
-        consumed += run_us
-        pos += run_pages
-        if run_pages < v - vpn:
-            break  # latency budget exhausted mid-run
+            if hvpn < pt.hframe.shape[0] and pt.hframe[hvpn] >= 0:
+                # Whole tail of the region is huge-mapped: touch + write only.
+                n = limit - vpn
+                pt.hflags[hvpn] |= ACCESSED
+                if content is not None:
+                    frame0 = int(pt.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1))
+                    _write_content_run(kernel, frame0, n, content)
+                consumed += n * flat_inc
+                pos += n
+                continue
+            frames = pt.frame[vpn:seg_end]
+            if frames.shape[0] and frames[0] >= 0:
+                if not pt.flags[vpn] & SHARED:
+                    # Run of private already-mapped base pages: touch + write only.
+                    frames = frames[: limit - vpn]
+                    flags = pt.flags[vpn:limit]
+                    stop = np.flatnonzero((frames < 0) | (flags & SHARED != 0))
+                    n = int(stop[0]) if stop.shape[0] else frames.shape[0]
+                    flags[:n] |= ACCESSED
+                    if content is not None:
+                        _write_content_frames(kernel, frames[:n], content)
+                    consumed += n * flat_inc
+                    pos += n
+                    continue
+            elif not (swapped and (pid, vpn) in swapped):
+                region = proc.region(hvpn)
+                if vma.hint is HugePageHint.NEVER:
+                    want_huge = False
+                elif vma.hint is HugePageHint.ALWAYS:
+                    want_huge = True
+                else:
+                    want_huge = policy.fault_size(proc, vma, vpn) == "huge"
+                # A huge-fault-eligible page takes the scalar path: on
+                # success the rest of the region takes the huge-mapped run
+                # above, on fallback it becomes resident>0 and bulk base
+                # faults apply.
+                if not (want_huge and region.resident == 0
+                        and vma.covers(hvpn << 9, PAGES_PER_HUGE)):
+                    # Contiguous unmapped, unswapped run: the bulk base-fault path.
+                    mapped = np.flatnonzero(frames >= 0)
+                    v = vpn + int(mapped[0]) if mapped.shape[0] else seg_end
+                    if swapped:
+                        v = next((u for u in range(vpn + 1, v) if (pid, u) in swapped), v)
+                    run_us, run_pages = _bulk_base_fault(
+                        kernel, proc, vma, region, vpn, v - vpn, budget_us - consumed,
+                        content, work_us, pace_us,
+                    )
+                    consumed += run_us
+                    pos += run_pages
+                    if run_pages < v - vpn:
+                        break  # latency budget exhausted mid-run
+                    continue
+        # Per-page path: every page under scalar_only, shared pages (write
+        # breaks), swapped-out pages and huge-fault-eligible pages.
+        cost = handle_fault(kernel, proc, vpn, vma)
+        if content is not None:
+            _write_content_page(kernel, proc, vpn, content)
+        consumed += max(cost + work_us, pace_us)
+        pos += 1
     return consumed, pos
 
 
@@ -382,13 +362,12 @@ def _write_content_run(kernel: "Kernel", frame0: int, count: int, content) -> No
         kernel.frames.write_range(frame0, count, content.first_nonzero, content.shared_tag)
 
 
-def _write_content_frames(kernel: "Kernel", frames: list[int], content) -> None:
-    """Apply a ContentSpec to an arbitrary frame list (in list order)."""
-    if not frames:
+def _write_content_frames(kernel: "Kernel", frames: np.ndarray, content) -> None:
+    """Apply a ContentSpec to an array of frames (tags in array order)."""
+    if not frames.shape[0]:
         return
     if content.zero:
-        for frame in frames:
-            kernel.frames.write_zero(frame)
+        kernel.frames.write_zero(frames)
     else:
         kernel.frames.write_frames(frames, content.first_nonzero, content.shared_tag)
 
@@ -407,8 +386,7 @@ def _write_content_page(kernel: "Kernel", proc: Process, vpn: int, content) -> N
 
 def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
     """Write to a ksm-merged mapping: copy the content back out."""
-    pte = proc.page_table.base[vpn]
-    canonical = pte.frame
+    canonical = int(proc.page_table.frame[vpn])
     node, strict = _numa_target(kernel, proc, proc.vmas.try_find(vpn), vpn >> 9)
     frame, _ = kernel.alloc_base_frame(prefer_zero=False, owner=proc.pid,
                                        node=node, strict=strict)
@@ -416,10 +394,7 @@ def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
     kernel.frames.content_tag[frame] = kernel.frames.content_tag[canonical]
     kernel.cow_registry.unshare(canonical)
     kernel.cow_registry.cow_breaks += 1
-    pte.frame = frame
-    pte.shared_cow = False
-    pte.dirty = True
-    proc.page_table.sync_pte(vpn, pte)
+    proc.page_table.remap(vpn, frame, set_bits=DIRTY, clear_bits=SHARED_COW)
     kernel.rmap_add(frame, proc, vpn)
     latency = kernel.costs.cow_fault_us
     proc.stats.faults += 1
@@ -435,17 +410,12 @@ def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
 
 def _cow_break(kernel: "Kernel", proc: Process, vpn: int) -> float:
     """Write to a shared-zero mapping: allocate a private copy."""
-    pte = proc.page_table.base[vpn]
     node, strict = _numa_target(kernel, proc, proc.vmas.try_find(vpn), vpn >> 9)
     frame, zeroed = kernel.alloc_base_frame(prefer_zero=True, owner=proc.pid,
                                             node=node, strict=strict)
     if not zeroed:
         kernel.frames.zero_fill(frame, 1)
-    pte.frame = frame
-    pte.shared_zero = False
-    pte.dirty = True
-    proc.page_table.shared_zero_count -= 1
-    proc.page_table.sync_pte(vpn, pte)
+    proc.page_table.remap(vpn, frame, set_bits=DIRTY, clear_bits=SHARED_ZERO)
     kernel.rmap_add(frame, proc, vpn)
     kernel.zero_registry.cow_break()
     latency = kernel.costs.cow_fault_us

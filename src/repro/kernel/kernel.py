@@ -51,6 +51,7 @@ from repro.tlb.mmu_model import MMUModel
 from repro.tlb.perf import PMUCounters
 from repro.tlb.tlb import TLBConfig
 from repro.units import BASE_PAGE_SIZE, PAGES_PER_HUGE, SEC, pages_of
+from repro.vm.page_table import DIRTY, SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
 from repro.vm.vma import VMA, VMAKind
 
@@ -169,8 +170,18 @@ class Kernel:
         self.processes: list[Process] = []
         self.runs: list["WorkloadRun"] = []
         self.pmu: dict[int, PMUCounters] = {}
-        #: frame -> (process, vpn) for base mappings; huge heads separate.
-        self._rmap: dict[int, tuple[Process, int]] = {}
+        #: Base reverse map as frame-indexed columns: owning pid (-1 = no
+        #: private base mapping), vpn, and an insertion ``seq`` that keeps
+        #: the FIFO order swap reclaim walks (a migration re-inserts).
+        #: ``rmap_vpn`` and ``rmap_seq`` mean something only where
+        #: ``rmap_pid >= 0``.
+        nframes = self.frames.num_frames
+        self.rmap_pid = np.full(nframes, -1, dtype=np.int32)
+        self.rmap_vpn = np.empty(nframes, dtype=np.int64)
+        self.rmap_seq = np.empty(nframes, dtype=np.int64)
+        self._rmap_next = 0
+        self._rmap_procs: dict[int, Process] = {}
+        #: huge head frame -> (process, hvpn), in insertion order.
         self._rmap_huge: dict[int, tuple[Process, int]] = {}
         #: slowdown factor the pre-zeroing thread imposes this epoch,
         #: scaled by each workload's cache sensitivity (Figure 10 model).
@@ -244,46 +255,39 @@ class Kernel:
         """
         pt = proc.page_table
         freed = 0
-        for huge_pte in list(pt.huge.values()):
-            self._rmap_huge.pop(huge_pte.frame, None)
-            self.buddy.free(huge_pte.frame, 9)
+        for hvpn in pt.huge:
+            frame = int(pt.hframe[hvpn])
+            self._rmap_huge.pop(frame, None)
+            self.buddy.free(frame, 9)
             freed += PAGES_PER_HUGE
-        # Base teardown, batched: frames still return to the buddy
-        # allocator in PTE-dict iteration order, with maximal runs of
-        # consecutive frames released via ``free_range`` (scalar-
-        # equivalent, see ``_unmap_base_batched``).  Shared pages flush
-        # the pending run first because ``cow_registry.unshare`` can free
-        # the canonical frame, which must keep its place in the sequence.
-        run_start = 0
-        run_len = 0
-        rmap = self._rmap
-        for pte in pt.base.values():
-            if pte.shared_zero:
-                if run_len:
-                    self.buddy.free_range(run_start, run_len)
-                    freed += run_len
-                    run_len = 0
-                self.zero_registry.unshare()
-            elif pte.shared_cow:
-                if run_len:
-                    self.buddy.free_range(run_start, run_len)
-                    freed += run_len
-                    run_len = 0
-                self.cow_registry.unshare(pte.frame)
-            else:
-                rmap.pop(pte.frame, None)
-                if run_len and pte.frame == run_start + run_len:
-                    run_len += 1
+        # Base teardown, batched: frames return to the buddy allocator in
+        # page-table insertion order, with maximal runs of consecutive
+        # private frames released via ``free_range`` (scalar-equivalent,
+        # see ``_unmap_base_batched``).  A shared page is a run of its own
+        # because ``cow_registry.unshare`` can free the canonical frame,
+        # which must keep its place in the sequence.
+        if pt.nbase:
+            vpns = pt.base_in_order()
+            frames = pt.frame[vpns]
+            shared = pt.flags[vpns] & SHARED
+            private = shared == 0
+            self.rmap_pid[frames[private]] = -1
+            if pt.shared_zero_count:
+                self.zero_registry.unshare(pt.shared_zero_count)
+            # Private runs and KSM sharers in order; zero sharers free nothing.
+            keep = shared != SHARED_ZERO
+            frames, private = frames[keep], private[keep]
+            join = private[1:] & private[:-1] & (frames[1:] == frames[:-1] + 1)
+            starts = np.flatnonzero(np.concatenate(([True], ~join)))
+            lens = np.diff(starts, append=frames.shape[0])
+            for i, n in zip(starts.tolist(), lens.tolist()) if frames.shape[0] else ():
+                if private[i]:
+                    self.buddy.free_range(int(frames[i]), n)
+                    freed += n
                 else:
-                    if run_len:
-                        self.buddy.free_range(run_start, run_len)
-                        freed += run_len
-                    run_start = pte.frame
-                    run_len = 1
-        if run_len:
-            self.buddy.free_range(run_start, run_len)
-            freed += run_len
+                    self.cow_registry.unshare(int(frames[i]))
         pt.clear()
+        self._rmap_procs.pop(proc.pid, None)
         if self.swap is not None:
             self.swap.swapped = {
                 (pid, vpn) for pid, vpn in self.swap.swapped if pid != proc.pid
@@ -397,50 +401,48 @@ class Kernel:
         per-page path.
         """
         pt = proc.page_table
-        base = pt.base
-        rmap = self._rmap
+        # Plain lists, not numpy runs: madvise ranges are mostly 1-31
+        # pages (bloat-churn), where numpy's per-call cost exceeds a walk.
+        frames = pt.frame[vpn : vpn + npages].tolist()
+        shared = (pt.flags[vpn : vpn + npages] & SHARED).tolist()
         cost = 0.0
-        page = vpn
-        end = vpn + npages
-        while page < end:
-            pte = base.get(page)
-            if pte is None:
-                page += 1
+        i = 0
+        while i < len(frames):
+            frame0 = frames[i]
+            page = vpn + i
+            if frame0 < 0:
+                i += 1
                 continue
-            if pte.shared_zero or pte.shared_cow:
+            if shared[i]:
                 self._unmap_base_page(proc, page)
                 proc.region(page >> 9).resident -= 1
                 cost += 0.2
-                page += 1
+                i += 1
                 continue
-            # Maximal run of private PTEs onto ascending consecutive
+            # Maximal run of private mappings onto ascending consecutive
             # frames, within one huge region (one resident account).
-            frame0 = pte.frame
-            region_end = min(end, ((page >> 9) + 1) << 9)
-            n = 1
-            while page + n < region_end:
-                nxt = base.get(page + n)
-                if nxt is None or nxt.frame != frame0 + n or not nxt.private:
-                    break
-                n += 1
+            stop = min(len(frames), (((page >> 9) + 1) << 9) - vpn)
+            j = i + 1
+            while j < stop and frames[j] == frame0 + j - i and not shared[j]:
+                j += 1
+            n = j - i
             pt.unmap_base_run_private(page, n)
-            for i in range(n):
-                rmap.pop(frame0 + i, None)
+            self.rmap_pid[frame0 : frame0 + n] = -1
             self.buddy.free_range(frame0, n)
             proc.region(page >> 9).resident -= n
             cost += 0.2 * n
-            page += n
+            i = j
         return cost
 
     def _unmap_base_page(self, proc: Process, vpn: int) -> None:
-        pte = proc.page_table.unmap_base(vpn)
-        if pte.shared_zero:
+        frame, flags = proc.page_table.unmap_base(vpn)
+        if flags & SHARED_ZERO:
             self.zero_registry.unshare()
-        elif pte.shared_cow:
-            self.cow_registry.unshare(pte.frame)
+        elif flags & SHARED_COW:
+            self.cow_registry.unshare(frame)
         else:
-            self._rmap.pop(pte.frame, None)
-            self.buddy.free(pte.frame, 0)
+            self.rmap_pid[frame] = -1
+            self.buddy.free(frame, 0)
 
     # ------------------------------------------------------------------ #
     # allocation with memory-pressure fallback                            #
@@ -545,8 +547,12 @@ class Kernel:
     # ------------------------------------------------------------------ #
 
     def rmap_add(self, frame: int, proc: Process, vpn: int) -> None:
-        """Record the reverse mapping of a base frame to (process, vpn)."""
-        self._rmap[frame] = (proc, vpn)
+        """Record the reverse mapping of a private base frame to (process, vpn)."""
+        self._rmap_procs[proc.pid] = proc
+        self.rmap_pid[frame] = proc.pid
+        self.rmap_vpn[frame] = vpn
+        self.rmap_seq[frame] = self._rmap_next
+        self._rmap_next += 1
 
     def rmap_add_huge(self, frame: int, proc: Process, hvpn: int) -> None:
         """Record the reverse mapping of a huge block's head frame."""
@@ -554,27 +560,102 @@ class Kernel:
 
     def rmap_add_range(self, proc: Process, vpn0: int, extents: list[tuple[int, int, bool]]) -> None:
         """Batched :meth:`rmap_add`: consecutive vpns over physical extents."""
-        rmap = self._rmap
+        self._rmap_procs[proc.pid] = proc
         vpn = vpn0
         for start, count, _ in extents:
-            for i in range(count):
-                rmap[start + i] = (proc, vpn + i)
+            end = start + count
+            self.rmap_pid[start:end] = proc.pid
+            self.rmap_vpn[start:end] = np.arange(vpn, vpn + count, dtype=np.int64)
+            self.rmap_seq[start:end] = np.arange(
+                self._rmap_next, self._rmap_next + count, dtype=np.int64)
+            self._rmap_next += count
             vpn += count
+
+    def rmap_remove(self, frame: int) -> None:
+        """Forget a base frame's reverse mapping (it stops being private)."""
+        self.rmap_pid[frame] = -1
+
+    def rmap_remove_huge(self, frame: int) -> None:
+        """Forget a huge block's reverse mapping."""
+        self._rmap_huge.pop(frame, None)
+
+    def rmap_owner(self, frame: int) -> tuple[Process, int] | None:
+        """``(process, vpn)`` privately mapping a base frame, or None."""
+        pid = int(self.rmap_pid[frame])
+        if pid < 0:
+            return None
+        return self._rmap_procs[pid], int(self.rmap_vpn[frame])
+
+    def oldest_huge_mapping(self) -> tuple[Process, int] | None:
+        """``(process, hvpn)`` of the longest-standing huge mapping, or None."""
+        return next(iter(self._rmap_huge.values()), None)
+
+    def rmap_by_age(self) -> np.ndarray:
+        """Frames with a base reverse mapping, oldest insertion first."""
+        live = np.flatnonzero(self.rmap_pid >= 0)
+        return live[np.argsort(self.rmap_seq[live], kind="stable")]
 
     def _migrate_frame(self, old: int, new: int) -> bool:
         """Compaction callback: rebind one base mapping old -> new."""
-        entry = self._rmap.pop(old, None)
-        if entry is None:
+        owner = self.rmap_owner(old)
+        if owner is None:
             # Not process-mapped: clean page-cache pages are movable too.
             return self.fragmenter.migrate_page(old, new)
-        proc, vpn = entry
-        pte = proc.page_table.base.get(vpn)
-        if pte is None or pte.frame != old:
-            return False
-        pte.frame = new
-        proc.page_table.sync_pte(vpn, pte)
-        self._rmap[new] = (proc, vpn)
+        proc, vpn = owner
+        proc.page_table.remap(vpn, new)
+        self.rmap_pid[old] = -1
+        self.rmap_add(new, proc, vpn)
         return True
+
+    def share_zero_page(self, proc: Process, vpn: int, frame: int) -> None:
+        """Remap private base page ``vpn`` (on zero-filled ``frame``) onto
+        the canonical zero frame, copy-on-write, and free ``frame``."""
+        zero_frame = self.zero_registry.zero_frame
+        if (al := self.audit) is not None and al.enabled:
+            al.ledger.record(frame, 1, audit_mod.EV_KSM_MERGED, zero_frame)
+        self.rmap_pid[frame] = -1
+        self.buddy.free(frame, 0)
+        proc.page_table.remap(vpn, zero_frame, set_bits=SHARED_ZERO)
+        self.zero_registry.share()
+
+    def check_rmap(self) -> None:
+        """Raise :class:`InvalidAddressError` unless the rmap inverts the page tables.
+
+        Every private base mapping's frame has a reverse mapping naming
+        its process and vpn and nothing else has one (the two are inverse
+        maps); reverse-mapping ``seq`` values are unique; and every huge
+        mapping's head frame, and nothing else, is in the huge rmap.
+        """
+        def fail(msg: str) -> None:
+            raise InvalidAddressError(f"rmap: {msg}")
+
+        expect_pid = np.full_like(self.rmap_pid, -1)
+        expect_vpn = np.zeros_like(self.rmap_vpn)
+        huge: dict[int, tuple[int, int]] = {}
+        for proc in self.processes:
+            pt = proc.page_table
+            vpns = pt.mapped_vpns()
+            vpns = vpns[(pt.flags[vpns] & SHARED) == 0]
+            frames = pt.frame[vpns]
+            if (expect_pid[frames] >= 0).any() or np.unique(frames).shape[0] != frames.shape[0]:
+                fail(f"pid {proc.pid}: a frame is privately mapped twice")
+            expect_pid[frames] = proc.pid
+            expect_vpn[frames] = vpns
+            for hvpn in pt.huge:
+                huge[int(pt.hframe[hvpn])] = (proc.pid, hvpn)
+        live = self.rmap_pid >= 0
+        if not np.array_equal(self.rmap_pid, expect_pid):
+            frame = int(np.argmax(self.rmap_pid != expect_pid))
+            fail(f"frame {frame}: rmap pid {int(self.rmap_pid[frame])}, "
+                 f"page tables {int(expect_pid[frame])}")
+        if not np.array_equal(self.rmap_vpn[live], expect_vpn[live]):
+            fail("a reverse mapping names the wrong vpn")
+        seq = self.rmap_seq[live]
+        if np.unique(seq).shape[0] != seq.shape[0]:
+            fail("duplicate seq")
+        got = {frame: (proc.pid, hvpn) for frame, (proc, hvpn) in self._rmap_huge.items()}
+        if got != huge:
+            fail(f"huge rmap {sorted(got)} against huge mappings {sorted(huge)}")
 
     # ------------------------------------------------------------------ #
     # promotion / demotion / deduplication                                #
@@ -612,9 +693,8 @@ class Kernel:
         in_place = pt.contiguous_private_block(vpn0)
 
         if in_place is not None:
-            for vpn in base_vpns:
-                pte = pt.unmap_base(vpn)
-                self._rmap.pop(pte.frame, None)
+            pt.unmap_base_run_private(vpn0, PAGES_PER_HUGE)
+            self.rmap_pid[in_place : in_place + PAGES_PER_HUGE] = -1
             block = in_place
             cost = self.costs.remap_us
             collapsed = False
@@ -636,20 +716,20 @@ class Kernel:
                 return None
             block = got[0]
             self.frames.zero_fill(block, PAGES_PER_HUGE)
-            for vpn in base_vpns:
-                pte = pt.unmap_base(vpn)
-                offset = vpn - vpn0
-                if pte.shared_zero:
+            offs, frames, flags = pt.unmap_base_region(hvpn)
+            fnz, tags = self.frames.first_nonzero, self.frames.content_tag
+            for off, frame, fl in zip(offs.tolist(), frames.tolist(), flags.tolist()):
+                if fl & SHARED_ZERO:
                     self.zero_registry.unshare()
                     continue  # destination already zero
-                self.frames.first_nonzero[block + offset] = self.frames.first_nonzero[pte.frame]
-                self.frames.content_tag[block + offset] = self.frames.content_tag[pte.frame]
-                if pte.shared_cow:
+                fnz[block + off] = fnz[frame]
+                tags[block + off] = tags[frame]
+                if fl & SHARED_COW:
                     # copy out of the ksm-shared canonical frame
-                    self.cow_registry.unshare(pte.frame)
-                    continue
-                self._rmap.pop(pte.frame, None)
-                self.buddy.free(pte.frame, 0)
+                    self.cow_registry.unshare(frame)
+                else:
+                    self.rmap_pid[frame] = -1
+                    self.buddy.free(frame, 0)
             cost = self.costs.promotion_collapse_us(len(base_vpns))
             collapsed = True
 
@@ -683,18 +763,17 @@ class Kernel:
     def demote_region(self, proc: Process, hvpn: int) -> float:
         """Break a huge mapping into base mappings over the same frames."""
         pt = proc.page_table
-        huge_pte = pt.huge[hvpn]
-        self._rmap_huge.pop(huge_pte.frame, None)
-        for vpn, pte in pt.demote_huge(hvpn):
-            self._rmap[pte.frame] = (proc, vpn)
+        block = int(pt.hframe[hvpn])
+        self._rmap_huge.pop(block, None)
+        pt.demote_huge(hvpn)
+        self.rmap_add_range(proc, hvpn << 9, [(block, PAGES_PER_HUGE, False)])
         region = proc.region(hvpn)
         region.is_huge = False
         region.resident = PAGES_PER_HUGE
         proc.stats.demotions += 1
         self.stats.demotions += 1
         if (al := self.audit) is not None and al.enabled:
-            al.ledger.record(huge_pte.frame, PAGES_PER_HUGE,
-                             audit_mod.EV_DEMOTED)
+            al.ledger.record(block, PAGES_PER_HUGE, audit_mod.EV_DEMOTED)
         if (tp := self.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.DEMOTE, proc.name, self.costs.remap_us, hvpn)
         return self.costs.remap_us
@@ -707,10 +786,8 @@ class Kernel:
         proportional to the number of *bloat* pages, not to the region
         size.
         """
-        pt = proc.page_table
-        recovered = 0
         vpn0 = hvpn << 9
-        mframes, mpriv = pt.region_mirror(hvpn)
+        mframes, mpriv = proc.page_table.region_mirror(hvpn)
         priv_off = np.nonzero(mpriv)[0]
         pframes = mframes[priv_off]
         fnz = self.frames.first_nonzero[pframes]
@@ -718,24 +795,10 @@ class Kernel:
         # full page when it is genuinely zero (same ints as the scalar
         # per-page ``scan_cost_bytes`` sum).
         scanned = int(np.where(fnz < 0, BASE_PAGE_SIZE, fnz + 1).sum())
-        zero_frame = self.zero_registry.zero_frame
-        base = pt.base
         is_zero = fnz < 0
-        led = None
-        if (al := self.audit) is not None and al.enabled:
-            led = al.ledger
+        recovered = 0
         for off, frame in zip(priv_off[is_zero].tolist(), pframes[is_zero].tolist()):
-            vpn = vpn0 + off
-            pte = base[vpn]
-            if led is not None:
-                led.record(frame, 1, audit_mod.EV_KSM_MERGED, zero_frame)
-            self._rmap.pop(frame, None)
-            self.buddy.free(frame, 0)
-            pte.frame = zero_frame
-            pte.shared_zero = True
-            pt.shared_zero_count += 1
-            pt.sync_pte(vpn, pte)
-            self.zero_registry.share()
+            self.share_zero_page(proc, vpn0 + off, frame)
             recovered += 1
         self.stats.bloat_pages_recovered += recovered
         self.stats.bloat_scan_bytes += scanned
@@ -743,12 +806,9 @@ class Kernel:
 
     def count_zero_pages(self, proc: Process, hvpn: int) -> tuple[int, int]:
         """Count zero-filled base pages under a *huge* mapping (with scan cost)."""
-        huge_pte = proc.page_table.huge[hvpn]
-        mask = self.frames.zero_mask(huge_pte.frame, PAGES_PER_HUGE)
-        zeros = int(mask.sum())
-        fnz = self.frames.first_nonzero[huge_pte.frame:huge_pte.frame + PAGES_PER_HUGE]
-        from repro.units import BASE_PAGE_SIZE
-
+        block = proc.page_table.huge[hvpn].frame
+        zeros = int(self.frames.zero_mask(block, PAGES_PER_HUGE).sum())
+        fnz = self.frames.first_nonzero[block:block + PAGES_PER_HUGE]
         scanned = int((fnz[fnz >= 0] + 1).sum()) + zeros * BASE_PAGE_SIZE
         return zeros, scanned
 

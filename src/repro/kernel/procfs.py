@@ -196,11 +196,8 @@ def smaps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
     """Per-VMA summary, one row per mapping (a compact /proc/pid/smaps)."""
     rows = []
     for vma in proc.vmas:
-        huge_regions = sum(
-            1
-            for hvpn in range(vma.start >> 9, ((vma.end - 1) >> 9) + 1)
-            if hvpn in proc.page_table.huge
-        )
+        huge_regions = proc.page_table.huge_count_in_range(
+            vma.start >> 9, ((vma.end - 1) >> 9) + 1)
         resident = sum(
             r.resident
             for r in proc.regions.values()

@@ -14,7 +14,7 @@ kernel's inactive-list reclaim).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro import audit, trace
 
@@ -53,16 +53,20 @@ class SwapDevice:
         """Evict up to ``npages`` mapped base pages; returns frames freed."""
         kernel = self.kernel
         freed = 0
+        victims: Iterator[int] = iter(())
         while freed < npages and self.free_slots > 0:
-            victim = self._pick_victim()
-            if victim is None:
-                break
-            proc, vpn = victim
-            pte = proc.page_table.unmap_base(vpn)
-            kernel._rmap.pop(pte.frame, None)
+            frame = next(victims, None)
+            if frame is None:
+                victims = self._victims()
+                frame = next(victims, None)
+                if frame is None:
+                    break
+            proc, vpn = kernel.rmap_owner(frame)
+            proc.page_table.unmap_base(vpn)
+            kernel.rmap_remove(frame)
             if (al := kernel.audit) is not None and al.enabled:
-                al.ledger.record(pte.frame, 1, audit.EV_SWAPPED_OUT)
-            kernel.buddy.free(pte.frame, 0)
+                al.ledger.record(frame, 1, audit.EV_SWAPPED_OUT)
+            kernel.buddy.free(frame, 0)
             proc.region(vpn >> 9).resident -= 1
             self.swapped.add((proc.pid, vpn))
             self.swap_outs += 1
@@ -73,16 +77,13 @@ class SwapDevice:
             freed += 1
         return freed
 
-    def _pick_victim(self):
-        """FIFO over mapped base frames; demote a huge mapping if needed."""
+    def _victims(self) -> Iterator[int]:
+        """Privately mapped base frames, FIFO; demotes the oldest huge
+        mapping first when there are none.  Evicting a victim adds no
+        reverse mapping, so one snapshot serves a whole ``swap_out``."""
         kernel = self.kernel
-        for frame, (proc, vpn) in kernel._rmap.items():
-            pte = proc.page_table.base.get(vpn)
-            if pte is not None and not pte.shared_zero and pte.frame == frame:
-                return proc, vpn
-        if kernel._rmap_huge:
-            frame = next(iter(kernel._rmap_huge))
-            proc, hvpn = kernel._rmap_huge[frame]
-            kernel.demote_region(proc, hvpn)
-            return self._pick_victim()
-        return None
+        frames = kernel.rmap_by_age()
+        if not frames.shape[0] and (oldest := kernel.oldest_huge_mapping()) is not None:
+            kernel.demote_region(*oldest)
+            frames = kernel.rmap_by_age()
+        return iter(frames.tolist())

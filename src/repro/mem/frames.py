@@ -21,6 +21,8 @@ memories.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import AllocationError
@@ -73,8 +75,9 @@ class FrameTable:
         self.first_nonzero[frame] = first_nonzero
         self.content_tag[frame] = self.fresh_tag() if tag is None else tag
 
-    def write_zero(self, frame: int) -> None:
-        """Record that the owner wrote zeroes over the whole of ``frame``."""
+    def write_zero(self, frame: int | np.ndarray) -> None:
+        """Record that the owner wrote zeroes over the whole of ``frame``
+        (a frame number or an array of them)."""
         self.first_nonzero[frame] = -1
         self.content_tag[frame] = ZERO_TAG
 
@@ -95,9 +98,9 @@ class FrameTable:
         else:
             self.content_tag[start:start + count] = tag
 
-    def write_frames(self, frames: list[int], first_nonzero: int = 0, tag: int | None = None) -> None:
+    def write_frames(self, frames: Sequence[int], first_nonzero: int = 0, tag: int | None = None) -> None:
         """Bulk :meth:`write` over an arbitrary frame list (tags in list order)."""
-        if not frames:
+        if len(frames) == 0:
             return
         if not 0 <= first_nonzero < BASE_PAGE_SIZE:
             raise ValueError(f"first_nonzero {first_nonzero} outside page")

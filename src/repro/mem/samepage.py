@@ -35,6 +35,7 @@ from repro import audit, trace
 from repro.kernel.kthread import RateLimiter
 from repro.mem.frames import ZERO_TAG
 from repro.units import BASE_PAGE_SIZE
+from repro.vm.page_table import SHARED_COW
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -71,7 +72,7 @@ class CowShareRegistry:
         self._by_tag[tag] = frame
         self.refcount[frame] = 1
         self.kernel.frames.pinned[frame] = True
-        self.kernel._rmap.pop(frame, None)
+        self.kernel.rmap_remove(frame)
 
     def share(self, frame: int) -> None:
         """Add one sharer to a canonical frame."""
@@ -127,7 +128,7 @@ class SamePageMerger:
 
     def _scan_process(self, proc) -> int:
         pt = proc.page_table
-        vpns = sorted(pt.base)
+        vpns = pt.mapped_vpns().tolist()
         if not vpns:
             return 0
         start_after = self._cursor.get(proc.pid, -1)
@@ -153,16 +154,7 @@ class SamePageMerger:
 
         if frames.is_zero(frame):
             # zero pages dedup onto the canonical zero frame
-            kernel._rmap.pop(frame, None)
-            if (al := kernel.audit) is not None and al.enabled:
-                al.ledger.record(frame, 1, audit.EV_KSM_MERGED,
-                                 kernel.zero_registry.zero_frame)
-            kernel.buddy.free(frame, 0)
-            pte.frame = kernel.zero_registry.zero_frame
-            pte.shared_zero = True
-            proc.page_table.shared_zero_count += 1
-            proc.page_table.sync_pte(vpn, pte)
-            kernel.zero_registry.share()
+            kernel.share_zero_page(proc, vpn, frame)
             return 1
 
         tag = int(frames.content_tag[frame])
@@ -178,26 +170,19 @@ class SamePageMerger:
             return 0
         if self.registry.refcount.get(canonical, 0) == 0:
             # registered but still exclusive: promote it to canonical now
-            owner = kernel._rmap.get(canonical)
+            owner = kernel.rmap_owner(canonical)
             if owner is None:
                 self.registry._by_tag.pop(tag, None)
                 return 0
             owner_proc, owner_vpn = owner
-            owner_pte = owner_proc.page_table.base.get(owner_vpn)
-            if owner_pte is None or owner_pte.frame != canonical or not owner_pte.private:
-                self.registry._by_tag.pop(tag, None)
-                return 0
             self.registry.make_canonical(canonical, tag)
-            owner_pte.shared_cow = True
-            owner_proc.page_table.sync_pte(owner_vpn, owner_pte)
+            owner_proc.page_table.remap(owner_vpn, canonical, set_bits=SHARED_COW)
         # merge this page into the canonical
-        kernel._rmap.pop(frame, None)
+        kernel.rmap_remove(frame)
         if (al := kernel.audit) is not None and al.enabled:
             al.ledger.record(frame, 1, audit.EV_KSM_MERGED, canonical)
         kernel.buddy.free(frame, 0)
-        pte.frame = canonical
-        pte.shared_cow = True
-        proc.page_table.sync_pte(vpn, pte)
+        proc.page_table.remap(vpn, canonical, set_bits=SHARED_COW)
         self.registry.share(canonical)
         self.registry.merges += 1
         return 1

@@ -37,6 +37,7 @@ from repro import audit, trace
 from repro.kernel.kthread import RateLimiter
 from repro.numa.allocator import NodeAllocator
 from repro.units import CYCLES_PER_USEC, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -115,7 +116,7 @@ class NumaState:
     def region_nodes_arr(self, proc: "Process", hvpns: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`region_node`: backing node per hvpn (-1 = none).
 
-        Huge regions resolve through the hvpn->frame mirror in one gather;
+        Huge regions resolve through the hvpn->frame column in one gather;
         base regions take a fast path through column 0 (the region's first
         page, private in the common dense layout) and fall back to a
         per-region first-private scan only where that page is shared or
@@ -126,7 +127,7 @@ class NumaState:
         out = np.full(n, -1, dtype=np.int64)
         if n == 0:
             return out
-        mhuge = pt._mhuge
+        mhuge = pt.hframe
         hcap = mhuge.shape[0]
         in_cap = hvpns < hcap
         hframes = np.where(in_cap, mhuge[np.minimum(hvpns, hcap - 1)], -1)
@@ -137,12 +138,12 @@ class NumaState:
         if rest.size == 0:
             return out
         vpn0s = hvpns[rest] << 9
-        mframe, mpriv = pt._mframe, pt._mpriv
+        mframe = pt.frame
         bcap = mframe.shape[0]
         ok = vpn0s < bcap
         safe = np.minimum(vpn0s, bcap - 1)
         frame0 = np.where(ok, mframe[safe], -1)
-        priv0 = np.where(ok, mpriv[safe], False)
+        priv0 = ok & (frame0 >= 0) & (pt.flags[safe] & SHARED == 0)
         easy = rest[priv0]
         if easy.size:
             out[easy] = self.allocator.node_of_arr(frame0[priv0])
@@ -228,7 +229,7 @@ class NumaState:
         512 GiB, one PGD.
         """
         pt = proc.page_table
-        pte_tables = {vpn >> 9 for vpn in pt.base}
+        pte_tables = set((pt.mapped_vpns() >> 9).tolist())
         pmd_tables = {h >> 9 for h in pte_tables} | {h >> 9 for h in pt.huge}
         pud_tables = {h >> 9 for h in pmd_tables}
         return len(pte_tables) + len(pmd_tables) + len(pud_tables) + 1
@@ -429,9 +430,8 @@ class NumaState:
             led.copy_provenance(old, new, PAGES_PER_HUGE)
             led.record(new, PAGES_PER_HUGE, audit.EV_MIGRATED, target)
             led.set_site(new, PAGES_PER_HUGE, audit.SITE_NUMA)
-        pt.huge[hvpn].frame = new
-        pt.sync_huge(hvpn, pt.huge[hvpn])
-        kernel._rmap_huge.pop(old, None)
+        pt.hframe[hvpn] = new
+        kernel.rmap_remove_huge(old)
         kernel.rmap_add_huge(new, proc, hvpn)
         kernel.buddy.free(old, 9)
         cost = (PAGES_PER_HUGE * kernel.costs.numa_migrate_page_us
@@ -447,7 +447,7 @@ class NumaState:
         kernel = self.kernel
         frames = kernel.frames
         moved = 0
-        # Bulk discovery off the mirror: only pages resident on the wrong
+        # Bulk discovery off the columns: only pages resident on the wrong
         # node enter the migration loop (migrating one page never changes
         # another page's frame or privacy, so the snapshot stays valid).
         mframes, mpriv = proc.page_table.region_mirror(hvpn)
@@ -474,9 +474,7 @@ class NumaState:
                              inputs={"target_node": target, "moved": moved})
                 return moved, cost, False
             new = got[0]
-            if not kernel._migrate_frame(old, new):  # pragma: no cover - stale rmap
-                kernel.buddy.free(new, 0)
-                continue
+            kernel._migrate_frame(old, new)
             frames.first_nonzero[new] = frames.first_nonzero[old]
             frames.content_tag[new] = frames.content_tag[old]
             if (al := kernel.audit) is not None and al.enabled:

@@ -70,7 +70,7 @@ class FreeBSDPolicy(HugePagePolicy):
         block = self.reservations.pop(key)
         freed = 0
         for frame in range(block, block + PAGES_PER_HUGE):
-            if frame not in self.kernel._rmap and self.kernel.frames.allocated[frame]:
+            if self.kernel.rmap_owner(frame) is None and self.kernel.frames.allocated[frame]:
                 self.kernel.buddy.free(frame, 0)
                 freed += 1
         self.reservations_broken += 1

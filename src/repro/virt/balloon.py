@@ -41,19 +41,12 @@ class BalloonDriver:
                 if (vpn >> 9) in pt.huge:
                     # Returning any page of a host huge region breaks it.
                     host.demote_region(self.vm.host_proc, vpn >> 9)
-                pte = pt.base.get(vpn)
-                if pte is None:
+                if vpn not in pt.base:
                     continue
                 if not self._limiter.take():
                     self.returned_pages += returned
                     return returned
-                if pte.shared_zero:
-                    pt.unmap_base(vpn)
-                    host.zero_registry.unshare()
-                else:
-                    pt.unmap_base(vpn)
-                    host._rmap.pop(pte.frame, None)
-                    host.buddy.free(pte.frame, 0)
+                host._unmap_base_page(self.vm.host_proc, vpn)
                 self.vm.host_proc.region(vpn >> 9).resident -= 1
                 returned += 1
         self.returned_pages += returned

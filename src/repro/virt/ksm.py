@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro import audit, trace
+import numpy as np
+
+from repro import trace
 from repro.kernel.kthread import RateLimiter
 from repro.units import PAGES_PER_HUGE
 
@@ -92,23 +94,9 @@ class KSMThread:
                 return 0
             host.demote_region(proc, host_hvpn)
 
-        merged = 0
+        frames, private = pt.region_mirror(host_hvpn)
+        offs = np.flatnonzero(private & zero_mask[: frames.shape[0]])
         vpn0 = host_hvpn << 9
-        for offset in range(PAGES_PER_HUGE):
-            if not zero_mask[offset]:
-                continue
-            pte = pt.base.get(vpn0 + offset)
-            if pte is None or pte.shared_zero:
-                continue
-            host._rmap.pop(pte.frame, None)
-            if (al := host.audit) is not None and al.enabled:
-                al.ledger.record(pte.frame, 1, audit.EV_KSM_MERGED,
-                                 host.zero_registry.zero_frame)
-            host.buddy.free(pte.frame, 0)
-            pte.frame = host.zero_registry.zero_frame
-            pte.shared_zero = True
-            pt.shared_zero_count += 1
-            pt.sync_pte(vpn0 + offset, pte)
-            host.zero_registry.share()
-            merged += 1
-        return merged
+        for offset, frame in zip(offs.tolist(), frames[offs].tolist()):
+            host.share_zero_page(proc, vpn0 + offset, frame)
+        return offs.shape[0]

@@ -1,284 +1,397 @@
 """Per-process page tables with 4 KiB and 2 MiB mappings.
 
-The table keeps two maps: base PTEs keyed by virtual page number and huge
-PTEs keyed by huge-region number (``vpn >> 9``).  A virtual page is mapped
-by at most one of the two — promotion replaces 512 base PTEs with one huge
-PTE, demotion does the reverse.  Base PTEs can also be *shared-zero*
-mappings onto the canonical zero frame (copy-on-write), which is how
-HawkEye's bloat recovery returns memory without unmapping anything.
+The table is a set of numpy columns.  Base mappings are indexed by
+virtual page number: ``frame`` (−1 when unmapped), a packed ``flags``
+byte (:data:`ACCESSED`, :data:`DIRTY`, :data:`SHARED_ZERO`,
+:data:`SHARED_COW`) and an insertion ``seq``.  Huge mappings have the
+same three columns indexed by huge-region number (``vpn >> 9``):
+``hframe``, ``hflags`` and ``hseq``.  A virtual page is mapped by at
+most one of the two — promotion replaces 512 base mappings with one huge
+mapping, demotion does the reverse.  Base mappings can also be
+*shared-zero* mappings onto the canonical zero frame (copy-on-write),
+which is how HawkEye's bloat recovery returns memory without unmapping
+anything.
 
-Alongside the authoritative PTE dicts, the table maintains flat numpy
-*mirrors* — ``vpn -> frame`` (−1 when unmapped), ``vpn -> private`` and
-``hvpn -> huge frame`` — so range operations (region scans, contiguity
-checks, rmap walks, NUMA placement counts) become array slices instead of
-512 dict probes per huge region.  The dicts stay the source of truth;
-every mutation path updates the mirrors in the same call, and the few
-call sites that mutate a PTE *in place* (COW breaks, migration, page
-deduplication) re-sync via :meth:`PageTable.sync_pte` /
-:meth:`PageTable.sync_huge`.
+Range operations (bulk faults, run unmaps, demotion, region scans,
+contiguity checks, NUMA placement counts) are slice reads and writes.
+
+**Order contract.**  Every new mapping takes the next value of one
+per-table counter as its ``seq``; changing a mapping in place (COW
+breaks, migration, zero and KSM dedup, NUMA huge migration) keeps it.
+:attr:`PageTable.base` and :attr:`PageTable.huge` iterate in ``seq``
+order, which is the insertion order the simulator's results depend on:
+``exit_process`` frees mappings in that order, and the order becomes
+the buddy free lists' order.  The two views are read-only ``Mapping``s
+whose values are :class:`BasePTE` / :class:`HugePTE` proxies; attribute
+writes on a proxy go to the columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
 import numpy as np
 
 from repro.errors import InvalidAddressError
-from repro.units import PAGES_PER_HUGE, huge_align_down
+from repro.units import PAGES_PER_HUGE
 
-#: initial mirror capacity in base pages (grows by doubling).
-_INITIAL_VPN_CAPACITY = 8 * PAGES_PER_HUGE
+#: flag bits of the ``flags`` / ``hflags`` columns.
+ACCESSED = 1
+DIRTY = 2
+#: copy-on-write mapping of the canonical zero frame (bloat recovery, §3.2).
+SHARED_ZERO = 4
+#: copy-on-write mapping of a KSM-merged content frame (same-page merging).
+SHARED_COW = 8
+SHARED = SHARED_ZERO | SHARED_COW
 
 
-class BasePTE:
-    """A 4 KiB mapping: physical frame plus access metadata.
+def _grown(col: np.ndarray, need: int, fill: int) -> np.ndarray:
+    """``col`` doubled until it holds ``need`` slots, new slots ``fill``."""
+    cap = col.shape[0]
+    while cap < need:
+        cap *= 2
+    out = np.full(cap, fill, dtype=col.dtype)
+    out[: col.shape[0]] = col
+    return out
+
+
+def _in_seq_order(frame: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """Mapped keys of one granularity in insertion (``seq``) order."""
+    live = np.flatnonzero(frame >= 0)
+    return live[np.argsort(seq[live], kind="stable")]
+
+
+def _flag(bit: int, doc: str) -> property:
+    return property(lambda self: self._get(bit), lambda self, on: self._put(bit, on), doc=doc)
+
+
+class _PTE:
+    """A view of one mapping's slots in the ``_FRAME`` / ``_FLAGS`` columns."""
+
+    __slots__ = ("_pt", "_key")
+    _FRAME = _FLAGS = ""
+
+    def __init__(self, pt: "PageTable", key: int):
+        self._pt = pt
+        self._key = key
+
+    @property
+    def frame(self) -> int:
+        """Mapped frame (for a huge mapping, its order-9 block's start)."""
+        return int(getattr(self._pt, self._FRAME)[self._key])
+
+    @frame.setter
+    def frame(self, frame: int) -> None:
+        getattr(self._pt, self._FRAME)[self._key] = frame
+
+    def _get(self, bit: int) -> bool:
+        return bool(getattr(self._pt, self._FLAGS)[self._key] & bit)
+
+    def _put(self, bit: int, on: bool) -> None:
+        old = int(getattr(self._pt, self._FLAGS)[self._key])
+        self._pt._set_flags(self._FLAGS, self._key, old, old | bit if on else old & ~bit)
+
+    accessed = _flag(ACCESSED, "Hardware access bit.")
+    dirty = _flag(DIRTY, "Hardware dirty bit.")
+
+
+class BasePTE(_PTE):
+    """A 4 KiB mapping.
 
     ``shared_zero`` marks a copy-on-write mapping of the canonical zero
-    frame (bloat recovery, §3.2); ``shared_cow`` marks a copy-on-write
-    mapping of a KSM-merged content frame (same-page merging).  Both are
-    broken by the fault path on write.
+    frame; ``shared_cow`` marks a copy-on-write mapping of a KSM-merged
+    content frame.  Both are broken by the fault path on write.
     """
 
-    __slots__ = ("frame", "accessed", "dirty", "shared_zero", "shared_cow")
-
-    def __init__(self, frame: int, shared_zero: bool = False):
-        self.frame = frame
-        self.accessed = False
-        self.dirty = False
-        self.shared_zero = shared_zero
-        self.shared_cow = False
+    __slots__ = ()
+    _FRAME, _FLAGS = "frame", "flags"
+    shared_zero = _flag(SHARED_ZERO, "Maps the canonical zero frame.")
+    shared_cow = _flag(SHARED_COW, "Maps a KSM-merged frame.")
 
     @property
     def private(self) -> bool:
         """True when this mapping exclusively owns its frame."""
-        return not (self.shared_zero or self.shared_cow)
+        return not self._pt.flags[self._key] & SHARED
 
 
-class HugePTE:
-    """A 2 MiB mapping: start frame of an order-9 physical block."""
+class HugePTE(_PTE):
+    """A 2 MiB mapping over an order-9 physical block."""
 
-    __slots__ = ("frame", "accessed", "dirty")
+    __slots__ = ()
+    _FRAME, _FLAGS = "hframe", "hflags"
 
-    def __init__(self, frame: int):
-        self.frame = frame
-        self.accessed = False
-        self.dirty = False
+
+class _MappingView(Mapping):
+    """Read-only ``key -> PTE proxy`` view of one granularity's columns."""
+
+    __slots__ = ("_pt", "_frame", "_seq", "_count", "_pte")
+
+    def __init__(self, pt: "PageTable", frame: str, seq: str, count: str, pte: type):
+        self._pt = pt
+        self._frame = frame
+        self._seq = seq
+        self._count = count
+        self._pte = pte
+
+    def __contains__(self, key) -> bool:
+        col = getattr(self._pt, self._frame)
+        return 0 <= key < col.shape[0] and col[key] >= 0
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        return self._pte(self._pt, int(key))
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __len__(self) -> int:
+        return getattr(self._pt, self._count)
+
+    def __iter__(self) -> Iterator[int]:
+        """Mapped keys in insertion (``seq``) order."""
+        pt = self._pt
+        return iter(_in_seq_order(getattr(pt, self._frame), getattr(pt, self._seq)).tolist())
 
 
 class PageTable:
     """Both-granularity page table for one process."""
 
     def __init__(self) -> None:
-        self.base: dict[int, BasePTE] = {}
-        self.huge: dict[int, HugePTE] = {}
         #: mappings currently shared onto the canonical zero frame.
         self.shared_zero_count = 0
-        #: vpn -> frame mirror of ``base`` (-1 = not base-mapped).
-        self._mframe = np.full(_INITIAL_VPN_CAPACITY, -1, dtype=np.int64)
-        #: vpn -> base-mapped AND private (exclusively owns its frame).
-        self._mpriv = np.zeros(_INITIAL_VPN_CAPACITY, dtype=bool)
-        #: hvpn -> huge start frame mirror of ``huge`` (-1 = not mapped).
-        self._mhuge = np.full(
-            _INITIAL_VPN_CAPACITY // PAGES_PER_HUGE, -1, dtype=np.int64
-        )
+        #: number of base / huge mappings.
+        self.nbase = 0
+        self.nhuge = 0
+        self._next_seq = 0
+        self._reset_columns()
+        #: ``vpn -> BasePTE`` and ``hvpn -> HugePTE`` views, in insertion order.
+        self.base: Mapping[int, BasePTE] = _MappingView(self, "frame", "seq", "nbase", BasePTE)
+        self.huge: Mapping[int, HugePTE] = _MappingView(self, "hframe", "hseq", "nhuge", HugePTE)
+
+    def _reset_columns(self) -> None:
+        # One slot each: the columns grow by doubling as mappings arrive,
+        # and a torn-down table (an exited process) holds no memory.
+        self.frame = np.full(1, -1, dtype=np.int64)
+        self.flags = np.zeros(1, dtype=np.uint8)
+        self.seq = np.zeros(1, dtype=np.int64)
+        self.hframe = np.full(1, -1, dtype=np.int64)
+        self.hflags = np.zeros(1, dtype=np.uint8)
+        self.hseq = np.zeros(1, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
-    # mirror maintenance                                                 #
+    # column maintenance                                                 #
     # ------------------------------------------------------------------ #
 
     def _ensure_base(self, end_vpn: int) -> None:
-        """Grow the base mirrors to cover vpns below ``end_vpn``."""
-        cap = self._mframe.shape[0]
-        if end_vpn <= cap:
-            return
-        while cap < end_vpn:
-            cap *= 2
-        mframe = np.full(cap, -1, dtype=np.int64)
-        mframe[: self._mframe.shape[0]] = self._mframe
-        self._mframe = mframe
-        mpriv = np.zeros(cap, dtype=bool)
-        mpriv[: self._mpriv.shape[0]] = self._mpriv
-        self._mpriv = mpriv
+        """Grow the base columns to cover vpns below ``end_vpn``."""
+        if end_vpn > self.frame.shape[0]:
+            self.frame = _grown(self.frame, end_vpn, -1)
+            self.flags = _grown(self.flags, end_vpn, 0)
+            self.seq = _grown(self.seq, end_vpn, 0)
 
     def _ensure_huge(self, hvpn: int) -> None:
-        """Grow the huge mirror to cover region ``hvpn``."""
-        cap = self._mhuge.shape[0]
-        if hvpn < cap:
-            return
-        while cap <= hvpn:
-            cap *= 2
-        mhuge = np.full(cap, -1, dtype=np.int64)
-        mhuge[: self._mhuge.shape[0]] = self._mhuge
-        self._mhuge = mhuge
+        """Grow the huge columns to cover region ``hvpn``."""
+        if hvpn >= self.hframe.shape[0]:
+            self.hframe = _grown(self.hframe, hvpn + 1, -1)
+            self.hflags = _grown(self.hflags, hvpn + 1, 0)
+            self.hseq = _grown(self.hseq, hvpn + 1, 0)
 
-    def sync_pte(self, vpn: int, pte: BasePTE) -> None:
-        """Re-sync the mirrors after an in-place mutation of a base PTE.
+    def _set_flags(self, column: str, key: int, old: int, new: int) -> None:
+        """Write one mapping's flags, keeping ``shared_zero_count``."""
+        getattr(self, column)[key] = new
+        if (old ^ new) & SHARED_ZERO:
+            self.shared_zero_count += 1 if new & SHARED_ZERO else -1
 
-        Required after any call site changes ``pte.frame`` or the shared
-        flags directly (COW breaks, frame migration, zero/KSM dedup).
-        """
-        self._mframe[vpn] = pte.frame
-        self._mpriv[vpn] = not (pte.shared_zero or pte.shared_cow)
+    def _base_mapped(self, vpn: int) -> bool:
+        return 0 <= vpn < self.frame.shape[0] and self.frame[vpn] >= 0
 
-    def sync_huge(self, hvpn: int, pte: HugePTE) -> None:
-        """Re-sync the huge mirror after an in-place frame change."""
-        self._mhuge[hvpn] = pte.frame
+    def _huge_mapped(self, hvpn: int) -> bool:
+        return 0 <= hvpn < self.hframe.shape[0] and self.hframe[hvpn] >= 0
 
     # ------------------------------------------------------------------ #
     # mapping                                                            #
     # ------------------------------------------------------------------ #
 
-    def map_base(self, vpn: int, frame: int, shared_zero: bool = False) -> BasePTE:
+    def map_base(self, vpn: int, frame: int, shared_zero: bool = False,
+                 accessed: bool = False) -> None:
         """Install a 4 KiB mapping (optionally onto the shared zero frame)."""
-        if vpn in self.base:
+        if self._base_mapped(vpn):
             raise InvalidAddressError(f"vpn {vpn} already mapped")
-        if (vpn >> 9) in self.huge:
+        if self._huge_mapped(vpn >> 9):
             raise InvalidAddressError(f"vpn {vpn} inside huge mapping")
-        pte = BasePTE(frame, shared_zero)
-        self.base[vpn] = pte
         self._ensure_base(vpn + 1)
-        self._mframe[vpn] = frame
-        self._mpriv[vpn] = not shared_zero
+        self.frame[vpn] = frame
+        self.flags[vpn] = (SHARED_ZERO if shared_zero else 0) | (ACCESSED if accessed else 0)
+        self.seq[vpn] = self._next_seq
+        self._next_seq += 1
+        self.nbase += 1
         if shared_zero:
             self.shared_zero_count += 1
-        return pte
 
     def map_base_range(
         self, vpn0: int, extents: list[tuple[int, int, bool]], accessed: bool = False
     ) -> int:
-        """Install base PTEs for consecutive vpns over physical ``extents``.
+        """Install private base mappings for consecutive vpns over ``extents``.
 
         ``extents`` is a list of ``(start_frame, count, zeroed)`` runs (the
         shape :meth:`repro.mem.buddy.BuddyAllocator.try_alloc_run` returns);
         virtual pages ``vpn0, vpn0+1, ...`` map onto the extents' frames in
-        order.  One bounds/overlap check per run replaces the per-page
-        checks of :meth:`map_base`.  Returns the number of PTEs installed.
+        order, and take consecutive ``seq`` values in ascending vpn order.
+        Returns the number of mappings installed.
         """
         total = sum(count for _, count, _ in extents)
         if total == 0:
             return 0
-        if (self._mframe[vpn0 : vpn0 + total] >= 0).any():
-            raise InvalidAddressError(f"range [{vpn0}, {vpn0 + total}) overlaps base mappings")
-        if (self._mhuge[vpn0 >> 9 : ((vpn0 + total - 1) >> 9) + 1] >= 0).any():
-            raise InvalidAddressError(f"range [{vpn0}, {vpn0 + total}) overlaps a huge mapping")
-        self._ensure_base(vpn0 + total)
-        base = self.base
-        mframe = self._mframe
+        end = vpn0 + total
+        if (self.frame[vpn0:end] >= 0).any():
+            raise InvalidAddressError(f"range [{vpn0}, {end}) overlaps base mappings")
+        if (self.hframe[vpn0 >> 9 : ((end - 1) >> 9) + 1] >= 0).any():
+            raise InvalidAddressError(f"range [{vpn0}, {end}) overlaps a huge mapping")
+        self._ensure_base(end)
         vpn = vpn0
         for start, count, _ in extents:
-            for i in range(count):
-                pte = BasePTE(start + i)
-                pte.accessed = accessed
-                base[vpn + i] = pte
-            mframe[vpn : vpn + count] = np.arange(start, start + count, dtype=np.int64)
+            self.frame[vpn : vpn + count] = np.arange(start, start + count, dtype=np.int64)
             vpn += count
-        self._mpriv[vpn0 : vpn0 + total] = True
+        self.flags[vpn0:end] = ACCESSED if accessed else 0
+        self.seq[vpn0:end] = np.arange(self._next_seq, self._next_seq + total, dtype=np.int64)
+        self._next_seq += total
+        self.nbase += total
         return total
 
-    def map_huge(self, hvpn: int, frame: int) -> HugePTE:
+    def map_huge(self, hvpn: int, frame: int, accessed: bool = False) -> HugePTE:
         """Install a 2 MiB mapping over an order-9 physical block."""
-        if hvpn in self.huge:
+        if self._huge_mapped(hvpn):
             raise InvalidAddressError(f"huge region {hvpn} already mapped")
-        pte = HugePTE(frame)
-        self.huge[hvpn] = pte
         self._ensure_huge(hvpn)
-        self._mhuge[hvpn] = frame
-        return pte
+        self.hframe[hvpn] = frame
+        self.hflags[hvpn] = ACCESSED if accessed else 0
+        self.hseq[hvpn] = self._next_seq
+        self._next_seq += 1
+        self.nhuge += 1
+        return HugePTE(self, hvpn)
 
-    def unmap_base(self, vpn: int) -> BasePTE:
-        """Remove and return a base PTE; raises if absent."""
-        pte = self.base.pop(vpn, None)
-        if pte is None:
+    def remap(self, vpn: int, frame: int, set_bits: int = 0, clear_bits: int = 0) -> None:
+        """Point base mapping ``vpn`` at ``frame`` in place (keeps its ``seq``).
+
+        ``set_bits`` / ``clear_bits`` update its flags in the same call
+        (COW breaks clear a shared bit and set :data:`DIRTY`; dedup sets
+        a shared bit).
+        """
+        old = int(self.flags[vpn])
+        self.frame[vpn] = frame
+        self._set_flags("flags", vpn, old, (old & ~clear_bits) | set_bits)
+
+    def unmap_base(self, vpn: int) -> tuple[int, int]:
+        """Remove a base mapping; returns its ``(frame, flags)``."""
+        if not self._base_mapped(vpn):
             raise InvalidAddressError(f"vpn {vpn} not base-mapped")
-        self._mframe[vpn] = -1
-        self._mpriv[vpn] = False
-        if pte.shared_zero:
+        frame = int(self.frame[vpn])
+        flags = int(self.flags[vpn])
+        self.frame[vpn] = -1
+        self.flags[vpn] = 0
+        self.nbase -= 1
+        if flags & SHARED_ZERO:
             self.shared_zero_count -= 1
-        return pte
+        return frame, flags
 
     def unmap_base_run_private(self, vpn0: int, count: int) -> None:
-        """Drop ``count`` consecutive *private* base PTEs (bulk teardown).
+        """Drop ``count`` consecutive *private* base mappings (bulk teardown).
 
         Callers guarantee every page in the run is base-mapped and
-        private, so no shared-zero accounting applies; the dict deletions
-        happen in ascending order and the mirrors clear as one slice.
+        private, so no shared-zero accounting applies.
         """
-        base = self.base
-        for vpn in range(vpn0, vpn0 + count):
-            del base[vpn]
-        self._mframe[vpn0 : vpn0 + count] = -1
-        self._mpriv[vpn0 : vpn0 + count] = False
+        self.frame[vpn0 : vpn0 + count] = -1
+        self.flags[vpn0 : vpn0 + count] = 0
+        self.nbase -= count
 
-    def unmap_huge(self, hvpn: int) -> HugePTE:
-        """Remove and return a huge PTE; raises if absent."""
-        pte = self.huge.pop(hvpn, None)
-        if pte is None:
+    def unmap_base_region(self, hvpn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove every base mapping of region ``hvpn``.
+
+        Returns ``(offsets, frames, flags)`` of the removed mappings in
+        ascending vpn order.
+        """
+        vpn0 = hvpn << 9
+        seg = self.frame[vpn0 : vpn0 + PAGES_PER_HUGE]
+        offs = np.flatnonzero(seg >= 0)
+        frames = seg[offs]
+        flags = self.flags[vpn0 + offs]
+        self.frame[vpn0 + offs] = -1
+        self.flags[vpn0 + offs] = 0
+        self.nbase -= offs.shape[0]
+        self.shared_zero_count -= int(np.count_nonzero(flags & SHARED_ZERO))
+        return offs, frames, flags
+
+    def unmap_huge(self, hvpn: int) -> tuple[int, int]:
+        """Remove a huge mapping; returns its ``(frame, flags)``."""
+        if not self._huge_mapped(hvpn):
             raise InvalidAddressError(f"huge region {hvpn} not mapped")
-        self._mhuge[hvpn] = -1
-        return pte
+        frame = int(self.hframe[hvpn])
+        flags = int(self.hflags[hvpn])
+        self.hframe[hvpn] = -1
+        self.hflags[hvpn] = 0
+        self.nhuge -= 1
+        return frame, flags
 
     # ------------------------------------------------------------------ #
     # promotion / demotion plumbing                                      #
     # ------------------------------------------------------------------ #
 
-    def demote_huge(self, hvpn: int) -> list[tuple[int, BasePTE]]:
-        """Replace a huge PTE with 512 base PTEs onto the same frames.
+    def demote_huge(self, hvpn: int) -> int:
+        """Replace a huge mapping with 512 base mappings onto the same frames.
 
-        Returns the new ``(vpn, pte)`` pairs; the physical block stays
-        allocated and contiguous — only the mapping granularity changes.
+        The base mappings inherit the huge mapping's accessed and dirty
+        bits and take consecutive ``seq`` values in vpn order.  Returns the
+        block's start frame; the physical block stays allocated and
+        contiguous — only the mapping granularity changes.
         """
-        huge_pte = self.unmap_huge(hvpn)
+        frame0, flags = self.unmap_huge(hvpn)
+        self.map_base_range(hvpn << 9, [(frame0, PAGES_PER_HUGE, False)])
         vpn0 = hvpn << 9
-        self._ensure_base(vpn0 + PAGES_PER_HUGE)
-        created = []
-        base = self.base
-        frame0 = huge_pte.frame
-        accessed = huge_pte.accessed
-        dirty = huge_pte.dirty
-        for i in range(PAGES_PER_HUGE):
-            pte = BasePTE(frame0 + i)
-            pte.accessed = accessed
-            pte.dirty = dirty
-            base[vpn0 + i] = pte
-            created.append((vpn0 + i, pte))
-        self._mframe[vpn0 : vpn0 + PAGES_PER_HUGE] = np.arange(
-            frame0, frame0 + PAGES_PER_HUGE, dtype=np.int64
-        )
-        self._mpriv[vpn0 : vpn0 + PAGES_PER_HUGE] = True
-        return created
+        self.flags[vpn0 : vpn0 + PAGES_PER_HUGE] = flags & (ACCESSED | DIRTY)
+        return frame0
+
+    def mapped_vpns(self) -> np.ndarray:
+        """Base-mapped vpns in ascending order."""
+        return np.flatnonzero(self.frame >= 0)
+
+    def base_in_order(self) -> np.ndarray:
+        """Base-mapped vpns in insertion order (the order of ``base``)."""
+        return _in_seq_order(self.frame, self.seq)
 
     def region_base_vpns(self, hvpn: int) -> list[int]:
         """Base-mapped VPNs inside huge region ``hvpn``."""
         vpn0 = hvpn << 9
-        seg = self._mframe[vpn0 : vpn0 + PAGES_PER_HUGE]
-        return (np.nonzero(seg >= 0)[0] + vpn0).tolist()
+        seg = self.frame[vpn0 : vpn0 + PAGES_PER_HUGE]
+        return (np.flatnonzero(seg >= 0) + vpn0).tolist()
 
     def region_mirror(self, hvpn: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(frames, private)`` mirror slices for one huge region.
+        """``(frames, private)`` over one huge region's 512 vpn slots.
 
-        Read-only views over the region's 512 vpn slots (shorter when the
-        mirror has never grown that far — missing slots are unmapped).
-        ``frames[i] == -1`` means vpn ``(hvpn << 9) + i`` is not
-        base-mapped.
+        ``frames`` is a read-only view of the frame column (shorter when
+        the columns have never grown that far — missing slots are
+        unmapped); ``frames[i] == -1`` means vpn ``(hvpn << 9) + i`` is
+        not base-mapped.  ``private[i]`` says the slot is mapped and owns
+        its frame.
         """
         vpn0 = hvpn << 9
-        return (
-            self._mframe[vpn0 : vpn0 + PAGES_PER_HUGE],
-            self._mpriv[vpn0 : vpn0 + PAGES_PER_HUGE],
-        )
+        frames = self.frame[vpn0 : vpn0 + PAGES_PER_HUGE]
+        private = (frames >= 0) & (self.flags[vpn0 : vpn0 + PAGES_PER_HUGE] & SHARED == 0)
+        return frames, private
 
     def contiguous_private_block(self, vpn0: int) -> int | None:
         """Start frame when a region's 512 pages form one aligned block.
 
-        Array check over the mirrors: all 512 pages base-mapped, private,
-        onto consecutive frames starting at an order-9 boundary.
+        All 512 pages base-mapped, private, onto consecutive frames
+        starting at an order-9 boundary.
         """
-        seg = self._mframe[vpn0 : vpn0 + PAGES_PER_HUGE]
+        seg = self.frame[vpn0 : vpn0 + PAGES_PER_HUGE]
         if seg.shape[0] < PAGES_PER_HUGE:
             return None
         frame0 = int(seg[0])
         if frame0 < 0 or frame0 % PAGES_PER_HUGE != 0:
             return None
-        if not self._mpriv[vpn0 : vpn0 + PAGES_PER_HUGE].all():
+        if (self.flags[vpn0 : vpn0 + PAGES_PER_HUGE] & SHARED).any():
             return None
         expect = np.arange(frame0, frame0 + PAGES_PER_HUGE, dtype=np.int64)
         if not np.array_equal(seg, expect):
@@ -291,12 +404,11 @@ class PageTable:
 
     def translate(self, vpn: int) -> tuple[int, bool] | None:
         """Physical frame for ``vpn`` and whether the mapping is huge."""
-        huge_pte = self.huge.get(vpn >> 9)
-        if huge_pte is not None:
-            return huge_pte.frame + (vpn - huge_align_down(vpn)), True
-        pte = self.base.get(vpn)
-        if pte is not None:
-            return pte.frame, False
+        hvpn = vpn >> 9
+        if self._huge_mapped(hvpn):
+            return int(self.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1)), True
+        if self._base_mapped(vpn):
+            return int(self.frame[vpn]), False
         return None
 
     def translate_range(self, vpn0: int, count: int) -> np.ndarray:
@@ -306,10 +418,10 @@ class PageTable:
         vpns resolve to ``huge_frame + offset``.
         """
         out = np.full(count, -1, dtype=np.int64)
-        seg = self._mframe[vpn0 : vpn0 + count]
+        seg = self.frame[vpn0 : vpn0 + count]
         out[: seg.shape[0]] = seg
         hlo, hhi = vpn0 >> 9, (vpn0 + count - 1) >> 9
-        hseg = self._mhuge[hlo : hhi + 1]
+        hseg = self.hframe[hlo : hhi + 1]
         if hseg.size and (hseg >= 0).any():
             vpns = np.arange(vpn0, vpn0 + count, dtype=np.int64)
             idx = (vpns >> 9) - hlo
@@ -321,29 +433,61 @@ class PageTable:
 
     def is_mapped(self, vpn: int) -> bool:
         """Whether the virtual page is mapped at either granularity."""
-        return vpn in self.base or (vpn >> 9) in self.huge
+        return self._base_mapped(vpn) or self._huge_mapped(vpn >> 9)
 
     def huge_count_in_range(self, hvpn_lo: int, hvpn_hi: int) -> int:
         """Number of huge-mapped regions in ``[hvpn_lo, hvpn_hi)``."""
-        return int((self._mhuge[hvpn_lo:hvpn_hi] >= 0).sum())
+        return int((self.hframe[hvpn_lo:hvpn_hi] >= 0).sum())
 
     # ------------------------------------------------------------------ #
     # accounting                                                         #
     # ------------------------------------------------------------------ #
 
     def clear(self) -> None:
-        """Drop every mapping (process teardown); mirrors reset wholesale."""
-        self.base.clear()
-        self.huge.clear()
+        """Drop every mapping (process teardown); columns shrink back."""
         self.shared_zero_count = 0
-        self._mframe[:] = -1
-        self._mpriv[:] = False
-        self._mhuge[:] = -1
+        self.nbase = 0
+        self.nhuge = 0
+        self._reset_columns()
 
     def resident_pages(self) -> int:
         """RSS in base pages, excluding shared-zero (deduplicated) mappings."""
-        return len(self.base) - self.shared_zero_count + len(self.huge) * PAGES_PER_HUGE
+        return self.nbase - self.shared_zero_count + self.nhuge * PAGES_PER_HUGE
 
     def huge_mapped_pages(self) -> int:
         """Base-page count covered by huge mappings."""
-        return len(self.huge) * PAGES_PER_HUGE
+        return self.nhuge * PAGES_PER_HUGE
+
+    def check(self) -> None:
+        """Raise :class:`InvalidAddressError` unless the columns are consistent.
+
+        The counts match the columns; unmapped slots carry no flags; no
+        mapping is both zero- and KSM-shared; no base vpn lies inside a
+        huge-mapped region; and ``seq`` is unique among live mappings of
+        each granularity and below the next value to hand out.
+        """
+        def fail(msg: str) -> None:
+            raise InvalidAddressError(f"page table: {msg}")
+
+        mapped = self.frame >= 0
+        hmapped = self.hframe >= 0
+        if int(mapped.sum()) != self.nbase:
+            fail(f"nbase {self.nbase}, columns map {int(mapped.sum())}")
+        if int(hmapped.sum()) != self.nhuge:
+            fail(f"nhuge {self.nhuge}, columns map {int(hmapped.sum())}")
+        zero = int(np.count_nonzero(self.flags[mapped] & SHARED_ZERO))
+        if zero != self.shared_zero_count:
+            fail(f"shared_zero_count {self.shared_zero_count}, columns hold {zero}")
+        if self.flags[~mapped].any() or self.hflags[~hmapped].any():
+            fail("flags set on an unmapped slot")
+        if ((self.flags & SHARED) == SHARED).any():
+            fail("a mapping is both zero- and KSM-shared")
+        hvpns = np.flatnonzero(mapped) >> 9
+        inside = hvpns[hvpns < self.hframe.shape[0]]
+        if hmapped[inside].any():
+            fail(f"base vpn inside huge region {int(inside[hmapped[inside]][0])}")
+        for name, seq in (("base", self.seq[mapped]), ("huge", self.hseq[hmapped])):
+            if np.unique(seq).shape[0] != seq.shape[0]:
+                fail(f"duplicate {name} seq")
+            if seq.shape[0] and int(seq.max()) >= self._next_seq:
+                fail(f"{name} seq beyond the counter")

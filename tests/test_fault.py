@@ -78,8 +78,9 @@ def test_hawkeye_skips_zeroing_for_prezeroed_frames(kernel_hawkeye):
 
 def test_cow_break_on_shared_zero(kernel_hawkeye):
     proc, vma = make_proc(kernel_hawkeye)
-    pte = proc.page_table.map_base(vma.start, kernel_hawkeye.zero_registry.zero_frame,
-                                   shared_zero=True)
+    proc.page_table.map_base(vma.start, kernel_hawkeye.zero_registry.zero_frame,
+                             shared_zero=True)
+    pte = proc.page_table.base[vma.start]
     kernel_hawkeye.zero_registry.share()
     latency = kernel_hawkeye.fault(proc, vma.start)
     assert latency == pytest.approx(kernel_hawkeye.costs.cow_fault_us)

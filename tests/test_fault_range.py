@@ -140,10 +140,10 @@ def test_demote_preserves_dirty_and_accessed_bits():
     huge_pte = pt.map_huge(2, 512)
     huge_pte.accessed = True
     huge_pte.dirty = True
-    created = pt.demote_huge(2)
-    assert len(created) == 512
-    assert all(pte.dirty for _, pte in created)
-    assert all(pte.accessed for _, pte in created)
+    pt.demote_huge(2)
+    assert len(pt.base) == 512
+    assert all(pte.dirty for pte in pt.base.values())
+    assert all(pte.accessed for pte in pt.base.values())
 
 
 # ---------------------------------------------------------------------- #

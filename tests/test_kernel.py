@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import InvalidAddressError
 from repro.units import MB, PAGES_PER_HUGE
 from tests.conftest import spawn_simple
 from tests.test_fault import make_proc
@@ -185,3 +186,49 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigError):
             KernelConfig(mem_bytes=64 * MB, sample_period=0)
+
+
+class TestRmapCheck:
+    """``check_rmap`` holds through the mechanisms and catches corruption."""
+
+    def _setup(self, kernel):
+        proc, vma = make_proc(kernel, nbytes=4 * MB)
+        kernel.fault_range(proc, vma.start, 600)
+        kernel.promote_region(proc, vma.start >> 9)
+        kernel.madvise_free(proc, vma.start + 520, 10)
+        kernel.check_rmap()
+        return proc, vma
+
+    def test_missing_entry(self, kernel4k):
+        proc, vma = self._setup(kernel4k)
+        frame, _ = proc.page_table.translate(vma.start + 530)
+        kernel4k.rmap_remove(frame)
+        with pytest.raises(InvalidAddressError):
+            kernel4k.check_rmap()
+
+    def test_stale_entry(self, kernel4k):
+        proc, vma = self._setup(kernel4k)
+        kernel4k.rmap_add(kernel4k.buddy.alloc(0)[0], proc, vma.start + 1000)
+        with pytest.raises(InvalidAddressError):
+            kernel4k.check_rmap()
+
+    def test_wrong_vpn(self, kernel4k):
+        proc, vma = self._setup(kernel4k)
+        frame, _ = proc.page_table.translate(vma.start + 530)
+        kernel4k.rmap_vpn[frame] += 1
+        with pytest.raises(InvalidAddressError):
+            kernel4k.check_rmap()
+
+    def test_duplicate_seq(self, kernel4k):
+        proc, vma = self._setup(kernel4k)
+        a, _ = proc.page_table.translate(vma.start + 530)
+        b, _ = proc.page_table.translate(vma.start + 531)
+        kernel4k.rmap_seq[b] = kernel4k.rmap_seq[a]
+        with pytest.raises(InvalidAddressError):
+            kernel4k.check_rmap()
+
+    def test_huge_head_missing(self, kernel4k):
+        proc, vma = self._setup(kernel4k)
+        kernel4k.rmap_remove_huge(proc.page_table.huge[vma.start >> 9].frame)
+        with pytest.raises(InvalidAddressError):
+            kernel4k.check_rmap()

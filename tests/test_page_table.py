@@ -16,8 +16,7 @@ def test_base_map_translate_unmap(pt):
     pt.map_base(1000, 77)
     assert pt.translate(1000) == (77, False)
     assert pt.is_mapped(1000)
-    pte = pt.unmap_base(1000)
-    assert pte.frame == 77
+    assert pt.unmap_base(1000) == (77, 0)
     assert pt.translate(1000) is None
 
 
@@ -57,13 +56,13 @@ def test_unmap_missing_raises(pt):
 def test_demote_creates_512_contiguous_base_ptes(pt):
     huge = pt.map_huge(4, 8192)
     huge.accessed = True
-    created = pt.demote_huge(4)
-    assert len(created) == PAGES_PER_HUGE
+    assert pt.demote_huge(4) == 8192
     assert 4 not in pt.huge
     vpn0 = 4 << 9
+    assert list(pt.base) == list(range(vpn0, vpn0 + PAGES_PER_HUGE))
     assert pt.translate(vpn0) == (8192, False)
     assert pt.translate(vpn0 + 511) == (8192 + 511, False)
-    assert all(pte.accessed for _, pte in created), "access bit propagates"
+    assert all(pte.accessed for pte in pt.base.values()), "access bit propagates"
 
 
 def test_region_base_vpns(pt):
@@ -87,3 +86,43 @@ def test_unmap_shared_zero_updates_count(pt):
     pt.map_base(1, 99, shared_zero=True)
     pt.unmap_base(1)
     assert pt.shared_zero_count == 0
+
+
+def _corrupt_count(pt):
+    pt.nbase += 1
+
+
+def _corrupt_zero_count(pt):
+    pt.shared_zero_count += 1
+
+
+def _corrupt_base_in_huge(pt):
+    pt.frame[(10 << 9) + 3] = 7  # a base slot under the huge mapping
+    pt.nbase += 1
+
+
+def _corrupt_seq(pt):
+    pt.seq[1] = pt.seq[0]
+
+
+def _corrupt_stale_flags(pt):
+    pt.flags[2] = 1  # vpn 2 is unmapped
+
+
+def _corrupt_both_shared(pt):
+    pt.flags[1] |= 8  # shared_zero and shared_cow at once
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_count, _corrupt_zero_count, _corrupt_base_in_huge,
+    _corrupt_seq, _corrupt_stale_flags, _corrupt_both_shared,
+])
+def test_check_catches_seeded_corruption(pt, corrupt):
+    pt.map_base(0, 1)
+    pt.map_base(1, 99, shared_zero=True)
+    pt.map_base(6000, 5)  # the columns now cover huge region 10
+    pt.map_huge(10, 512)
+    pt.check()
+    corrupt(pt)
+    with pytest.raises(InvalidAddressError):
+        pt.check()

@@ -132,7 +132,9 @@ def _snapshot(kernel, proc) -> dict:
         "zero_lists": [list(d) for d in kernel.buddy._zero],
         "nonzero_lists": [list(d) for d in kernel.buddy._nonzero],
         "free_pages": kernel.buddy.free_pages,
-        "rmap": {f: (pr.pid, v) for f, (pr, v) in kernel._rmap.items()},
+        # in FIFO order, which swap reclaim consumes
+        "rmap": [(f, owner.pid, v) for f in kernel.rmap_by_age().tolist()
+                 for owner, v in [kernel.rmap_owner(f)]],
         "kstats": (kernel.stats.faults, kernel.stats.huge_faults, kernel.stats.cow_faults),
         "pstats": (proc.stats.faults, proc.stats.huge_faults, proc.stats.cow_faults),
         "residents": {

@@ -89,6 +89,11 @@ class KernelMachine(RuleBasedStateMachine):
         self._merger.run_epoch()
 
     @invariant()
+    def page_table_and_rmap_consistent(self):
+        self.proc.page_table.check()
+        self.kernel.check_rmap()
+
+    @invariant()
     def translations_consistent(self):
         pt = self.proc.page_table
         frames = self.kernel.frames

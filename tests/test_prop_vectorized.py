@@ -10,7 +10,8 @@ samples, fragmenter bursts and compaction runs, and asserts after every
 step that
 
 * page-table translations (base and huge) are identical,
-* each page table's flat mirror arrays agree with its dicts,
+* each page table passes ``check()`` and each kernel's rmap inverts its
+  page tables (``check_rmap()``),
 * region-table metadata (residency, EMAs, idle bits) is float-exact,
 * every AccessMap bucket holds the same regions in the same order
   (order encodes recency — the promotion engine consumes it head first),
@@ -139,22 +140,10 @@ class TwinMachine(RuleBasedStateMachine):
                {h: e.frame for h, e in pt1.huge.items()}
 
     @invariant()
-    def mirrors_match_dicts(self):
-        import numpy as np
-
-        for _kernel, proc, _vma in self.twins:
-            pt = proc.page_table
-            mapped = np.nonzero(pt._mframe >= 0)[0]
-            assert set(mapped.tolist()) == set(pt.base)
-            for vpn, pte in pt.base.items():
-                assert pt._mframe[vpn] == pte.frame
-                assert bool(pt._mpriv[vpn]) == pte.private
-            assert int(pt._mpriv.sum()) == sum(
-                1 for pte in pt.base.values() if pte.private)
-            hmapped = np.nonzero(pt._mhuge >= 0)[0]
-            assert set(hmapped.tolist()) == set(pt.huge)
-            for hvpn, pte in pt.huge.items():
-                assert pt._mhuge[hvpn] == pte.frame
+    def page_tables_and_rmaps_consistent(self):
+        for kernel, proc, _vma in self.twins:
+            proc.page_table.check()
+            kernel.check_rmap()
 
     @invariant()
     def regions_identical(self):

@@ -74,10 +74,8 @@ class TestCowBreak:
         merger = merger_for(kernel4k)
         for _ in range(3):
             merger.run_epoch()
-        shared_pte = next(
-            pte for pte in b.page_table.base.values() if pte.shared_cow
-        )
-        vpn = next(v for v, p in b.page_table.base.items() if p is shared_pte)
+        vpn = next(v for v, p in b.page_table.base.items() if p.shared_cow)
+        shared_pte = b.page_table.base[vpn]
         latency = kernel4k.fault(b, vpn)
         assert latency == pytest.approx(kernel4k.costs.cow_fault_us)
         assert not shared_pte.shared_cow
