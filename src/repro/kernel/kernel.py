@@ -255,7 +255,7 @@ class Kernel:
         """
         pt = proc.page_table
         freed = 0
-        for hvpn in pt.huge:
+        for hvpn in pt.huge if pt.nhuge else ():
             frame = int(pt.hframe[hvpn])
             self._rmap_huge.pop(frame, None)
             self.buddy.free(frame, 9)
@@ -263,29 +263,33 @@ class Kernel:
         # Base teardown, batched: frames return to the buddy allocator in
         # page-table insertion order, with maximal runs of consecutive
         # private frames released via ``free_range`` (scalar-equivalent,
-        # see ``_unmap_base_batched``).  A shared page is a run of its own
-        # because ``cow_registry.unshare`` can free the canonical frame,
-        # which must keep its place in the sequence.
+        # see ``_unmap_base_batched``).  Shared pages flush the pending run
+        # first because ``cow_registry.unshare`` can free the canonical
+        # frame, which must keep its place in the sequence.  Most exits
+        # hold tens of base pages, so the walk is over plain lists.
         if pt.nbase:
             vpns = pt.base_in_order()
             frames = pt.frame[vpns]
             shared = pt.flags[vpns] & SHARED
-            private = shared == 0
-            self.rmap_pid[frames[private]] = -1
-            if pt.shared_zero_count:
-                self.zero_registry.unshare(pt.shared_zero_count)
-            # Private runs and KSM sharers in order; zero sharers free nothing.
-            keep = shared != SHARED_ZERO
-            frames, private = frames[keep], private[keep]
-            join = private[1:] & private[:-1] & (frames[1:] == frames[:-1] + 1)
-            starts = np.flatnonzero(np.concatenate(([True], ~join)))
-            lens = np.diff(starts, append=frames.shape[0])
-            for i, n in zip(starts.tolist(), lens.tolist()) if frames.shape[0] else ():
-                if private[i]:
-                    self.buddy.free_range(int(frames[i]), n)
-                    freed += n
+            self.rmap_pid[frames[shared == 0]] = -1
+            run_start = run_len = 0
+            for frame, fl in zip(frames.tolist(), shared.tolist()):
+                if not fl and run_len and frame == run_start + run_len:
+                    run_len += 1
+                    continue
+                if run_len:
+                    self.buddy.free_range(run_start, run_len)
+                    freed += run_len
+                    run_len = 0
+                if not fl:
+                    run_start, run_len = frame, 1
+                elif fl & SHARED_ZERO:
+                    self.zero_registry.unshare()
                 else:
-                    self.cow_registry.unshare(int(frames[i]))
+                    self.cow_registry.unshare(frame)
+            if run_len:
+                self.buddy.free_range(run_start, run_len)
+                freed += run_len
         pt.clear()
         self._rmap_procs.pop(proc.pid, None)
         if self.swap is not None:

@@ -216,11 +216,12 @@ class PageTable:
     def map_base(self, vpn: int, frame: int, shared_zero: bool = False,
                  accessed: bool = False) -> None:
         """Install a 4 KiB mapping (optionally onto the shared zero frame)."""
-        if self._base_mapped(vpn):
+        if vpn >= self.frame.shape[0]:
+            self._ensure_base(vpn + 1)
+        elif self.frame[vpn] >= 0:
             raise InvalidAddressError(f"vpn {vpn} already mapped")
         if self._huge_mapped(vpn >> 9):
             raise InvalidAddressError(f"vpn {vpn} inside huge mapping")
-        self._ensure_base(vpn + 1)
         self.frame[vpn] = frame
         self.flags[vpn] = (SHARED_ZERO if shared_zero else 0) | (ACCESSED if accessed else 0)
         self.seq[vpn] = self._next_seq
