@@ -51,7 +51,7 @@ from repro.tlb.mmu_model import MMUModel
 from repro.tlb.perf import PMUCounters
 from repro.tlb.tlb import TLBConfig
 from repro.units import BASE_PAGE_SIZE, PAGES_PER_HUGE, SEC, pages_of
-from repro.vm.page_table import DIRTY, SHARED, SHARED_COW, SHARED_ZERO
+from repro.vm.page_table import SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
 from repro.vm.vma import VMA, VMAKind
 
@@ -170,13 +170,14 @@ class Kernel:
         self.processes: list[Process] = []
         self.runs: list["WorkloadRun"] = []
         self.pmu: dict[int, PMUCounters] = {}
-        #: Base reverse map as frame-indexed columns: owning pid (-1 = no
-        #: private base mapping), vpn, and an insertion ``seq`` that keeps
-        #: the FIFO order swap reclaim walks (a migration re-inserts).
-        #: ``rmap_vpn`` and ``rmap_seq`` mean something only where
-        #: ``rmap_pid >= 0``.
+        #: Base reverse map as frame-indexed columns: owning pid (0 = no
+        #: private base mapping; pids start at 1), vpn, and an insertion
+        #: ``seq`` that keeps the FIFO order swap reclaim walks (a
+        #: migration re-inserts).  ``rmap_vpn`` and ``rmap_seq`` mean
+        #: something only where ``rmap_pid`` is set.  Zero-filled and
+        #: empty columns leave their pages untouched until first use.
         nframes = self.frames.num_frames
-        self.rmap_pid = np.full(nframes, -1, dtype=np.int32)
+        self.rmap_pid = np.zeros(nframes, dtype=np.int32)
         self.rmap_vpn = np.empty(nframes, dtype=np.int64)
         self.rmap_seq = np.empty(nframes, dtype=np.int64)
         self._rmap_next = 0
@@ -271,7 +272,7 @@ class Kernel:
             vpns = pt.base_in_order()
             frames = pt.frame[vpns]
             shared = pt.flags[vpns] & SHARED
-            self.rmap_pid[frames[shared == 0]] = -1
+            self.rmap_pid[frames[shared == 0]] = 0
             run_start = run_len = 0
             for frame, fl in zip(frames.tolist(), shared.tolist()):
                 if not fl and run_len and frame == run_start + run_len:
@@ -431,7 +432,7 @@ class Kernel:
                 j += 1
             n = j - i
             pt.unmap_base_run_private(page, n)
-            self.rmap_pid[frame0 : frame0 + n] = -1
+            self.rmap_pid[frame0 : frame0 + n] = 0
             self.buddy.free_range(frame0, n)
             proc.region(page >> 9).resident -= n
             cost += 0.2 * n
@@ -445,7 +446,7 @@ class Kernel:
         elif flags & SHARED_COW:
             self.cow_registry.unshare(frame)
         else:
-            self.rmap_pid[frame] = -1
+            self.rmap_pid[frame] = 0
             self.buddy.free(frame, 0)
 
     # ------------------------------------------------------------------ #
@@ -577,7 +578,7 @@ class Kernel:
 
     def rmap_remove(self, frame: int) -> None:
         """Forget a base frame's reverse mapping (it stops being private)."""
-        self.rmap_pid[frame] = -1
+        self.rmap_pid[frame] = 0
 
     def rmap_remove_huge(self, frame: int) -> None:
         """Forget a huge block's reverse mapping."""
@@ -586,7 +587,7 @@ class Kernel:
     def rmap_owner(self, frame: int) -> tuple[Process, int] | None:
         """``(process, vpn)`` privately mapping a base frame, or None."""
         pid = int(self.rmap_pid[frame])
-        if pid < 0:
+        if not pid:
             return None
         return self._rmap_procs[pid], int(self.rmap_vpn[frame])
 
@@ -596,7 +597,7 @@ class Kernel:
 
     def rmap_by_age(self) -> np.ndarray:
         """Frames with a base reverse mapping, oldest insertion first."""
-        live = np.flatnonzero(self.rmap_pid >= 0)
+        live = np.flatnonzero(self.rmap_pid)
         return live[np.argsort(self.rmap_seq[live], kind="stable")]
 
     def _migrate_frame(self, old: int, new: int) -> bool:
@@ -607,7 +608,7 @@ class Kernel:
             return self.fragmenter.migrate_page(old, new)
         proc, vpn = owner
         proc.page_table.remap(vpn, new)
-        self.rmap_pid[old] = -1
+        self.rmap_pid[old] = 0
         self.rmap_add(new, proc, vpn)
         return True
 
@@ -617,7 +618,7 @@ class Kernel:
         zero_frame = self.zero_registry.zero_frame
         if (al := self.audit) is not None and al.enabled:
             al.ledger.record(frame, 1, audit_mod.EV_KSM_MERGED, zero_frame)
-        self.rmap_pid[frame] = -1
+        self.rmap_pid[frame] = 0
         self.buddy.free(frame, 0)
         proc.page_table.remap(vpn, zero_frame, set_bits=SHARED_ZERO)
         self.zero_registry.share()
@@ -633,7 +634,7 @@ class Kernel:
         def fail(msg: str) -> None:
             raise InvalidAddressError(f"rmap: {msg}")
 
-        expect_pid = np.full_like(self.rmap_pid, -1)
+        expect_pid = np.zeros_like(self.rmap_pid)
         expect_vpn = np.zeros_like(self.rmap_vpn)
         huge: dict[int, tuple[int, int]] = {}
         for proc in self.processes:
@@ -641,13 +642,13 @@ class Kernel:
             vpns = pt.mapped_vpns()
             vpns = vpns[(pt.flags[vpns] & SHARED) == 0]
             frames = pt.frame[vpns]
-            if (expect_pid[frames] >= 0).any() or np.unique(frames).shape[0] != frames.shape[0]:
+            if expect_pid[frames].any() or np.unique(frames).shape[0] != frames.shape[0]:
                 fail(f"pid {proc.pid}: a frame is privately mapped twice")
             expect_pid[frames] = proc.pid
             expect_vpn[frames] = vpns
             for hvpn in pt.huge:
                 huge[int(pt.hframe[hvpn])] = (proc.pid, hvpn)
-        live = self.rmap_pid >= 0
+        live = self.rmap_pid != 0
         if not np.array_equal(self.rmap_pid, expect_pid):
             frame = int(np.argmax(self.rmap_pid != expect_pid))
             fail(f"frame {frame}: rmap pid {int(self.rmap_pid[frame])}, "
@@ -698,7 +699,7 @@ class Kernel:
 
         if in_place is not None:
             pt.unmap_base_run_private(vpn0, PAGES_PER_HUGE)
-            self.rmap_pid[in_place : in_place + PAGES_PER_HUGE] = -1
+            self.rmap_pid[in_place : in_place + PAGES_PER_HUGE] = 0
             block = in_place
             cost = self.costs.remap_us
             collapsed = False
@@ -732,7 +733,7 @@ class Kernel:
                     # copy out of the ksm-shared canonical frame
                     self.cow_registry.unshare(frame)
                 else:
-                    self.rmap_pid[frame] = -1
+                    self.rmap_pid[frame] = 0
                     self.buddy.free(frame, 0)
             cost = self.costs.promotion_collapse_us(len(base_vpns))
             collapsed = True
