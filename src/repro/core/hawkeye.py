@@ -201,8 +201,7 @@ class HawkEyePolicy(HugePagePolicy):
         if amap is None:
             return
         for hvpn in range(vpn >> 9, (vpn + npages - 1 >> 9) + 1):
-            region = proc.regions.get(hvpn)
-            if region is None or region.resident <= 0:
+            if not proc.page_table.region_resident(hvpn):
                 amap.remove(hvpn)
 
     def on_process_exit(self, proc: Process) -> None:

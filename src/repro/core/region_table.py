@@ -15,7 +15,8 @@ iteration in insertion order/``clear``) that scalar call sites keep
 working unchanged.  :class:`RegionInfo` is now a *proxy*: a slot handle
 whose attributes read and write the table's arrays directly, so scalar
 and vectorized code always observe the same state — there is exactly one
-copy of every field.
+copy of every field.  Residency and huge-ness are read from the
+process's page table, the one place mappings change.
 
 Slots are append-only: regions are only ever removed wholesale via
 :meth:`RegionTable.clear` (process teardown), which keeps slot order ==
@@ -30,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import PageTable
 
 #: initial slot capacity of a table (grows by doubling).
 _INITIAL_CAPACITY = 64
@@ -44,32 +46,29 @@ class RegionInfo:
     serialises these values as JSON).
     """
 
-    __slots__ = ("_table", "_slot")
+    __slots__ = ("_table", "_slot", "_pt", "_hvpn")
 
-    def __init__(self, table: "RegionTable", slot: int):
+    def __init__(self, table: "RegionTable", slot: int, hvpn: int):
         self._table = table
         self._slot = slot
+        self._pt = table._pt
+        self._hvpn = hvpn
 
     @property
     def hvpn(self) -> int:
-        return int(self._table._hvpn[self._slot])
+        return self._hvpn
 
+    # Page-table reads inlined (policies make them per region per pass);
+    # the record reserved its slots, so they need no bounds check.
     @property
     def resident(self) -> int:
-        """Base pages faulted in (512 when huge-mapped)."""
-        return int(self._table._resident[self._slot])
-
-    @resident.setter
-    def resident(self, value: int) -> None:
-        self._table._resident[self._slot] = value
+        """Base pages mapped, shared ones included (512 when huge-mapped)."""
+        return self._pt.hcount.item(self._hvpn)
 
     @property
     def is_huge(self) -> bool:
-        return bool(self._table._is_huge[self._slot])
-
-    @is_huge.setter
-    def is_huge(self, value: bool) -> None:
-        self._table._is_huge[self._slot] = value
+        """Whether the region is mapped by one huge mapping."""
+        return self._pt.hframe.item(self._hvpn) >= 0
 
     @property
     def coverage_ema(self) -> float:
@@ -139,15 +138,14 @@ class RegionTable:
     """
 
     __slots__ = (
-        "_hvpn", "_resident", "_is_huge", "_coverage_ema", "_last_coverage",
+        "_pt", "_hvpn", "_coverage_ema", "_last_coverage",
         "_idle", "_promotions", "_bloat_demoted", "_slot_of", "_proxies", "n",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, pt: PageTable) -> None:
         cap = _INITIAL_CAPACITY
+        self._pt = pt
         self._hvpn = np.zeros(cap, dtype=np.int64)
-        self._resident = np.zeros(cap, dtype=np.int64)
-        self._is_huge = np.zeros(cap, dtype=bool)
         self._coverage_ema = np.zeros(cap, dtype=np.float64)
         self._last_coverage = np.zeros(cap, dtype=np.int64)
         self._idle = np.zeros(cap, dtype=bool)
@@ -164,8 +162,8 @@ class RegionTable:
 
     def _grow(self) -> None:
         cap = 2 * self._hvpn.shape[0]
-        for name in ("_hvpn", "_resident", "_is_huge", "_coverage_ema",
-                     "_last_coverage", "_idle", "_promotions", "_bloat_demoted"):
+        for name in ("_hvpn", "_coverage_ema", "_last_coverage", "_idle",
+                     "_promotions", "_bloat_demoted"):
             old = getattr(self, name)
             new = np.zeros(cap, dtype=old.dtype)
             new[: self.n] = old[: self.n]
@@ -179,16 +177,15 @@ class RegionTable:
         slot = self.n
         if slot == self._hvpn.shape[0]:
             self._grow()
+        self._pt.reserve_region(hvpn)
         self._hvpn[slot] = hvpn
-        self._resident[slot] = 0
-        self._is_huge[slot] = False
         self._coverage_ema[slot] = 0.0
         self._last_coverage[slot] = 0
         self._idle[slot] = False
         self._promotions[slot] = 0
         self._bloat_demoted[slot] = False
         self._slot_of[hvpn] = slot
-        proxy = RegionInfo(self, slot)
+        proxy = RegionInfo(self, slot, hvpn)
         self._proxies.append(proxy)
         self.n = slot + 1
         return proxy
@@ -232,10 +229,6 @@ class RegionTable:
         """``(hvpn, record)`` pairs in insertion order."""
         return zip(self._slot_of.keys(), self._proxies)
 
-    def slot_of(self, hvpn: int) -> int | None:
-        """Slot index of ``hvpn`` (None when absent)."""
-        return self._slot_of.get(hvpn)
-
     # ------------------------------------------------------------------ #
     # column views (live prefix; take fresh per pass)                    #
     # ------------------------------------------------------------------ #
@@ -245,12 +238,12 @@ class RegionTable:
         return self._hvpn[: self.n]
 
     def resident_arr(self) -> np.ndarray:
-        """Resident base-page counts, slot-ordered."""
-        return self._resident[: self.n]
+        """Resident base-page counts, slot-ordered (a gathered copy)."""
+        return self._pt.region_resident_arr(self._hvpn[: self.n])
 
     def is_huge_arr(self) -> np.ndarray:
-        """Huge-mapped flags, slot-ordered."""
-        return self._is_huge[: self.n]
+        """Huge-mapped flags, slot-ordered (a gathered copy)."""
+        return self._pt.region_huge_arr(self._hvpn[: self.n])
 
     def coverage_ema_arr(self) -> np.ndarray:
         """Coverage EMAs, slot-ordered (writable view)."""

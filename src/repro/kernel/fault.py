@@ -63,16 +63,12 @@ def handle_fault(kernel: "Kernel", proc: Process, vpn: int, vma: VMA | None = No
     else:
         want_huge = policy.fault_size(proc, vma, vpn) == "huge"
 
-    if (
-        want_huge
-        and region.resident == 0
-        and vma.covers(hvpn << 9, PAGES_PER_HUGE)
-    ):
+    if want_huge and not region.resident and vma.covers(hvpn << 9, PAGES_PER_HUGE):
         latency = _try_huge_fault(kernel, proc, vma, hvpn, anon)
         if latency is not None:
             return latency
 
-    return _base_fault(kernel, proc, vma, vpn, region, anon)
+    return _base_fault(kernel, proc, vma, vpn, anon)
 
 
 def _numa_target(kernel: "Kernel", proc: Process, vma: VMA | None,
@@ -100,9 +96,6 @@ def _try_huge_fault(kernel: "Kernel", proc: Process, vma: VMA, hvpn: int, anon: 
         kernel.frames.zero_fill(frame, PAGES_PER_HUGE)
     proc.page_table.map_huge(hvpn, frame, accessed=True)
     kernel.rmap_add_huge(frame, proc, hvpn)
-    region = proc.region(hvpn)
-    region.is_huge = True
-    region.resident = PAGES_PER_HUGE
     latency = kernel.costs.huge_fault(needs_zero) + backing_us
     proc.stats.faults += 1
     proc.stats.huge_faults += 1
@@ -116,9 +109,7 @@ def _try_huge_fault(kernel: "Kernel", proc: Process, vma: VMA, hvpn: int, anon: 
     return latency
 
 
-def _base_fault(
-    kernel: "Kernel", proc: Process, vma: VMA, vpn: int, region, anon: bool
-) -> float:
+def _base_fault(kernel: "Kernel", proc: Process, vma: VMA, vpn: int, anon: bool) -> float:
     """Map a single base page, from a reservation or the buddy allocator."""
     policy = kernel.policy
     frame = policy.reserved_frame(proc, vma, vpn)
@@ -145,7 +136,6 @@ def _base_fault(
         kernel.frames.zero_fill(frame, 1)
     proc.page_table.map_base(vpn, frame, accessed=True)
     kernel.rmap_add(frame, proc, vpn)
-    region.resident += 1
     latency = kernel.costs.base_fault(needs_zero) + backing_us
     proc.stats.faults += 1
     proc.stats.fault_time_us += latency
@@ -259,7 +249,7 @@ def handle_fault_range(
                 # success the rest of the region takes the huge-mapped run
                 # above, on fallback it becomes resident>0 and bulk base
                 # faults apply.
-                if not (want_huge and region.resident == 0
+                if not (want_huge and not region.resident
                         and vma.covers(hvpn << 9, PAGES_PER_HUGE)):
                     # Contiguous unmapped, unswapped run: the bulk base-fault path.
                     mapped = np.flatnonzero(frames >= 0)
@@ -267,7 +257,7 @@ def handle_fault_range(
                     if swapped:
                         v = next((u for u in range(vpn + 1, v) if (pid, u) in swapped), v)
                     run_us, run_pages = _bulk_base_fault(
-                        kernel, proc, vma, region, vpn, v - vpn, budget_us - consumed,
+                        kernel, proc, vma, vpn, v - vpn, budget_us - consumed,
                         content, work_us, pace_us,
                     )
                     consumed += run_us
@@ -286,7 +276,7 @@ def handle_fault_range(
 
 
 def _bulk_base_fault(
-    kernel: "Kernel", proc: Process, vma: VMA, region, vpn0: int, npages: int,
+    kernel: "Kernel", proc: Process, vma: VMA, vpn0: int, npages: int,
     budget_us: float, content, work_us: float = 0.0, pace_us: float = 0.0,
 ) -> tuple[float, int]:
     """Allocate, map, account and write a run of base faults in bulk.
@@ -344,7 +334,6 @@ def _bulk_base_fault(
         run_us = take * per_page
         total += take * inc
         done += take
-        region.resident += take
         pstats.faults += take
         pstats.fault_time_us += run_us
         proc.fault_time_epoch_us += run_us

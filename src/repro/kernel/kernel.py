@@ -420,12 +420,11 @@ class Kernel:
                 continue
             if shared[i]:
                 self._unmap_base_page(proc, page)
-                proc.region(page >> 9).resident -= 1
                 cost += 0.2
                 i += 1
                 continue
             # Maximal run of private mappings onto ascending consecutive
-            # frames, within one huge region (one resident account).
+            # frames, cut at region ends (simulated results depend on it).
             stop = min(len(frames), (((page >> 9) + 1) << 9) - vpn)
             j = i + 1
             while j < stop and frames[j] == frame0 + j - i and not shared[j]:
@@ -434,7 +433,6 @@ class Kernel:
             pt.unmap_base_run_private(page, n)
             self.rmap_pid[frame0 : frame0 + n] = 0
             self.buddy.free_range(frame0, n)
-            proc.region(page >> 9).resident -= n
             cost += 0.2 * n
             i = j
         return cost
@@ -675,7 +673,7 @@ class Kernel:
         from repro.vm.vma import HugePageHint
 
         region = proc.regions.get(hvpn)
-        if region is None or region.is_huge or region.resident == 0:
+        if region is None or region.is_huge or not region.resident:
             return False
         vma = proc.vmas.try_find(hvpn << 9)
         if vma is None or vma.hint is HugePageHint.NEVER:
@@ -693,8 +691,6 @@ class Kernel:
             return None
         pt = proc.page_table
         vpn0 = hvpn << 9
-        region = proc.region(hvpn)
-        base_vpns = pt.region_base_vpns(hvpn)
         in_place = pt.contiguous_private_block(vpn0)
 
         if in_place is not None:
@@ -735,15 +731,13 @@ class Kernel:
                 else:
                     self.rmap_pid[frame] = 0
                     self.buddy.free(frame, 0)
-            cost = self.costs.promotion_collapse_us(len(base_vpns))
+            cost = self.costs.promotion_collapse_us(offs.shape[0])
             collapsed = True
 
         huge_pte = pt.map_huge(hvpn, block)
         huge_pte.accessed = True
         self.rmap_add_huge(block, proc, hvpn)
-        region.is_huge = True
-        region.resident = PAGES_PER_HUGE
-        region.promotions += 1
+        proc.regions[hvpn].promotions += 1
         proc.stats.promotions += 1
         proc.fault_time_epoch_us += self.costs.promotion_stall_us
         self.stats.count_promotion(proc.name, collapsed)
@@ -757,7 +751,7 @@ class Kernel:
                     "accept", "collapsed", stage=4,
                     inputs={"target_node": (-1 if self.numa is None
                                             else self.numa.node_of(block)),
-                            "resident": len(base_vpns)})
+                            "resident": offs.shape[0]})
             led.record(block, PAGES_PER_HUGE, audit_mod.EV_PROMOTED)
         if (tp := self.trace) is not None and tp.enabled:
             kind = (trace.TraceKind.PROMOTE_COLLAPSE if collapsed
@@ -772,9 +766,6 @@ class Kernel:
         self._rmap_huge.pop(block, None)
         pt.demote_huge(hvpn)
         self.rmap_add_range(proc, hvpn << 9, [(block, PAGES_PER_HUGE, False)])
-        region = proc.region(hvpn)
-        region.is_huge = False
-        region.resident = PAGES_PER_HUGE
         proc.stats.demotions += 1
         self.stats.demotions += 1
         if (al := self.audit) is not None and al.enabled:

@@ -67,7 +67,6 @@ class SwapDevice:
             if (al := kernel.audit) is not None and al.enabled:
                 al.ledger.record(frame, 1, audit.EV_SWAPPED_OUT)
             kernel.buddy.free(frame, 0)
-            proc.region(vpn >> 9).resident -= 1
             self.swapped.add((proc.pid, vpn))
             self.swap_outs += 1
             self.io_time_us += kernel.costs.swap_page_us

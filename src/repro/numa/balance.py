@@ -374,8 +374,7 @@ class NumaState:
         kernel = self.kernel
         target = proc.home_node
         pt = proc.page_table
-        region = proc.regions.get(hvpn)
-        if region is None or region.resident == 0:
+        if not pt.region_resident(hvpn):
             self._decide(proc, hvpn, "reject", "region_gone", stage=1,
                          inputs={"target_node": target})
             return 0, 0.0, False

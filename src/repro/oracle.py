@@ -40,7 +40,7 @@ def sample_access_bits(self: "Kernel") -> None:
         coverage = profile.region_coverage(self, proc) if profile is not None else {}
         scanned = 0
         for hvpn, region in proc.regions.items():
-            if region.resident == 0:
+            if not region.resident:
                 continue
             sample = min(coverage.get(hvpn, 0), PAGES_PER_HUGE)
             region.last_coverage = sample
@@ -70,13 +70,9 @@ def unmap_base_pages(self: "Kernel", proc: "Process", vpn: int, npages: int) -> 
     pt = proc.page_table
     cost = 0.0
     for page in range(vpn, vpn + npages):
-        pte = pt.base.get(page)
-        if pte is None:
-            continue
-        self._unmap_base_page(proc, page)
-        region = proc.region(page >> 9)
-        region.resident -= 1
-        cost += 0.2
+        if page in pt.base:
+            self._unmap_base_page(proc, page)
+            cost += 0.2
     return cost
 
 
@@ -86,7 +82,7 @@ def hawkeye_on_sample(self: HawkEyePolicy, proc: "Process") -> None:
     numa = self.kernel.numa
     cross_node = numa is not None and not numa.replicated_pt
     for hvpn, region in proc.regions.items():
-        if region.is_huge or region.resident == 0:
+        if region.is_huge or not region.resident:
             amap.remove(hvpn)
             continue
         if region.bloat_demoted and region.last_coverage > 0:
@@ -106,7 +102,7 @@ def numa_harvest(self, proc: "Process") -> int:
     hints = 0
     for hvpn in sorted(proc.regions):
         region = proc.regions[hvpn]
-        if region.resident == 0 or region.last_coverage == 0:
+        if not region.resident or region.last_coverage == 0:
             continue
         policy = self.resolve_policy(
             proc, proc.vmas.try_find(hvpn << 9))

@@ -43,7 +43,7 @@ class FreeBSDPolicy(HugePagePolicy):
         block = self.reservations.get(key)
         if block is None:
             region = proc.region(hvpn)
-            if region.resident == 0 and vma.covers(hvpn << 9, PAGES_PER_HUGE):
+            if not region.resident and vma.covers(hvpn << 9, PAGES_PER_HUGE):
                 got = self.kernel.buddy.try_alloc(9, prefer_zero=False, owner=proc.pid)
                 if got is not None:
                     block = got[0]

@@ -118,8 +118,7 @@ class IngensPolicy(HugePagePolicy):
                 break
             proc = min(eligible, key=self.promotion_metric)
             hvpn = per_proc[proc.pid].pop(0)  # lowest VA first
-            region = proc.regions.get(hvpn)
-            util = 0.0 if region is None else region.utilization()
+            util = proc.page_table.region_resident(hvpn) / PAGES_PER_HUGE
             if not self._limiter.take():
                 if audited:
                     al.decide("promote", proc.name, proc.pid, hvpn,
@@ -146,8 +145,7 @@ class IngensPolicy(HugePagePolicy):
 
     def estimated_overhead(self, proc: Process) -> float:
         """Ingens has no overhead model; expose utilisation pressure."""
-        candidates = [r for r in proc.regions.values() if not r.is_huge and r.resident > 0]
-        return min(1.0, len(candidates) / 1024.0)
+        return min(1.0, len(proc.candidate_regions()) / 1024.0)
 
     # ------------------------------------------------------------------ #
     # ksm coordination (§3.2's characterisation of Ingens)                #

@@ -78,8 +78,7 @@ class LinuxTHPPolicy(HugePagePolicy):
                 hvpn = self._next_candidate(proc)
                 if hvpn is None:
                     break  # this process fully scanned; move to the next
-                region = proc.regions.get(hvpn)
-                resident = 0 if region is None else region.resident
+                resident = proc.page_table.region_resident(hvpn)
                 if not self._limiter.take():
                     if audited:
                         al.decide(

@@ -47,7 +47,6 @@ class BalloonDriver:
                     self.returned_pages += returned
                     return returned
                 host._unmap_base_page(self.vm.host_proc, vpn)
-                self.vm.host_proc.region(vpn >> 9).resident -= 1
                 returned += 1
         self.returned_pages += returned
         return returned

@@ -137,12 +137,10 @@ class VirtualMachine:
 
     def refresh(self) -> None:
         """Update nested-walk cost inputs and host PMU attribution."""
-        regions = [
-            r for r in self.host_proc.regions.values() if r.resident > 0
-        ]
-        if regions:
-            huge = sum(1 for r in regions if r.is_huge)
-            self._host_huge_fraction = huge / len(regions)
+        regions = self.host_proc.regions
+        resident = regions.resident_arr() > 0
+        if resident.any():
+            self._host_huge_fraction = float(regions.is_huge_arr()[resident].mean())
         walk = sum(p.stats.walk_cycles for p in self.guest.processes)
         total = sum(p.stats.total_cycles for p in self.guest.processes)
         self.hypervisor.host.pmu[self.host_proc.pid].record(

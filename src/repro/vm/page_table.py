@@ -5,12 +5,13 @@ virtual page number: ``frame`` (−1 when unmapped), a packed ``flags``
 byte (:data:`ACCESSED`, :data:`DIRTY`, :data:`SHARED_ZERO`,
 :data:`SHARED_COW`) and an insertion ``seq``.  Huge mappings have the
 same three columns indexed by huge-region number (``vpn >> 9``):
-``hframe``, ``hflags`` and ``hseq``.  A virtual page is mapped by at
-most one of the two — promotion replaces 512 base mappings with one huge
-mapping, demotion does the reverse.  Base mappings can also be
-*shared-zero* mappings onto the canonical zero frame (copy-on-write),
-which is how HawkEye's bloat recovery returns memory without unmapping
-anything.
+``hframe``, ``hflags`` and ``hseq``; ``hcount`` counts the pages each
+region maps at either granularity, the only store of residency.  A
+virtual page is mapped by at most one of the two — promotion replaces
+512 base mappings with one huge mapping, demotion does the reverse.
+Base mappings can also be *shared-zero* mappings onto the canonical zero
+frame (copy-on-write), which is how HawkEye's bloat recovery returns
+memory without unmapping anything.
 
 Range operations (bulk faults, run unmaps, demotion, region scans,
 contiguity checks, NUMA placement counts) are slice reads and writes.
@@ -170,32 +171,45 @@ class PageTable:
         self.huge: Mapping[int, HugePTE] = _MappingView(self, "hframe", "hseq", "nhuge", HugePTE)
 
     def _reset_columns(self) -> None:
-        # One slot each: the columns grow by doubling as mappings arrive,
-        # and a torn-down table (an exited process) holds no memory.
+        # Few slots: the columns grow by doubling as mappings arrive, and a
+        # torn-down table (an exited process) holds next to no memory.  The
+        # per-region ones start with two, as mmap puts the first VMA in region 1.
         self.frame = np.full(1, -1, dtype=np.int64)
         self.flags = np.zeros(1, dtype=np.uint8)
         self.seq = np.zeros(1, dtype=np.int64)
-        self.hframe = np.full(1, -1, dtype=np.int64)
-        self.hflags = np.zeros(1, dtype=np.uint8)
-        self.hseq = np.zeros(1, dtype=np.int64)
+        self.hframe = np.full(2, -1, dtype=np.int64)
+        self.hflags = np.zeros(2, dtype=np.uint8)
+        self.hseq = np.zeros(2, dtype=np.int64)
+        self.hcount = np.zeros(2, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # column maintenance                                                 #
     # ------------------------------------------------------------------ #
 
     def _ensure_base(self, end_vpn: int) -> None:
-        """Grow the base columns to cover vpns below ``end_vpn``."""
+        """Grow the base columns, and ``hcount`` with them, to ``end_vpn``."""
         if end_vpn > self.frame.shape[0]:
             self.frame = _grown(self.frame, end_vpn, -1)
             self.flags = _grown(self.flags, end_vpn, 0)
             self.seq = _grown(self.seq, end_vpn, 0)
+            if (need := ((self.frame.shape[0] - 1) >> 9) + 1) > self.hcount.shape[0]:
+                self.hcount = _grown(self.hcount, need, 0)
 
-    def _ensure_huge(self, hvpn: int) -> None:
-        """Grow the huge columns to cover region ``hvpn``."""
+    def reserve_region(self, hvpn: int) -> None:
+        """Grow the per-region columns to cover ``hvpn`` (region records do)."""
         if hvpn >= self.hframe.shape[0]:
             self.hframe = _grown(self.hframe, hvpn + 1, -1)
             self.hflags = _grown(self.hflags, hvpn + 1, 0)
             self.hseq = _grown(self.hseq, hvpn + 1, 0)
+        if hvpn >= self.hcount.shape[0]:
+            self.hcount = _grown(self.hcount, hvpn + 1, 0)
+
+    def _count(self, vpn0: int, end: int, sign: int) -> None:
+        """Add ``sign`` to ``hcount`` once per vpn of ``[vpn0, end)``."""
+        if vpn0 >> 9 == (end - 1) >> 9:  # one region: every bulk fault and run unmap
+            self.hcount[vpn0 >> 9] += sign * (end - vpn0)
+        else:
+            np.add.at(self.hcount, np.arange(vpn0, end) >> 9, sign)
 
     def _set_flags(self, column: str, key: int, old: int, new: int) -> None:
         """Write one mapping's flags, keeping ``shared_zero_count``."""
@@ -205,9 +219,6 @@ class PageTable:
 
     def _base_mapped(self, vpn: int) -> bool:
         return 0 <= vpn < self.frame.shape[0] and self.frame[vpn] >= 0
-
-    def _huge_mapped(self, hvpn: int) -> bool:
-        return 0 <= hvpn < self.hframe.shape[0] and self.hframe[hvpn] >= 0
 
     # ------------------------------------------------------------------ #
     # mapping                                                            #
@@ -220,13 +231,14 @@ class PageTable:
             self._ensure_base(vpn + 1)
         elif self.frame[vpn] >= 0:
             raise InvalidAddressError(f"vpn {vpn} already mapped")
-        if self._huge_mapped(vpn >> 9):
+        if self.region_huge(vpn >> 9):
             raise InvalidAddressError(f"vpn {vpn} inside huge mapping")
         self.frame[vpn] = frame
         self.flags[vpn] = (SHARED_ZERO if shared_zero else 0) | (ACCESSED if accessed else 0)
         self.seq[vpn] = self._next_seq
         self._next_seq += 1
         self.nbase += 1
+        self.hcount[vpn >> 9] += 1
         if shared_zero:
             self.shared_zero_count += 1
 
@@ -258,18 +270,20 @@ class PageTable:
         self.seq[vpn0:end] = np.arange(self._next_seq, self._next_seq + total, dtype=np.int64)
         self._next_seq += total
         self.nbase += total
+        self._count(vpn0, end, 1)
         return total
 
     def map_huge(self, hvpn: int, frame: int, accessed: bool = False) -> HugePTE:
         """Install a 2 MiB mapping over an order-9 physical block."""
-        if self._huge_mapped(hvpn):
+        if self.region_huge(hvpn):
             raise InvalidAddressError(f"huge region {hvpn} already mapped")
-        self._ensure_huge(hvpn)
+        self.reserve_region(hvpn)
         self.hframe[hvpn] = frame
         self.hflags[hvpn] = ACCESSED if accessed else 0
         self.hseq[hvpn] = self._next_seq
         self._next_seq += 1
         self.nhuge += 1
+        self.hcount[hvpn] += PAGES_PER_HUGE
         return HugePTE(self, hvpn)
 
     def remap(self, vpn: int, frame: int, set_bits: int = 0, clear_bits: int = 0) -> None:
@@ -292,6 +306,7 @@ class PageTable:
         self.frame[vpn] = -1
         self.flags[vpn] = 0
         self.nbase -= 1
+        self.hcount[vpn >> 9] -= 1
         if flags & SHARED_ZERO:
             self.shared_zero_count -= 1
         return frame, flags
@@ -305,6 +320,7 @@ class PageTable:
         self.frame[vpn0 : vpn0 + count] = -1
         self.flags[vpn0 : vpn0 + count] = 0
         self.nbase -= count
+        self._count(vpn0, vpn0 + count, -1)
 
     def unmap_base_region(self, hvpn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Remove every base mapping of region ``hvpn``.
@@ -320,18 +336,20 @@ class PageTable:
         self.frame[vpn0 + offs] = -1
         self.flags[vpn0 + offs] = 0
         self.nbase -= offs.shape[0]
+        self.hcount[hvpn : hvpn + 1] -= offs.shape[0]  # a slice: hvpn may lie past the columns
         self.shared_zero_count -= int(np.count_nonzero(flags & SHARED_ZERO))
         return offs, frames, flags
 
     def unmap_huge(self, hvpn: int) -> tuple[int, int]:
         """Remove a huge mapping; returns its ``(frame, flags)``."""
-        if not self._huge_mapped(hvpn):
+        if not self.region_huge(hvpn):
             raise InvalidAddressError(f"huge region {hvpn} not mapped")
         frame = int(self.hframe[hvpn])
         flags = int(self.hflags[hvpn])
         self.hframe[hvpn] = -1
         self.hflags[hvpn] = 0
         self.nhuge -= 1
+        self.hcount[hvpn] -= PAGES_PER_HUGE
         return frame, flags
 
     # ------------------------------------------------------------------ #
@@ -406,7 +424,7 @@ class PageTable:
     def translate(self, vpn: int) -> tuple[int, bool] | None:
         """Physical frame for ``vpn`` and whether the mapping is huge."""
         hvpn = vpn >> 9
-        if self._huge_mapped(hvpn):
+        if self.region_huge(hvpn):
             return int(self.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1)), True
         if self._base_mapped(vpn):
             return int(self.frame[vpn]), False
@@ -434,11 +452,27 @@ class PageTable:
 
     def is_mapped(self, vpn: int) -> bool:
         """Whether the virtual page is mapped at either granularity."""
-        return self._base_mapped(vpn) or self._huge_mapped(vpn >> 9)
+        return self._base_mapped(vpn) or self.region_huge(vpn >> 9)
 
     def huge_count_in_range(self, hvpn_lo: int, hvpn_hi: int) -> int:
         """Number of huge-mapped regions in ``[hvpn_lo, hvpn_hi)``."""
         return int((self.hframe[hvpn_lo:hvpn_hi] >= 0).sum())
+
+    def region_resident(self, hvpn: int) -> int:
+        """Pages region ``hvpn`` maps at either granularity (512 when huge)."""
+        return self.hcount.item(hvpn) if hvpn < len(self.hcount) else 0
+
+    def region_huge(self, hvpn: int) -> bool:
+        """Whether region ``hvpn`` is huge-mapped."""
+        return 0 <= hvpn < len(self.hframe) and self.hframe.item(hvpn) >= 0
+
+    def region_resident_arr(self, hvpns: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`region_resident` over reserved regions."""
+        return self.hcount[hvpns]
+
+    def region_huge_arr(self, hvpns: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`region_huge` over reserved regions."""
+        return self.hframe[hvpns] >= 0
 
     # ------------------------------------------------------------------ #
     # accounting                                                         #
@@ -462,10 +496,10 @@ class PageTable:
     def check(self) -> None:
         """Raise :class:`InvalidAddressError` unless the columns are consistent.
 
-        The counts match the columns; unmapped slots carry no flags; no
-        mapping is both zero- and KSM-shared; no base vpn lies inside a
-        huge-mapped region; and ``seq`` is unique among live mappings of
-        each granularity and below the next value to hand out.
+        The counts, ``hcount`` too, match the columns; unmapped slots carry
+        no flags; no mapping is both zero- and KSM-shared; no base vpn lies
+        inside a huge-mapped region; and ``seq`` is unique among live
+        mappings of each granularity and below the next value to hand out.
         """
         def fail(msg: str) -> None:
             raise InvalidAddressError(f"page table: {msg}")
@@ -476,6 +510,11 @@ class PageTable:
             fail(f"nbase {self.nbase}, columns map {int(mapped.sum())}")
         if int(hmapped.sum()) != self.nhuge:
             fail(f"nhuge {self.nhuge}, columns map {int(hmapped.sum())}")
+        hvpns = np.flatnonzero(mapped) >> 9
+        want = np.bincount(hvpns, minlength=len(self.hcount))
+        want[: len(hmapped)] += PAGES_PER_HUGE * hmapped
+        if not np.array_equal(self.hcount, want):
+            fail("hcount disagrees with the frame/hframe columns")
         zero = int(np.count_nonzero(self.flags[mapped] & SHARED_ZERO))
         if zero != self.shared_zero_count:
             fail(f"shared_zero_count {self.shared_zero_count}, columns hold {zero}")
@@ -483,7 +522,6 @@ class PageTable:
             fail("flags set on an unmapped slot")
         if ((self.flags & SHARED) == SHARED).any():
             fail("a mapping is both zero- and KSM-shared")
-        hvpns = np.flatnonzero(mapped) >> 9
         inside = hvpns[hvpns < self.hframe.shape[0]]
         if hmapped[inside].any():
             fail(f"base vpn inside huge region {int(inside[hmapped[inside]][0])}")

@@ -7,7 +7,8 @@ keys off: FreeBSD's ``population_map`` (residency), Ingens's
 lives in :class:`repro.core.region_table.RegionTable` — parallel numpy
 arrays the epoch hot paths (access-bit sampling, EMA ranking, WSS) read
 as whole columns; ``RegionInfo`` is a per-slot proxy so scalar call
-sites keep the dict-of-records shape.
+sites keep the dict-of-records shape.  Residency and huge-ness are read
+off the process's page table, as a kernel reads them off its PTEs.
 
 Time accounting follows the execution model of the evaluation: a process
 retires its workload's *useful work* at a rate discounted by page-fault
@@ -58,7 +59,7 @@ class Process:
         self.name = name
         self.page_table = PageTable()
         self.vmas = VMAList()
-        self.regions: RegionTable = RegionTable()
+        self.regions: RegionTable = RegionTable(self.page_table)
         self.stats = ProcessStats()
         #: opaque access profile installed by the running workload phase.
         self.access_profile: Optional["AccessProfile"] = None

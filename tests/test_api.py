@@ -51,9 +51,12 @@ def test_process_region_metadata():
     region = proc.region(5)
     assert isinstance(region, RegionInfo)
     assert proc.region(5) is region, "get-or-create must be stable"
-    region.resident = 256
+    # Residency is read from the page table: map half the region...
+    proc.page_table.map_base_range(5 << 9, [(0, 256, False)])
     assert region.utilization() == 0.5
     assert proc.candidate_regions() == [region]
-    region.is_huge = True
+    # ...then collapse it into one huge mapping, as promotion does.
+    proc.page_table.unmap_base_run_private(5 << 9, 256)
+    proc.page_table.map_huge(5, 0)
     assert proc.huge_regions() == [region]
     assert proc.candidate_regions() == []

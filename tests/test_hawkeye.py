@@ -5,6 +5,7 @@ import pytest
 from repro.core.hawkeye import HawkEyeConfig, HawkEyePolicy
 from repro.kernel.kernel import Kernel
 from repro.units import MB, PAGES_PER_HUGE, SEC
+from repro.vm.vma import HugePageHint
 from tests.conftest import small_config, spawn_simple
 from tests.test_fault import make_proc
 
@@ -115,8 +116,10 @@ def test_estimated_overhead_pmu_uses_counters():
 def test_bloat_demoted_flag_cleared_on_reuse():
     kernel = make()
     proc, vma = make_proc(kernel)
+    vma.hint = HugePageHint.NEVER  # five base faults, no huge fault
+    kernel.fault_range(proc, vma.start, 5)
     region = proc.region(vma.start >> 9)
-    region.resident = 5
+    assert region.resident == 5 and not region.is_huge
     region.bloat_demoted = True
     region.last_coverage = 40
     kernel.policy.on_sample(proc)

@@ -1,5 +1,6 @@
 """Unit tests for the two-granularity page table."""
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidAddressError
@@ -88,6 +89,26 @@ def test_unmap_shared_zero_updates_count(pt):
     assert pt.shared_zero_count == 0
 
 
+def test_region_residency_reads(pt):
+    pt.map_base(3, 1)
+    pt.map_base_range(PAGES_PER_HUGE - 2, [(100, 5, False)])  # regions 0 and 1
+    pt.map_huge(4, 2048)
+    assert [pt.region_resident(h) for h in range(6)] == [3, 3, 0, 0, PAGES_PER_HUGE, 0]
+    assert pt.region_resident(10**6) == 0 and not pt.region_huge(10**6)
+    pt.reserve_region(40)  # a region record's slots, nothing mapped
+    hvpns = np.array([0, 1, 4, 40])
+    assert pt.region_resident_arr(hvpns).tolist() == [3, 3, PAGES_PER_HUGE, 0]
+    assert pt.region_huge_arr(hvpns).tolist() == [False, False, True, False]
+    assert pt.region_huge(4) is True and pt.region_resident(4) == PAGES_PER_HUGE
+    pt.demote_huge(4)
+    assert pt.region_resident(4) == PAGES_PER_HUGE and pt.region_huge(4) is False
+    pt.unmap_base_run_private(PAGES_PER_HUGE - 2, 5)
+    pt.unmap_base(3)
+    pt.unmap_base_region(4)
+    assert pt.region_resident_arr(np.arange(6)).tolist() == [0] * 6
+    pt.check()
+
+
 def _corrupt_count(pt):
     pt.nbase += 1
 
@@ -99,6 +120,15 @@ def _corrupt_zero_count(pt):
 def _corrupt_base_in_huge(pt):
     pt.frame[(10 << 9) + 3] = 7  # a base slot under the huge mapping
     pt.nbase += 1
+    pt.hcount[10] += 1  # counted, so only the overlap is wrong
+
+
+def _corrupt_region_count(pt):
+    pt.hcount[0] -= 1  # region 0 maps two base pages
+
+
+def _corrupt_huge_region_count(pt):
+    pt.hcount[10] = 0  # region 10 is huge-mapped: 512
 
 
 def _corrupt_seq(pt):
@@ -116,6 +146,7 @@ def _corrupt_both_shared(pt):
 @pytest.mark.parametrize("corrupt", [
     _corrupt_count, _corrupt_zero_count, _corrupt_base_in_huge,
     _corrupt_seq, _corrupt_stale_flags, _corrupt_both_shared,
+    _corrupt_region_count, _corrupt_huge_region_count,
 ])
 def test_check_catches_seeded_corruption(pt, corrupt):
     pt.map_base(0, 1)

@@ -6,7 +6,8 @@ replaced.  A state machine applies the same mapping, unmapping,
 demotion, in-place and flag operations to both and compares, after every
 step: contents, the iteration order of ``base`` and ``huge``,
 ``translate``/``translate_range``, ``region_mirror``,
-``contiguous_private_block``, the counts, and ``PageTable.check()``.
+``contiguous_private_block``, the counts, per-region residency and
+huge-ness, and ``PageTable.check()``.
 """
 
 from __future__ import annotations
@@ -252,6 +253,17 @@ class PageTableMachine(RuleBasedStateMachine):
             assert pt.region_base_vpns(hvpn) == [v for v in range(vpn0, vpn0 + PAGES_PER_HUGE)
                                                  if v in model.base]
         assert pt.huge_count_in_range(0, REGIONS) == len(model.huge)
+        resident = [0] * REGIONS
+        for vpn in model.base:
+            resident[vpn >> 9] += 1
+        for hvpn in model.huge:
+            resident[hvpn] += PAGES_PER_HUGE
+        huge = [h in model.huge for h in range(REGIONS)]
+        assert [pt.region_resident(h) for h in range(REGIONS)] == resident
+        assert [pt.region_huge(h) for h in range(REGIONS)] == huge
+        reserved = np.arange(min(REGIONS, pt.hframe.shape[0]))  # the arrays' domain
+        assert pt.region_resident_arr(reserved).tolist() == resident[: len(reserved)]
+        assert pt.region_huge_arr(reserved).tolist() == huge[: len(reserved)]
         assert pt.shared_zero_count == model.shared_zero_count()
         assert pt.resident_pages() == (len(model.base) - model.shared_zero_count()
                                        + len(model.huge) * PAGES_PER_HUGE)
