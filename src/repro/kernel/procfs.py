@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.units import BASE_PAGE_SIZE, KB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.metrics.registry import MetricsRegistry
     from repro.vm.process import Process
+    from repro.vm.vma import VMA
 
 
 def meminfo(kernel: "Kernel") -> dict[str, int]:
@@ -164,30 +168,30 @@ def numastat(kernel: "Kernel") -> dict[str, int]:
     return out
 
 
+def _resident_frames(proc: "Process", vma: "VMA") -> np.ndarray:
+    """The frame behind each resident page of a VMA, as RSS counts them
+    (:meth:`PageTable.resident_pages`: shared-zero mappings excluded)."""
+    frames = proc.page_table.translate_range(vma.start, vma.npages)
+    zero = proc.page_table.flags[vma.start : vma.end] & SHARED_ZERO != 0
+    frames[: zero.shape[0]][zero] = -1
+    return frames[frames >= 0]
+
+
 def numa_maps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
     """Per-VMA NUMA placement, one row per mapping (/proc/pid/numa_maps)."""
     numa = kernel.numa
     nodes = numa.nodes if numa is not None else 1
+    node_of = numa.allocator.node_of_arr if numa is not None else np.zeros_like
     rows = []
     for vma in proc.vmas:
-        counts = [0] * nodes
-        for hvpn in range(vma.start >> 9, ((vma.end - 1) >> 9) + 1):
-            if numa is not None:
-                region = numa.region_node_counts(proc, hvpn)
-                for node in range(nodes):
-                    counts[node] += region[node]
-            else:
-                region = proc.regions.get(hvpn)
-                if region is not None:
-                    counts[0] += region.resident
+        counts = np.bincount(node_of(_resident_frames(proc, vma)), minlength=nodes)
         policy = vma.mempolicy if vma.mempolicy is not None else proc.mempolicy
         row: dict[str, object] = {
             "name": vma.name,
             "start_page": vma.start,
             "policy": policy.kind.value if policy is not None else "default",
         }
-        for node in range(nodes):
-            row[f"node{node}_pages"] = counts[node]
+        row.update((f"node{node}_pages", n) for node, n in enumerate(counts.tolist()))
         rows.append(row)
     return rows
 
@@ -198,11 +202,7 @@ def smaps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
     for vma in proc.vmas:
         huge_regions = proc.page_table.huge_count_in_range(
             vma.start >> 9, ((vma.end - 1) >> 9) + 1)
-        resident = sum(
-            r.resident
-            for r in proc.regions.values()
-            if vma.start <= (r.hvpn << 9) < vma.end
-        )
+        resident = _resident_frames(proc, vma).shape[0]
         rows.append({
             "name": vma.name,
             "start_page": vma.start,

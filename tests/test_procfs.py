@@ -130,3 +130,50 @@ def test_swap_accounting_in_meminfo_and_vmstat():
     assert info["SwapUsed"] > 0
     assert stats["pswpout"] > 0
     assert info["SwapUsed"] == (stats["pswpout"] - stats["pswpin"]) * 4
+
+
+def _numa_maps_pages(kernel, proc):
+    return sum(v for row in procfs.numa_maps(kernel, proc)
+               for k, v in row.items() if k.startswith("node"))
+
+
+def test_smaps_and_numa_maps_drop_zero_deduplicated_pages(kernel_thp):
+    # One zero-filled huge fault, split and fully zero-deduplicated: the
+    # region keeps 512 mappings, but none of them is resident.
+    proc, vma = make_proc(kernel_thp)
+    kernel_thp.madvise_hugepage(proc, "heap", HugePageHint.ALWAYS)
+    kernel_thp.fault(proc, vma.start)
+    kernel_thp.demote_region(proc, vma.start >> 9)
+    kernel_thp.dedup_zero_pages(proc, vma.start >> 9)
+    assert proc.region(vma.start >> 9).resident == PAGES_PER_HUGE
+    assert proc.rss_pages() == 0
+    assert sum(row["rss_kb"] for row in procfs.smaps(kernel_thp, proc)) // 4 == proc.rss_pages()
+    assert _numa_maps_pages(kernel_thp, proc) == proc.rss_pages()
+
+
+def test_smaps_and_numa_maps_count_ksm_shared_pages_on_two_nodes():
+    from repro.kernel.kernel import Kernel
+    from repro.mem.samepage import SamePageMerger
+    from repro.numa.topology import NumaTopology
+    from repro.policies.linux import Linux4KPolicy
+    from tests.conftest import small_config
+
+    kernel = Kernel(small_config(topology=NumaTopology(nodes=2)), Linux4KPolicy)
+    procs = []
+    for node in (0, 1):
+        proc, vma = make_proc(kernel, nbytes=4 * MB)
+        proc.home_node = node
+        kernel.fault_range(proc, vma.start, 64)
+        for i in range(64):
+            frame, _ = proc.page_table.translate(vma.start + i)
+            kernel.frames.write(frame, first_nonzero=0, tag=42)
+        procs.append(proc)
+    merger = SamePageMerger(kernel, pages_per_sec=1e9)
+    assert sum(merger.run_epoch() for _ in range(3)) > 0
+    for proc in procs:
+        assert proc.page_table.shared_zero_count == 0
+        assert _numa_maps_pages(kernel, proc) == proc.rss_pages() == 64
+        assert sum(row["rss_kb"] for row in procfs.smaps(kernel, proc)) // 4 == 64
+    # The canonical frames sit on one node, so some pages map remotely.
+    pages = [procfs.numa_maps(kernel, p)[0] for p in procs]
+    assert pages[1]["node0_pages"] > 0
