@@ -540,7 +540,8 @@ SECTION = "heat"
 
 
 def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
-    """Publish per-process region counts and WSS of an attached monitor."""
+    """Publish per-process region counts and WSS of an attached monitor,
+    for live processes only."""
     if (monitor := kernel.heat) is None:
         return
     regions = registry.gauge(
@@ -554,10 +555,19 @@ def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
         "heat_wss_pages",
         "monitoring-region working-set estimate in base pages",
         labelnames=("process",))
-    for state in monitor.procs.values():
-        regions.labels(process=state.name).set(len(state.regions))
-        hot.labels(process=state.name).set(state.hot_regions())
-        wss.labels(process=state.name).set(round(state.last_estimate, 2))
+    # The monitor retires an exited process at its next sample; a
+    # scrape in between must not publish it.
+    pids = {proc.pid for proc in kernel.processes}
+    live = set()
+    for pid, state in monitor.procs.items():
+        if pid in pids:
+            live.add(state.name)
+            regions.labels(process=state.name).set(len(state.regions))
+            hot.labels(process=state.name).set(state.hot_regions())
+            wss.labels(process=state.name).set(round(state.last_estimate, 2))
+    for family in (regions, hot, wss):
+        for name in [name for name in family.children if name not in live]:
+            family.remove(name)
 
 
 def section(kernel: "Kernel") -> dict:

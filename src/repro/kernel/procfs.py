@@ -86,7 +86,8 @@ VMSTAT_GAUGES = frozenset({"trace_attached", "audit_attached"})
 
 def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
     """Publish the core families (vmstat, meminfo, buddy, per-process),
-    declared on every kernel."""
+    declared on every kernel; the per-process ones carry live processes
+    only."""
     vm_counters = registry.counter(
         "vmstat", "cumulative kernel counters (/proc/vmstat analogue)",
         labelnames=("name",))
@@ -120,11 +121,18 @@ def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
     mmu = registry.gauge(
         "process_mmu_overhead", "lifetime MMU overhead per process",
         labelnames=("process",))
+    live = set()
     for proc in kernel.processes:
+        live.add(proc.name)
         rss.labels(process=proc.name).set(proc.rss_pages())
         pmu = kernel.pmu.get(proc.pid)
         if pmu is not None:
             mmu.labels(process=proc.name).set(pmu.read_overhead())
+    # An exited process's series ends (its lifetime totals live on in
+    # the fleet and heat sections).
+    for family in (rss, mmu):
+        for name in [name for name in family.children if name not in live]:
+            family.remove(name)
 
 
 def numastat(kernel: "Kernel") -> dict[str, int]:

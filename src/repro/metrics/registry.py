@@ -24,6 +24,7 @@ a scrape sequence is monotonic by construction (property-tested in
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.errors import ReproError
@@ -110,8 +111,21 @@ class Histogram:
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+def _no_labels(labels: Mapping[str, str]) -> tuple:
+    """Lookup key of an unlabeled family's one child."""
+    return ()
+
+
 class MetricFamily:
-    """One named metric with a fixed label schema and one child per labelset."""
+    """One named metric with a fixed label schema and one child per labelset.
+
+    ``children`` maps label values to children: the bare value when the
+    family declares one label name (every per-process family), otherwise
+    the tuple of values in ``labelnames`` order.  Label values are
+    strings.  Checking them and rendering the child's :func:`label_key`
+    happen once, when the child is created; later :meth:`labels` calls
+    are one dict lookup.
+    """
 
     def __init__(self, name: str, kind: str, help: str = "",
                  labelnames: tuple[str, ...] = ()):
@@ -121,23 +135,72 @@ class MetricFamily:
         self.kind = kind
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.children: dict[str, Counter | Gauge | Histogram] = {}
+        self.children: dict[object, Counter | Gauge | Histogram] = {}
+        #: each child's canonical ``k=v`` key, by the same lookup key.
+        self._rendered: dict[object, str] = {}
+        #: ``(rendered key, child)`` in scrape order; None after a change.
+        self._order: list | None = None
+        if len(self.labelnames) == 1:
+            self._key = itemgetter(self.labelnames[0])
+        elif self.labelnames:
+            self._key = itemgetter(*self.labelnames)
+        else:
+            self._key = _no_labels
 
     def labels(self, **labels: str) -> Counter | Gauge | Histogram:
         """The child for one label-value combination (created on first use)."""
-        if set(labels) != set(self.labelnames):
-            raise MetricError(
-                f"{self.name}: labels {sorted(labels)} != declared "
-                f"{sorted(self.labelnames)}")
-        key = label_key({k: str(v) for k, v in labels.items()})
-        child = self.children.get(key)
-        if child is None:
-            child = self.children[key] = _KINDS[self.kind]()
-        return child
+        try:
+            if len(labels) == len(self.labelnames):
+                key = self._key(labels)
+                child = self.children.get(key)
+                return child if child is not None else self._create(key)
+        except KeyError:
+            pass
+        raise MetricError(
+            f"{self.name}: labels {sorted(labels)} != declared "
+            f"{sorted(self.labelnames)}")
 
     def child(self) -> Counter | Gauge | Histogram:
         """The unlabeled child (families declared with no labelnames)."""
         return self.labels()
+
+    def remove(self, *labelvalues: str) -> None:
+        """Drop the child for ``labelvalues`` (in ``labelnames`` order).
+
+        The ``prometheus_client`` ``Gauge.remove`` idiom: a series whose
+        subject is gone (an exited process) leaves the next scrape
+        instead of reporting its last value forever.  Raises
+        :class:`KeyError` if there is no such child.
+        """
+        if len(labelvalues) != len(self.labelnames):
+            raise MetricError(
+                f"{self.name}: {len(labelvalues)} label values for "
+                f"{len(self.labelnames)} declared labels")
+        key = labelvalues[0] if len(labelvalues) == 1 else tuple(labelvalues)
+        del self.children[key]
+        del self._rendered[key]
+        self._order = None
+
+    def sorted_children(self) -> list:
+        """``(rendered key, child)`` pairs sorted by key (scrape order)."""
+        if self._order is None:
+            self._order = sorted(
+                ((self._rendered[key], child)
+                 for key, child in self.children.items()),
+                key=itemgetter(0))
+        return self._order
+
+    def _create(self, key) -> Counter | Gauge | Histogram:
+        values = (key,) if len(self.labelnames) == 1 else key
+        for value in values:
+            if type(value) is not str:
+                raise MetricError(
+                    f"{self.name}: label value {value!r} is not a string")
+        rendered = label_key(dict(zip(self.labelnames, values)))
+        child = self.children[key] = _KINDS[self.kind]()
+        self._rendered[key] = rendered
+        self._order = None
+        return child
 
 
 class MetricsRegistry:
@@ -195,12 +258,10 @@ class MetricsRegistry:
         for name in sorted(self.families):
             family = self.families[name]
             section = out[family.kind + "s"]
-            children: dict = {}
-            for key in sorted(family.children):
-                child = family.children[key]
-                if family.kind == "histogram":
-                    children[key] = child.hist.to_dict()
-                else:
-                    children[key] = child.value
-            section[name] = children
+            if family.kind == "histogram":
+                section[name] = {key: child.hist.to_dict()
+                                 for key, child in family.sorted_children()}
+            else:
+                section[name] = {key: child.value
+                                 for key, child in family.sorted_children()}
         return out

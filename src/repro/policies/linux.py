@@ -104,6 +104,10 @@ class LinuxTHPPolicy(HugePagePolicy):
                               inputs={"resident": resident,
                                       "max_ptes_none": self.max_ptes_none})
 
+    def on_process_exit(self, proc: Process) -> None:
+        """Forget the exiting process's scan cursor."""
+        self._cursor.pop(proc.pid, None)
+
     def _next_candidate(self, proc: Process) -> int | None:
         """Lowest promotable region at or above the scan cursor."""
         from repro.units import PAGES_PER_HUGE

@@ -1,6 +1,7 @@
 """Content-addressed result cache for sweep cells.
 
-Each completed cell is stored as one JSON *envelope* file named by its
+Each completed cell is stored as one compact JSON *envelope* file (no
+indentation; ``python -m json.tool`` pretty-prints one) named by its
 cache key: a SHA-256 over the cell's config (experiment, case, policy,
 scale), the experiment's declared version, and a digest of the
 simulator's source tree.  Any of those changing changes the key, so a
@@ -123,8 +124,10 @@ class ResultCache:
             f"{key}.{os.getpid()}.{next(self._tmp_seq)}.json.tmp"
         )
         try:
+            # ``json.dumps`` without ``indent`` runs the C encoder;
+            # ``json.dump`` and any ``indent`` run the pure-Python one.
             with open(tmp, "w") as fh:
-                json.dump(envelope, fh, indent=2, sort_keys=True)
+                fh.write(json.dumps(envelope, sort_keys=True))
                 fh.write("\n")
             os.replace(tmp, path)
         finally:

@@ -9,6 +9,9 @@ Region residency needs no check of its own: ``RegionInfo.resident`` and
 ``is_huge`` are read from the page table, whose per-region count column
 ``PageTable.check()`` verifies.
 
+The ``fleet-smoke`` cells also run under telemetry capture, with every
+scrape checked to publish per-process series for live processes only.
+
 ``BuddyAllocator.check()`` is left out until ``PreZeroThread._split``
 coalesces the order-10 halves it reinserts (the strict xfail in
 ``tests/test_prezero.py``); it would fail on any cell that pre-zeroes.
@@ -19,10 +22,17 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.kernel import Kernel
-from repro.runner.registry import cells_for, execute_cell
+from repro.metrics.telemetry import TelemetrySampler
+from repro.runner.registry import (
+    cells_for,
+    execute_cell,
+    execute_cell_with_telemetry,
+)
+from tests.test_telemetry import PER_PROCESS_FAMILIES
 
 GRIDS = (("smoke", 512), ("tab1", 512), ("fleet-smoke", 512), ("numa", 1024))
 CELLS = [cell for name, scale in GRIDS for cell in cells_for(name, scale)]
+FLEET_CELLS = cells_for("fleet-smoke", 512)
 
 
 @pytest.fixture
@@ -46,3 +56,24 @@ def checked_epochs(monkeypatch) -> list[int]:
 def test_invariants_hold_every_epoch(cell, checked_epochs):
     execute_cell(cell)
     assert checked_epochs[0] > 0
+
+
+@pytest.mark.parametrize("cell", FLEET_CELLS, ids=[c.cell_id for c in FLEET_CELLS])
+def test_scrapes_publish_live_processes_only(cell, monkeypatch):
+    published: set[str] = set()
+    live_at_end: set[str] = set()
+    scrape = TelemetrySampler._scrape
+
+    def checked(sampler: TelemetrySampler, kernel: Kernel) -> None:
+        scrape(sampler, kernel)
+        live = {f"process={proc.name}" for proc in kernel.processes}
+        gauges = sampler.scrapes[-1]["gauges"]
+        for name in PER_PROCESS_FAMILIES:
+            assert set(gauges.get(name, ())) <= live, name
+            published.update(gauges.get(name, ()))
+        live_at_end.clear()
+        live_at_end.update(live)
+
+    monkeypatch.setattr(TelemetrySampler, "_scrape", checked)
+    execute_cell_with_telemetry(cell)
+    assert published - live_at_end  # tenants did exit while scraped

@@ -74,6 +74,22 @@ def test_khugepaged_fcfs_across_processes():
     assert second.stats.promotions == 4
 
 
+def test_khugepaged_forgets_exited_process_cursor(kernel_thp):
+    """An exited process leaves no scan cursor behind."""
+    kernel_thp.fragmenter.fragment(keep_fraction=0.02)
+    gone, vma1 = make_proc(kernel_thp)
+    kept, vma2 = make_proc(kernel_thp)
+    kernel_thp.fault(gone, vma1.start)
+    kernel_thp.fault(kept, vma2.start)
+    kernel_thp.fragmenter.release_all()
+    kernel_thp.run_epochs(1)
+    cursor = kernel_thp.policy._cursor
+    assert {gone.pid, kept.pid} <= set(cursor)
+    kernel_thp.exit_process(gone)
+    assert gone.pid not in cursor
+    assert kept.pid in cursor
+
+
 def test_khugepaged_rate_limited(kernel_thp):
     kernel_thp.policy._limiter.per_second = 2.0
     kernel_thp.fragmenter.fragment(keep_fraction=0.02)

@@ -53,6 +53,45 @@ def test_family_rejects_wrong_labelset():
     assert fam.labels(process="redis").value == 1.0
 
 
+def test_family_looks_children_up_by_values():
+    fam = MetricFamily("moves", "counter", labelnames=("src", "dst"))
+    child = fam.labels(src="a", dst="b")
+    assert fam.labels(dst="b", src="a") is child
+    assert fam.labels(src="b", dst="a") is not child
+    with pytest.raises(MetricError):
+        fam.labels(src="a", dst="b", extra="c")
+    with pytest.raises(MetricError):
+        fam.labels(src="a")
+    with pytest.raises(MetricError):
+        fam.labels(src="a", dst=3)  # label values are strings
+    with pytest.raises(MetricError):
+        fam.labels(src="a", dst="x=y")
+    assert fam.children == {("a", "b"): child, ("b", "a"): fam.labels(
+        src="b", dst="a")}
+
+
+def test_family_remove_drops_one_child():
+    reg = MetricsRegistry()
+    fam = reg.gauge("rss", labelnames=("process",))
+    for name in ("b", "a", "c"):
+        fam.labels(process=name).set(len(name))
+    assert list(reg.scrape(0.0)["gauges"]["rss"]) == [
+        "process=a", "process=b", "process=c"]
+    fam.remove("b")
+    assert list(reg.scrape(1.0)["gauges"]["rss"]) == ["process=a", "process=c"]
+    with pytest.raises(KeyError):
+        fam.remove("b")
+    with pytest.raises(MetricError):
+        fam.remove("a", "c")
+    fam.labels(process="b").set(9)  # a new child, not the dropped one
+    assert reg.scrape(2.0)["gauges"]["rss"] == {
+        "process=a": 1.0, "process=b": 9.0, "process=c": 1.0}
+    pair = reg.counter("moves", labelnames=("src", "dst"))
+    pair.labels(src="a", dst="b").inc()
+    pair.remove("a", "b")
+    assert reg.scrape(3.0)["counters"]["moves"] == {}
+
+
 def test_family_rejects_unknown_kind():
     with pytest.raises(MetricError):
         MetricFamily("x", "summary")

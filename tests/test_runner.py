@@ -141,6 +141,23 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert len(cache) == 0
 
 
+def test_cache_envelopes_are_compact_and_indented_ones_still_read(tmp_path):
+    """``put`` writes compact sorted JSON that ``get`` returns exactly;
+    an envelope written in the older ``indent=2`` form still reads."""
+    cache = ResultCache(tmp_path)
+    envelope = {"key": "new", "result": {"b": [1, 2.5, None], "a": "x"},
+                "telemetry": [{"scrapes": [{"t_s": 0.0, "gauges": {}}]}]}
+    path = cache.put("new", envelope)
+    assert path.read_text() == json.dumps(envelope, sort_keys=True) + "\n"
+    assert cache.get("new") == envelope
+    old = {"key": "old", "result": {"x": 1}, "telemetry": []}
+    with open(cache.path_for("old"), "w") as fh:
+        json.dump(old, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert cache.get("old") == old
+    assert list(cache.entries()) == [envelope, old]
+
+
 def test_cache_put_interleaved_writers_same_key(tmp_path, monkeypatch):
     """Two writers racing on one key must both complete and leave an
     intact envelope.
@@ -159,18 +176,19 @@ def test_cache_put_interleaved_writers_same_key(tmp_path, monkeypatch):
     key = "cafebabe"
     first = {"key": key, "result": {"writer": "first", "pad": "x" * 4096}}
     second = {"key": key, "result": {"writer": "second"}}
-    real_dump = json.dump
+    real_dumps = json.dumps
     state = {"nested": False}
 
-    def interleaved_dump(obj, fh, **kwargs):
-        real_dump(obj, fh, **kwargs)
+    def interleaved_dumps(obj, **kwargs):
+        text = real_dumps(obj, **kwargs)
         if not state["nested"]:
             state["nested"] = True
             # a second sweep process publishes the same key between
             # this writer's dump and its rename
             ResultCache(tmp_path).put(key, second)
+        return text
 
-    monkeypatch.setattr(cache_mod.json, "dump", interleaved_dump)
+    monkeypatch.setattr(cache_mod.json, "dumps", interleaved_dumps)
     cache.put(key, first)  # must not raise
     monkeypatch.undo()
     stored = cache.get(key)

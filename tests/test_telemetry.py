@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import trace
+from repro import heat, trace
 from repro.kernel.kernel import Kernel
 from repro.metrics import telemetry
 from repro.metrics.telemetry import RunTelemetry, TelemetrySampler
@@ -182,6 +182,41 @@ def test_scrapes_do_not_depend_on_attach_order():
     assert {"decision_funnel_total", "decision_rejections_total",
             "heat_wss_pages"} <= names
     assert late == early
+
+
+# --------------------------------------------------------------------- #
+# per-process series follow live processes                               #
+# --------------------------------------------------------------------- #
+
+#: the families with one child per process (gauges, ``process=`` label).
+PER_PROCESS_FAMILIES = (
+    "process_rss_pages", "process_mmu_overhead", "heat_monitoring_regions",
+    "heat_hot_regions", "heat_wss_pages")
+
+
+def test_exited_process_series_are_dropped(kernel_hawkeye):
+    kernel = kernel_hawkeye
+    heat.attach(kernel)
+    sampler = telemetry.attach(kernel)
+    spawn_simple(kernel, heap_mb=4, work_s=100.0, name="keep")
+    gone = spawn_simple(kernel, heap_mb=4, work_s=100.0, name="gone")
+    kernel.run(max_epochs=60)  # two access-bit samples: heat sees both
+    before = sampler.scrapes[-1]["gauges"]
+    for name in PER_PROCESS_FAMILIES:
+        assert set(before[name]) == {"process=keep", "process=gone"}, name
+    kernel.exit_process(gone.proc)
+    # the monitor retires the pid only at its next sample; the scrape
+    # in between must already leave it out
+    assert gone.proc.pid in kernel.heat.procs
+    sampler._scrape(kernel)
+    after = sampler.scrapes[-1]["gauges"]
+    for name in PER_PROCESS_FAMILIES:
+        assert after[name] == {"process=keep": before[name]["process=keep"]}
+    # the scalars a baseline or bench digest compares read no scrape
+    artifact = sampler.telemetry()
+    doc = artifact.to_dict()
+    bare = RunTelemetry.from_dict({**doc, "scrapes": []})
+    assert bare.scalar_metrics() == artifact.scalar_metrics()
 
 
 # --------------------------------------------------------------------- #
