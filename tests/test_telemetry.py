@@ -227,7 +227,7 @@ def test_exited_process_series_are_dropped(kernel_hawkeye):
 #: ``self_profile`` dropped).  A change here means the telemetry bytes
 #: moved; refactors of the publication path must leave it alone.
 PINNED_ARTIFACT_SHA256 = (
-    "09ea3e309c8b552bf7d03d5a23cc65a2b241cb03be35eba2ff4a548a828cd99d")
+    "62b485d82b14b3738d0935a48578eddb758ad245bfe99962d1e95d187041fc9e")
 
 
 def test_captured_artifact_bytes_are_pinned():
