@@ -140,12 +140,8 @@ class MetricFamily:
         self._rendered: dict[object, str] = {}
         #: ``(rendered key, child)`` in scrape order; None after a change.
         self._order: list | None = None
-        if len(self.labelnames) == 1:
-            self._key = itemgetter(self.labelnames[0])
-        elif self.labelnames:
-            self._key = itemgetter(*self.labelnames)
-        else:
-            self._key = _no_labels
+        #: the ``labels()`` keyword arguments -> the child's lookup key.
+        self._key = itemgetter(*self.labelnames) if self.labelnames else _no_labels
 
     def labels(self, **labels: str) -> Counter | Gauge | Histogram:
         """The child for one label-value combination (created on first use)."""
@@ -181,7 +177,7 @@ class MetricFamily:
         del self._rendered[key]
         self._order = None
 
-    def sorted_children(self) -> list:
+    def _sorted_children(self) -> list:
         """``(rendered key, child)`` pairs sorted by key (scrape order)."""
         if self._order is None:
             self._order = sorted(
@@ -258,10 +254,7 @@ class MetricsRegistry:
         for name in sorted(self.families):
             family = self.families[name]
             section = out[family.kind + "s"]
-            if family.kind == "histogram":
-                section[name] = {key: child.hist.to_dict()
-                                 for key, child in family.sorted_children()}
-            else:
-                section[name] = {key: child.value
-                                 for key, child in family.sorted_children()}
+            hist = family.kind == "histogram"
+            section[name] = {key: child.hist.to_dict() if hist else child.value
+                             for key, child in family._sorted_children()}
         return out
