@@ -188,6 +188,10 @@ class FrameLedger:
         """A frame range had its content zero-filled."""
         self.record(start, count, EV_ZEROED)
 
+    def on_zero_frames(self, frames: np.ndarray) -> None:
+        """:meth:`on_zero` over an index array of distinct frames."""
+        self.record_frames(frames, EV_ZEROED)
+
     # -- lifecycle recording ------------------------------------------- #
 
     def record(self, start: int, count: int, ev: int, arg: int = 0) -> None:

@@ -16,7 +16,9 @@ mappings (created by bloat recovery, §3.2) take a copy-on-write fault.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -281,30 +283,47 @@ def _bulk_base_fault(
 ) -> tuple[float, int]:
     """Allocate, map, account and write a run of base faults in bulk.
 
-    One buddy extent at a time (so a mid-run budget stop leaves the free
-    lists exactly as the scalar loop would); per-extent fault latency is
-    ``count × costs.base_fault(needs_zero)``, while the budget drains by
-    ``count × max(cost + work_us, pace_us)``.  Returns ``(µs, pages)``
-    where the µs are the budget consumption.
+    Two phases.  Per buddy extent: pop it (so a mid-run budget stop
+    leaves the free lists exactly as the scalar loop would), return the
+    surplus past a budget stop, and charge the counters — fault latency
+    ``count × costs.base_fault(needs_zero)``, budget drain ``count ×
+    max(cost + work_us, pace_us)`` — in the scalar float order.  Once per
+    run, :func:`_write_extents` writes the page table, rmap, zeroing,
+    content and tracepoints of every extent popped.  Only when the buddy
+    runs dry are the pending extents written first and
+    :meth:`Kernel.alloc_base_run_extent` asked to relieve pressure, so
+    reclaim, policy relief and swap see the page tables and rmap the
+    scalar loop leaves.  Returns ``(µs, pages)`` where the µs are the
+    budget consumption.
     """
     anon = vma.kind is VMAKind.ANON
     trusts = kernel.policy.trusts_zero_lists
-    costs = kernel.costs
-    pt = proc.page_table
+    base_fault = kernel.costs.base_fault
+    try_extent = kernel.buddy.try_alloc_run_extent
+    pid = proc.pid
     pstats = proc.stats
     kstats = kernel.stats
     total = 0.0
     done = 0
+    written = 0
+    #: (start, pages, needs_zero, per_page) popped but not yet written.
+    pending: list[tuple[int, int, bool, float]] = []
     # Bulk runs never cross a huge-region boundary, so one placement
     # decision covers the whole run (interleave keys on the region).
     node, strict = _numa_target(kernel, proc, vma, vpn0 >> 9)
     while done < npages and total < budget_us:
-        start, count, zeroed = kernel.alloc_base_run_extent(
-            npages - done, prefer_zero=anon, owner=proc.pid,
-            node=node, strict=strict,
-        )
+        want = npages - done
+        got = (try_extent(want, anon, pid) if node is None
+               else try_extent(want, anon, pid, node=node, strict=strict))
+        if got is None:
+            _write_extents(kernel, proc, vpn0 + written, pending, content)
+            written = done
+            pending = []
+            got = kernel.alloc_base_run_extent(
+                want, prefer_zero=anon, owner=pid, node=node, strict=strict)
+        start, count, zeroed = got
         needs_zero = anon and (not zeroed or not trusts)
-        per_page = costs.base_fault(needs_zero)
+        per_page = base_fault(needs_zero)
         inc = max(per_page + work_us, pace_us)
         left = budget_us - total
         # The scalar loop faults another page whenever the time consumed
@@ -317,20 +336,7 @@ def _bulk_base_fault(
             # (no buddy of a surplus piece can be free: the drained prefix
             # is allocated and the block's outer buddies were not free).
             kernel.buddy.free_range(start + take, count - take)
-        if needs_zero:
-            kernel.frames.zero_fill(start, take)
-        ext = [(start, take, zeroed)]
-        pt.map_base_range(vpn0 + done, ext, accessed=True)
-        kernel.rmap_add_range(proc, vpn0 + done, ext)
-        if content is not None:
-            _write_content_run(kernel, start, take, content)
-        if (tp := kernel.trace) is not None and tp.enabled:
-            # One run of per-page events, equivalent to the scalar loop's
-            # stream: same kind, process, vpn order and span (per_page is
-            # exactly the scalar latency — the bulk path has no backing
-            # hook or swap); emit_run builds only the events it keeps.
-            tp.emit_run(trace.TraceKind.FAULT_BASE, proc.name, per_page,
-                        vpn0 + done, take)
+        pending.append((start, take, needs_zero, per_page))
         run_us = take * per_page
         total += take * inc
         done += take
@@ -340,13 +346,55 @@ def _bulk_base_fault(
         kstats.faults += take
         if take < count:
             break
+    _write_extents(kernel, proc, vpn0 + written, pending, content)
     return total, done
+
+
+def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
+                   pending: list[tuple[int, int, bool, float]], content) -> None:
+    """Write popped ``(start, pages, needs_zero, per_page)`` extents,
+    mapped at ``vpn0`` on: one pass over each structure for all of them.
+
+    Every frame gets the events the per-extent order gives it (zeroed,
+    then written), and content tags are minted extent by extent, frame
+    by frame.  A stretch of consecutive extents with equal ``per_page``
+    covers consecutive vpns, so one ``emit_run`` over it is the scalar
+    loop's per-page stream (``per_page`` is exactly the scalar latency —
+    the bulk path has no backing hook or swap).
+    """
+    if not pending:
+        return
+    frames = kernel.frames
+    runs = [(start, count) for start, count, _, _ in pending]
+    zero = [(start, count) for start, count, needs_zero, _ in pending if needs_zero]
+    idx = _frames_of(runs)
+    if zero:
+        frames.zero_fill_frames(idx if len(zero) == len(runs) else _frames_of(zero))
+    extents = [(start, count, False) for start, count in runs]
+    proc.page_table.map_base_range(vpn0, extents, accessed=True)
+    kernel.rmap_add_range(proc, vpn0, extents)
+    if content is not None:
+        if content.zero:
+            frames.write_zero(idx)
+        else:
+            frames.write_frames(idx, content.first_nonzero, content.shared_tag)
+    if (tp := kernel.trace) is not None and tp.enabled:
+        vpn = vpn0
+        for per_page, stretch in itertools.groupby(pending, operator.itemgetter(3)):
+            n = sum(count for _, count, _, _ in stretch)
+            tp.emit_run(trace.TraceKind.FAULT_BASE, proc.name, per_page, vpn, n)
+            vpn += n
+
+
+def _frames_of(runs: list[tuple[int, int]]) -> np.ndarray:
+    """The frames of ``(start, count)`` runs, run after run, ascending in each."""
+    return np.concatenate([np.arange(start, start + count) for start, count in runs])
 
 
 def _write_content_run(kernel: "Kernel", frame0: int, count: int, content) -> None:
     """Apply a ContentSpec to ``count`` consecutive frames."""
     if content.zero:
-        kernel.frames.zero_fill(frame0, count)
+        kernel.frames.write_zero(slice(frame0, frame0 + count))
     else:
         kernel.frames.write_range(frame0, count, content.first_nonzero, content.shared_tag)
 

@@ -75,9 +75,10 @@ class FrameTable:
         self.first_nonzero[frame] = first_nonzero
         self.content_tag[frame] = self.fresh_tag() if tag is None else tag
 
-    def write_zero(self, frame: int | np.ndarray) -> None:
+    def write_zero(self, frame: int | np.ndarray | slice) -> None:
         """Record that the owner wrote zeroes over the whole of ``frame``
-        (a frame number or an array of them)."""
+        (a frame number, an array of them or a slice).  An owner's write
+        is not a kernel zero-fill: the ledger records nothing."""
         self.first_nonzero[frame] = -1
         self.content_tag[frame] = ZERO_TAG
 
@@ -120,6 +121,14 @@ class FrameTable:
         self.content_tag[start:start + count] = ZERO_TAG
         if (led := self.ledger) is not None and led.enabled:
             led.on_zero(start, count)
+
+    def zero_fill_frames(self, frames: np.ndarray) -> None:
+        """:meth:`zero_fill` over an index array of distinct frames, with
+        one ledger recording for all of them."""
+        self.first_nonzero[frames] = -1
+        self.content_tag[frames] = ZERO_TAG
+        if (led := self.ledger) is not None and led.enabled:
+            led.on_zero_frames(frames)
 
     def is_zero(self, frame: int) -> bool:
         """True when the frame's content is entirely zero bytes."""

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro import oracle
-from repro.errors import InvalidAddressError
+from repro import audit, oracle, trace
+from repro.errors import InvalidAddressError, OutOfMemoryError
 from repro.experiments import POLICIES, Scale
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.mem.buddy import BuddyAllocator
@@ -15,6 +15,7 @@ from repro.units import MB
 from repro.vm.page_table import PageTable
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, FreeOp, Phase, Workload
+from tests.conftest import LEDGER_COLUMNS, buddy_snapshot
 
 
 # ---------------------------------------------------------------------- #
@@ -255,6 +256,80 @@ def test_batched_madvise_matches_scalar_unmap():
         assert list(kb.buddy._zero[order]) == list(ks.buddy._zero[order])
         assert list(kb.buddy._nonzero[order]) == list(ks.buddy._nonzero[order])
     assert np.array_equal(kb.frames.allocated, ks.frames.allocated)
+
+
+# ---------------------------------------------------------------------- #
+# kernel: a bulk run that crosses memory pressure                         #
+# ---------------------------------------------------------------------- #
+
+
+def build_pressure_kernel(policy, reference, swap_mb):
+    """A 4 MiB machine with swap, an 8 MiB heap, and a tracer and an audit
+    log attached: bulk runs soon find the buddy allocator empty."""
+    Process._next_pid = 1
+    config = KernelConfig(mem_bytes=4 * MB, swap_bytes=swap_mb * MB)
+    kernel = Kernel(config, POLICIES[policy](Scale(1 / 128)))
+    if reference:
+        oracle.install(kernel)
+    tracer = trace.attach(kernel, warn_on_drop=False)
+    audit.attach(kernel)
+    proc = kernel.spawn(_Idle()).proc
+    kernel.mmap(proc, 8 * MB, "heap")
+    return kernel, proc, kernel.find_vma(proc, "heap"), tracer
+
+
+def touch_under_pressure(kernel, proc, vma, content) -> bool:
+    """A first region (huge-mapped where the policy faults huge pages),
+    then runs past the free memory; returns whether the kernel ran out
+    of memory."""
+    try:
+        kernel.fault_range(proc, vma.start, 100, content=content)
+        kernel.fault_range(proc, vma.start + 512, 1536, content=content, work_us=1.0)
+    except OutOfMemoryError:
+        return True
+    return False
+
+
+def pressure_state(kernel, proc, tracer) -> dict:
+    pt = proc.page_table
+    order = pt.base_in_order().tolist()
+    return {
+        "base": [(vpn, int(pt.frame[vpn]), int(pt.flags[vpn])) for vpn in order],
+        "huge": {h: (p.frame, p.accessed, p.dirty) for h, p in pt.huge.items()},
+        "rmap": [(f, owner.pid, v) for f in kernel.rmap_by_age().tolist()
+                 for owner, v in [kernel.rmap_owner(f)]],
+        "buddy": buddy_snapshot(kernel.buddy),
+        "ledger": {name: getattr(kernel.audit.ledger, name).tolist()
+                   for name in LEDGER_COLUMNS},
+        "events": [(e.t_us, e.kind, e.process, e.span_us, e.page, e.detail)
+                   for e in tracer.events],
+        "counts": dict(tracer.counts),
+        "spans": dict(tracer.spans),
+        "histograms": {k: h.to_dict() for k, h in tracer.histograms.items()},
+        "dropped": tracer.dropped,
+        "swapped": sorted(kernel.swap.swapped),
+        "faults": (kernel.stats.faults, proc.stats.faults, kernel.stats.oom_kills),
+    }
+
+
+@pytest.mark.parametrize("content", [ContentSpec(), ContentSpec(zero=True)],
+                         ids=["data", "zeroes"])
+@pytest.mark.parametrize("swap_mb, oom", [(8, False), (2, True)])
+@pytest.mark.parametrize("policy", ["linux-2mb", "hawkeye-g", "hawkeye-4kb"])
+def test_bulk_run_crossing_pressure_matches_scalar(policy, swap_mb, oom, content):
+    """Reclaim, policy relief and swap run in the middle of a bulk run,
+    and must see the page tables and rmap the per-page loop leaves: the
+    earlier extents of the run are written before the kernel relieves
+    pressure.  Swap-out then evicts pages of the very run that ran dry."""
+    states = []
+    for reference in (True, False):
+        kernel, proc, vma, tracer = build_pressure_kernel(policy, reference, swap_mb)
+        assert touch_under_pressure(kernel, proc, vma, content) is oom
+        assert kernel.swap.swap_outs > 100
+        states.append(pressure_state(kernel, proc, tracer))
+    scalar, batched = states
+    for key in scalar:
+        assert batched[key] == scalar[key], key
 
 
 # ---------------------------------------------------------------------- #
