@@ -17,7 +17,8 @@ Limits come in two flavours:
   *sum* of huge pages held across every live matching process, the way a
   cgroup's ``hugetlb`` controller bounds a subtree.  Group occupancy is
   computed live from the kernel's process list (when :meth:`bind` has
-  been called) or from the registered member set, so a killed-and-
+  been called; a group's members are looked up again only after that
+  list changes) or from the registered member set, so a killed-and-
   restarted tenant can never leak its old holdings into the group's
   budget — teardown clears the page table and drops the process from
   the live list, and exited members are pruned before every sum.
@@ -51,6 +52,10 @@ class HugePageLimits:
         #: by :meth:`bind`); without it, membership is tracked explicitly.
         self._kernel = None
         self._members: dict[str, list[Process]] = {}
+        #: bound registries: prefix -> live members, valid for one
+        #: ``(process_generation, len(processes))`` of the kernel.
+        self._live_key: tuple[int, int] | None = None
+        self._live: dict[str, list[Process]] = {}
         #: promotion attempts refused because a cap was reached.
         self.refusals = 0
         #: the subset of refusals caused by a *group* cap.
@@ -91,9 +96,18 @@ class HugePageLimits:
     # ------------------------------------------------------------------ #
 
     def _group_members(self, prefix: str) -> list[Process]:
-        if self._kernel is not None:
-            return [p for p in self._kernel.processes
-                    if p.name.startswith(prefix)]
+        if (kernel := self._kernel) is not None:
+            # The live list changes at spawn and exit_process; a process
+            # appended to it directly changes its length.
+            key = (kernel.process_generation, len(kernel.processes))
+            if key != self._live_key:
+                self._live_key = key
+                self._live = {}
+            members = self._live.get(prefix)
+            if members is None:
+                members = self._live[prefix] = [
+                    p for p in kernel.processes if p.name.startswith(prefix)]
+            return members
         members = self._members.get(prefix, [])
         # Restart churn: an exited process keeps its (cleared) page table
         # but must not linger in the member list forever.

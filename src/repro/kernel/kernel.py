@@ -168,6 +168,9 @@ class Kernel:
         self.fleet: Optional["FleetManager"] = None
         self.now_us = 0.0
         self.processes: list[Process] = []
+        #: bumped each time :meth:`spawn` or :meth:`exit_process` changes
+        #: ``processes``, so views of the live list can be cached.
+        self.process_generation = 0
         self.runs: list["WorkloadRun"] = []
         self.pmu: dict[int, PMUCounters] = {}
         #: Base reverse map as frame-indexed columns: owning pid (0 = no
@@ -241,6 +244,7 @@ class Kernel:
             proc.home_node = proc.launch_index % self.numa.nodes
         proc.mempolicy = mempolicy
         self.processes.append(proc)
+        self.process_generation += 1
         self.pmu[proc.pid] = PMUCounters()
         run = WorkloadRun(self, proc, workload)
         self.runs.append(run)
@@ -303,6 +307,7 @@ class Kernel:
         self.policy.on_process_exit(proc)
         if proc in self.processes:
             self.processes.remove(proc)
+            self.process_generation += 1
         self.pmu.pop(proc.pid, None)
         run = self._run_by_pid.pop(proc.pid, None)
         if run is not None and not run.finished:

@@ -174,3 +174,84 @@ def test_no_limits_no_telemetry_family():
     tmod.detach(kernel)
     assert "limit_refusals_total" not in art.scrapes[-1]["counters"]
     assert "limit_group_held" not in art.scrapes[-1]["gauges"]
+
+
+def test_group_membership_cache_matches_recount_under_churn():
+    """Group occupancy and refusal counters over spawns, exits and a
+    kill-restart equal a from-scratch recount of the live process list
+    at every promotion decision."""
+    from repro.workloads.base import Phase, Workload
+
+    class Idle(Workload):
+        name = "idle"
+
+        def build_phases(self):
+            return [Phase("idle", duration_us=1.0)]
+
+    kernel = Kernel(
+        small_config(64),
+        lambda k: HawkEyePolicy(k, variant="g", huge_page_limits={"svc-b": 1},
+                                huge_page_group_limits={"svc-*": 3, "batch-*": 1}),
+    )
+    limits = kernel.policy.limits
+    expected = {"refusals": 0, "group_refusals": 0}
+
+    def recount(prefix):
+        return sum(p.page_table.nhuge for p in kernel.processes
+                   if p.name.startswith(prefix))
+
+    real_may_promote = limits.may_promote
+
+    def checked_may_promote(proc):
+        cap = limits.limit_for(proc)
+        if cap is not None and proc.page_table.nhuge >= cap:
+            want, expected["refusals"] = False, expected["refusals"] + 1
+        elif any(proc.name.startswith(prefix) and recount(prefix) >= gcap
+                 for prefix, gcap in (("svc-", 3), ("batch-", 1))):
+            want = False
+            expected["refusals"] += 1
+            expected["group_refusals"] += 1
+        else:
+            want = True
+        assert real_may_promote(proc) is want
+        return want
+
+    limits.may_promote = checked_may_promote
+
+    def spawn(name):
+        proc = kernel.spawn(Idle(), name=name).proc
+        return proc, kernel.mmap(proc, 8 * MB, "heap")
+
+    def fault_regions(proc, vma, n):
+        for i in range(n):
+            kernel.fault(proc, vma.start + i * PAGES_PER_HUGE)
+
+    def check():
+        for prefix in ("svc-", "batch-"):
+            assert limits.group_held(prefix) == recount(prefix), prefix
+        assert limits.refusals == expected["refusals"]
+        assert limits.group_refusals == expected["group_refusals"]
+
+    a, va = spawn("svc-a")
+    fault_regions(a, va, 2)
+    check()
+    b, vb = spawn("svc-b")
+    fault_regions(b, vb, 3)  # per-process cap 1, then the group cap
+    check()
+    batch1, v1 = spawn("batch-1")
+    batch2, v2 = spawn("batch-2")
+    fault_regions(batch1, v1, 2)
+    fault_regions(batch2, v2, 2)
+    check()
+    kernel.exit_process(batch1)
+    kernel.fault(batch2, v2.start + 3 * PAGES_PER_HUGE)  # batch-1's page is back
+    check()
+    assert limits.group_held("batch-") == 1
+    # Kill-restart: the new svc-a starts from the budget the old one left.
+    kernel.exit_process(a)
+    check()
+    a2, va2 = spawn("svc-a")
+    fault_regions(a2, va2, 4)
+    check()
+    assert limits.group_held("svc-") == 3
+    assert limits.refusals > limits.group_refusals > 0
