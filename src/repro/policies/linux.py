@@ -21,8 +21,11 @@ paper's "Linux-4KB" configuration).
 
 from __future__ import annotations
 
+import bisect
+
 from repro.kernel.kthread import RateLimiter
 from repro.policies.base import HugePagePolicy
+from repro.units import PAGES_PER_HUGE
 from repro.vm.process import Process
 from repro.vm.vma import VMA
 
@@ -109,24 +112,20 @@ class LinuxTHPPolicy(HugePagePolicy):
         self._cursor.pop(proc.pid, None)
 
     def _next_candidate(self, proc: Process) -> int | None:
-        """Lowest promotable region at or above the scan cursor."""
-        from repro.units import PAGES_PER_HUGE
+        """Lowest promotable region at or above the scan cursor, else
+        the lowest one below it (khugepaged's circular scan).
 
-        cursor = self._cursor.get(proc.pid, 0)
-        candidates = sorted(
-            r.hvpn
-            for r in proc.regions.values()
-            if not r.is_huge
-            and r.resident > 0
-            and PAGES_PER_HUGE - r.resident <= self.max_ptes_none
-            and self.kernel.can_promote(proc, r.hvpn)
-        )
-        for hvpn in candidates:
-            if hvpn >= cursor:
+        Candidates come from the page table's per-region columns in
+        ascending order: resident with few enough empty PTEs, and not
+        huge.  The side-effect-free :meth:`Kernel.can_promote` is asked
+        of them lazily, from the cursor on, and the first yes wins."""
+        pt = proc.page_table
+        hframe = pt.hframe
+        least = max(PAGES_PER_HUGE - self.max_ptes_none, 1)
+        hvpns = (pt.hcount[: hframe.shape[0]] >= least).nonzero()[0].tolist()
+        at = bisect.bisect_left(hvpns, self._cursor.get(proc.pid, 0))
+        for hvpn in hvpns[at:] + hvpns[:at]:
+            if hframe.item(hvpn) < 0 and self.kernel.can_promote(proc, hvpn):
                 self._cursor[proc.pid] = hvpn + 1
                 return hvpn
-        if candidates:
-            # Wrap the scan around, like khugepaged's circular scan.
-            self._cursor[proc.pid] = candidates[0] + 1
-            return candidates[0]
         return None

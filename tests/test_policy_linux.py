@@ -1,10 +1,14 @@
 """Unit tests for the Linux policies (4KB baseline and THP)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.kernel.kernel import Kernel
 from repro.policies.linux import Linux4KPolicy, LinuxTHPPolicy
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.process import Process
+from repro.vm.vma import HugePageHint
 from tests.conftest import small_config
 from tests.test_fault import make_proc
 
@@ -109,3 +113,77 @@ def test_khugepaged_disabled():
     kernel.fragmenter.release_all()
     kernel.run_epochs(5)
     assert kernel.stats.promotions == 0
+
+
+def _sorted_scan(policy, proc):
+    """The scan khugepaged's cursor walk must agree with: sort every
+    eligible region, take the first at or above the cursor, else wrap.
+    Returns ``(hvpn, cursor after)``."""
+    cursor = policy._cursor.get(proc.pid)
+    candidates = sorted(
+        r.hvpn
+        for r in proc.regions.values()
+        if not r.is_huge
+        and r.resident > 0
+        and PAGES_PER_HUGE - r.resident <= policy.max_ptes_none
+        and policy.kernel.can_promote(proc, r.hvpn)
+    )
+    for hvpn in candidates:
+        if hvpn >= (cursor or 0):
+            return hvpn, hvpn + 1
+    if candidates:
+        return candidates[0], candidates[0] + 1
+    return None, cursor
+
+
+#: one region's state: no record, a record only, base pages (with or
+#: without a record) or a huge mapping.
+region_state = st.tuples(
+    st.sampled_from(["base", "absent", "record", "unrecorded", "huge"]),
+    st.one_of(st.sampled_from([1, 64, 256, 448, 511, PAGES_PER_HUGE]),
+              st.integers(1, PAGES_PER_HUGE)),
+)
+
+#: a VMA: whole regions it spans, pages it falls short of the last one
+#: by (so that region cannot be promoted) and its madvise hint.
+vma_shape = st.tuples(st.integers(1, 4),
+                      st.one_of(st.just(0), st.integers(1, PAGES_PER_HUGE - 1)),
+                      st.sampled_from(list(HugePageHint)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vmas=st.lists(vma_shape, min_size=1, max_size=3),
+    states=st.lists(region_state, min_size=1, max_size=16),
+    max_ptes_none=st.sampled_from([511, 0, 64, 384, 512]),
+    cursor=st.one_of(st.none(), st.integers(0, 20)),
+)
+@example(vmas=[(4, 0, HugePageHint.DEFAULT)], states=[("base", 1)] * 4,
+         max_ptes_none=511, cursor=3)
+def test_next_candidate_matches_sorted_scan(vmas, states, max_ptes_none, cursor):
+    kernel = Kernel(small_config(),
+                    lambda k: LinuxTHPPolicy(k, max_ptes_none=max_ptes_none))
+    policy = kernel.policy
+    proc = Process("scan")
+    kernel.processes.append(proc)
+    for i, (regions, short, hint) in enumerate(vmas):
+        kernel.mmap(proc, (regions * PAGES_PER_HUGE - short) * 4096, f"v{i}")
+        kernel.madvise_hugepage(proc, f"v{i}", hint)
+    pt = proc.page_table
+    frame = 0
+    for hvpn, (kind, pages) in enumerate(states, start=1):
+        if kind in ("record", "base", "huge"):
+            proc.region(hvpn)
+        if kind == "huge":
+            pt.map_huge(hvpn, frame)
+            frame += PAGES_PER_HUGE
+        elif kind in ("base", "unrecorded"):
+            for vpn in range(hvpn << 9, (hvpn << 9) + pages):
+                pt.map_base(vpn, frame)
+                frame += 1
+    if cursor is not None:
+        policy._cursor[proc.pid] = cursor
+    for _ in range(5):
+        want, want_cursor = _sorted_scan(policy, proc)
+        assert policy._next_candidate(proc) == want
+        assert policy._cursor.get(proc.pid) == want_cursor
