@@ -468,8 +468,9 @@ class HeatMonitor:
         #: (the disabled-overhead benchmarks measure exactly this state).
         self.enabled = True
         self.procs: dict[int, ProcessHeat] = {}
-        #: final snapshots of exited processes, oldest first.
-        self.retired: list[dict] = []
+        #: the last :data:`RETIRED_CAP` exited processes' states, oldest
+        #: first; nothing updates them, so they snapshot when asked.
+        self._retired: deque[ProcessHeat] = deque(maxlen=RETIRED_CAP)
         self.samples = 0
 
     def on_sample(self, kernel: "Kernel") -> None:
@@ -480,8 +481,7 @@ class HeatMonitor:
             if pid not in live:
                 state = self.procs.pop(pid)
                 state.finished = True
-                self.retired.append(state.snapshot())
-                del self.retired[:-RETIRED_CAP]
+                self._retired.append(state)
         for proc in kernel.processes:
             state = self.procs.get(proc.pid)
             if state is None:
@@ -499,12 +499,17 @@ class HeatMonitor:
                         f"hot_regions={state.hot_regions()};"
                         f"regions={len(state.regions)}")
 
+    @property
+    def retired(self) -> list[dict]:
+        """Final snapshots of exited processes, oldest first."""
+        return [state.snapshot() for state in self._retired]
+
     def snapshot(self) -> dict:
         """JSON-able monitor state: live processes (by pid) then retired."""
         return {
             "samples": self.samples,
             "processes": [self.procs[pid].snapshot()
-                          for pid in sorted(self.procs)] + list(self.retired),
+                          for pid in sorted(self.procs)] + self.retired,
         }
 
 

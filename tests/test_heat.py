@@ -151,6 +151,26 @@ def test_retired_process_snapshot(kernel_hawkeye):
     assert "late" in names and "w" in names
 
 
+def test_retired_snapshots_do_not_change_and_keep_the_cap(kernel_hawkeye):
+    """A retired process snapshots the same later as on retirement; the
+    monitor keeps the newest RETIRED_CAP of them."""
+    monitor = heat.attach(kernel_hawkeye)
+    spawn_simple(kernel_hawkeye, work_s=1000.0, name="late")
+    runs = [spawn_simple(kernel_hawkeye, heap_mb=1, work_s=1000.0, name=f"e{i}")
+            for i in range(heat.RETIRED_CAP + 2)]
+    kernel_hawkeye.run_epochs(30)
+    kernel_hawkeye.exit_process(runs[0].proc)
+    kernel_hawkeye.run_epochs(30)
+    first = monitor.retired
+    kernel_hawkeye.run_epochs(60)
+    assert monitor.retired == first
+    for run in runs[1:]:
+        kernel_hawkeye.exit_process(run.proc)
+    kernel_hawkeye.run_epochs(30)
+    names = [p["process"] for p in monitor.retired]
+    assert names == [f"e{i}" for i in range(2, heat.RETIRED_CAP + 2)]
+
+
 # -- snapshot shape ------------------------------------------------------ #
 
 
