@@ -320,7 +320,9 @@ def test_bulk_run_crossing_pressure_matches_scalar(policy, swap_mb, oom, content
     """Reclaim, policy relief and swap run in the middle of a bulk run,
     and must see the page tables and rmap the per-page loop leaves: the
     earlier extents of the run are written before the kernel relieves
-    pressure.  Swap-out then evicts pages of the very run that ran dry."""
+    pressure.  Where the first region is huge-mapped, swap-out must
+    evict pages of the very run that ran dry before it demotes that
+    region."""
     states = []
     for reference in (True, False):
         kernel, proc, vma, tracer = build_pressure_kernel(policy, reference, swap_mb)
