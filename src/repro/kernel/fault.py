@@ -52,25 +52,32 @@ def handle_fault(kernel: "Kernel", proc: Process, vpn: int, vma: VMA | None = No
 
     if vma is None:
         vma = proc.vmas.find(vpn)
-    region = proc.region(hvpn)
-    policy = kernel.policy
     anon = vma.kind is VMAKind.ANON
-
-    # madvise hints trump the policy: NOHUGEPAGE forces base pages,
-    # HUGEPAGE requests a huge mapping even from reluctant policies.
-    if vma.hint is HugePageHint.NEVER:
-        want_huge = False
-    elif vma.hint is HugePageHint.ALWAYS:
-        want_huge = True
-    else:
-        want_huge = policy.fault_size(proc, vma, vpn) == "huge"
-
-    if want_huge and not region.resident and vma.covers(hvpn << 9, PAGES_PER_HUGE):
+    if _huge_at_fault(kernel.policy, proc, vma, vpn):
         latency = _try_huge_fault(kernel, proc, vma, hvpn, anon)
         if latency is not None:
             return latency
 
     return _base_fault(kernel, proc, vma, vpn, anon)
+
+
+def _huge_at_fault(policy: HugePagePolicy, proc: Process, vma: VMA, vpn: int) -> bool:
+    """Whether a fault on unmapped ``vpn`` tries a huge mapping.
+
+    Only a non-resident region its VMA covers can take one (Linux
+    considers THP only for an empty PMD whose VMA spans the aligned
+    2 MiB), so only there is the policy asked: madvise hints first
+    (NOHUGEPAGE forces base pages, HUGEPAGE requests a huge mapping even
+    from reluctant policies), then ``policy.fault_size``.
+    """
+    hvpn = vpn >> 9
+    if proc.region(hvpn).resident or not vma.covers(hvpn << 9, PAGES_PER_HUGE):
+        return False
+    if vma.hint is HugePageHint.NEVER:
+        return False
+    if vma.hint is HugePageHint.ALWAYS:
+        return True
+    return policy.fault_size(proc, vma, vpn) == "huge"
 
 
 def _numa_target(kernel: "Kernel", proc: Process, vma: VMA | None,
@@ -240,19 +247,11 @@ def handle_fault_range(
                     pos += n
                     continue
             elif not (swapped and (pid, vpn) in swapped):
-                region = proc.region(hvpn)
-                if vma.hint is HugePageHint.NEVER:
-                    want_huge = False
-                elif vma.hint is HugePageHint.ALWAYS:
-                    want_huge = True
-                else:
-                    want_huge = policy.fault_size(proc, vma, vpn) == "huge"
                 # A huge-fault-eligible page takes the scalar path: on
                 # success the rest of the region takes the huge-mapped run
                 # above, on fallback it becomes resident>0 and bulk base
                 # faults apply.
-                if not (want_huge and not region.resident
-                        and vma.covers(hvpn << 9, PAGES_PER_HUGE)):
+                if not _huge_at_fault(policy, proc, vma, vpn):
                     # Contiguous unmapped, unswapped run: the bulk base-fault path.
                     mapped = np.flatnonzero(frames >= 0)
                     v = vpn + int(mapped[0]) if mapped.shape[0] else seg_end

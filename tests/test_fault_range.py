@@ -258,6 +258,30 @@ def test_batched_madvise_matches_scalar_unmap():
     assert np.array_equal(kb.frames.allocated, ks.frames.allocated)
 
 
+def test_fault_size_is_asked_only_where_a_huge_fault_can_happen():
+    """A §3.5 cap refuses a huge page once per region that could take one:
+    once a region is resident no huge fault is possible, so the policy is
+    not asked again (Linux considers THP only for an empty PMD).  The bulk
+    run and the per-page loop ask it at the same pages."""
+    from repro.core.hawkeye import HawkEyePolicy
+
+    seen = []
+    for reference in (True, False):
+        Process._next_pid = 1
+        kernel = Kernel(KernelConfig(mem_bytes=32 * MB), lambda k: HawkEyePolicy(
+            k, variant="g", huge_page_limits={_Idle.name: 1}))
+        if reference:
+            oracle.install(kernel)
+        log = audit.attach(kernel)
+        proc = kernel.spawn(_Idle()).proc
+        kernel.mmap(proc, 8 * MB, "heap")
+        vma = kernel.find_vma(proc, "heap")
+        kernel.fault_range(proc, vma.start, 4 * 512, content=ContentSpec())
+        seen.append((kernel.policy.limits.refusals, log.recorded,
+                     log.rejections, proc.stats.huge_faults, proc.stats.faults))
+    assert seen[1] == seen[0] == (3, 3, {"fault_size": {"limit_cap": 3}}, 1, 1 + 3 * 512)
+
+
 # ---------------------------------------------------------------------- #
 # kernel: a bulk run that crosses memory pressure                         #
 # ---------------------------------------------------------------------- #
