@@ -227,7 +227,7 @@ def test_exited_process_series_are_dropped(kernel_hawkeye):
 #: ``self_profile`` dropped).  A change here means the telemetry bytes
 #: moved; refactors of the publication path must leave it alone.
 PINNED_ARTIFACT_SHA256 = (
-    "62b485d82b14b3738d0935a48578eddb758ad245bfe99962d1e95d187041fc9e")
+    "cba5bcb42edff5fe4d98854292ee4d1f007e1584d736c93de4f4436700b2a3a9")
 
 
 def test_captured_artifact_bytes_are_pinned():
