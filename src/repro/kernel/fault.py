@@ -282,23 +282,24 @@ def _bulk_base_fault(
 ) -> tuple[float, int]:
     """Allocate, map, account and write a run of base faults in bulk.
 
-    Two phases.  Per buddy extent: pop it (so a mid-run budget stop
-    leaves the free lists exactly as the scalar loop would), return the
-    surplus past a budget stop, and charge the counters — fault latency
-    ``count × costs.base_fault(needs_zero)``, budget drain ``count ×
-    max(cost + work_us, pace_us)`` — in the scalar float order.  Once per
-    run, :func:`_write_extents` writes the page table, rmap, zeroing,
-    content and tracepoints of every extent popped.  Only when the buddy
-    runs dry are the pending extents written first and
-    :meth:`Kernel.alloc_base_run_extent` asked to relieve pressure, so
-    reclaim, policy relief and swap see the page tables and rmap the
-    scalar loop leaves.  Returns ``(µs, pages)`` where the µs are the
-    budget consumption.
+    Two phases.  Per buddy extent: pop exactly the frames the per-page
+    loop would take before its budget stop, and charge the counters —
+    fault latency ``count × costs.base_fault(needs_zero)``, budget drain
+    ``count × max(cost + work_us, pace_us)`` — in the scalar float order.
+    Where the budget could stop the run inside the extent, the extent is
+    peeked first and only its prefix allocated, so the free lists and the
+    frame ledger never see a surplus pop.  Once per run,
+    :func:`_write_extents` writes the page table, rmap, zeroing, content
+    and tracepoints of every extent popped.  Only when the buddy runs dry
+    are the pending extents written first and the kernel asked to relieve
+    pressure, so reclaim, policy relief and swap see the page tables and
+    rmap the scalar loop leaves.  Returns ``(µs, pages)`` where the µs
+    are the budget consumption.
     """
     anon = vma.kind is VMAKind.ANON
     trusts = kernel.policy.trusts_zero_lists
     base_fault = kernel.costs.base_fault
-    try_extent = kernel.buddy.try_alloc_run_extent
+    buddy = kernel.buddy
     pid = proc.pid
     pstats = proc.stats
     kstats = kernel.stats
@@ -310,31 +311,32 @@ def _bulk_base_fault(
     # Bulk runs never cross a huge-region boundary, so one placement
     # decision covers the whole run (interleave keys on the region).
     node, strict = _numa_target(kernel, proc, vma, vpn0 >> 9)
+    where = {} if node is None else {"node": node, "strict": strict}
+    # The dearest page: a budget that covers the rest of the run at this
+    # rate cannot stop it inside an extent.
+    max_inc = max(max(base_fault(False), base_fault(True)) + work_us, pace_us)
     while done < npages and total < budget_us:
         want = npages - done
-        got = (try_extent(want, anon, pid) if node is None
-               else try_extent(want, anon, pid, node=node, strict=strict))
+        left = budget_us - total
+        peek = not math.isinf(left) and math.ceil(left / max_inc) < want
+        got = (buddy.peek_run_extent(want, anon, **where) if peek
+               else buddy.try_alloc_run_extent(want, anon, pid, **where))
         if got is None:
             _write_extents(kernel, proc, vpn0 + written, pending, content)
             written = done
             pending = []
-            got = kernel.alloc_base_run_extent(
-                want, prefer_zero=anon, owner=pid, node=node, strict=strict)
+            kernel._relieve_pressure_or_oom()
+            continue
         start, count, zeroed = got
         needs_zero = anon and (not zeroed or not trusts)
         per_page = base_fault(needs_zero)
         inc = max(per_page + work_us, pace_us)
-        left = budget_us - total
         # The scalar loop faults another page whenever the time consumed
         # so far is below budget, so this extent contributes exactly
         # ceil(left / inc) pages before the stop (capped by its size).
         take = count if math.isinf(left) else min(count, int(math.ceil(left / inc)))
-        if take < count:
-            # Return the surplus: scalar would never have allocated it.
-            # free_range reinserts the identical maximal decomposition
-            # (no buddy of a surplus piece can be free: the drained prefix
-            # is allocated and the block's outer buddies were not free).
-            kernel.buddy.free_range(start + take, count - take)
+        if peek:
+            buddy.try_alloc_run_extent(take, anon, pid, **where)
         pending.append((start, take, needs_zero, per_page))
         run_us = take * per_page
         total += take * inc

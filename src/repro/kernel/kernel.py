@@ -481,27 +481,6 @@ class Kernel:
                 return got
             self._relieve_pressure_or_oom()
 
-    def alloc_base_run_extent(
-        self, max_pages: int, prefer_zero: bool, owner: int,
-        node: int | None = None, strict: bool = False,
-    ) -> tuple[int, int, bool]:
-        """Bulk-allocate one ``(start, count, zeroed)`` extent of base frames.
-
-        Same pressure fallback as :meth:`alloc_base_frame` — the scalar
-        path relieves pressure exactly when a single ``try_alloc(0)``
-        fails, and the bulk extent allocator fails at the same boundary
-        (every free list empty).
-        """
-        while True:
-            if node is None:
-                got = self.buddy.try_alloc_run_extent(max_pages, prefer_zero, owner)
-            else:
-                got = self.buddy.try_alloc_run_extent(
-                    max_pages, prefer_zero, owner, node=node, strict=strict)
-            if got is not None:
-                return got
-            self._relieve_pressure_or_oom()
-
     def _relieve_pressure_or_oom(self) -> None:
         """Reclaim file cache, ask the policy, then swap; raise OOM if all fail."""
         freed = self.fragmenter.reclaim(PAGES_PER_HUGE)

@@ -223,12 +223,18 @@ class BuddyAllocator:
 
     def peek_run_extent(
         self, max_pages: int, prefer_zero: bool = True
-    ) -> tuple[int, int] | None:
-        """``(start, count)`` of the extent :meth:`try_alloc_run_extent`
-        would allocate now, allocating nothing.  Asking it for fewer pages
-        right after allocates a prefix of this extent."""
+    ) -> tuple[int, int, bool] | None:
+        """``(start, count, zeroed)`` of the extent
+        :meth:`try_alloc_run_extent` would allocate now, allocating
+        nothing.  Asking it for fewer pages right after allocates a prefix
+        of this extent, with the same ``zeroed``."""
         nxt = self._next_extent(max_pages, prefer_zero)
-        return None if nxt is None else (nxt[0], nxt[3])
+        if nxt is None:
+            return None
+        start, _, zeroed, pages, uniform = nxt
+        # A mixed block gives one frame, zero or not by its own content.
+        return start, pages, zeroed if uniform else bool(
+            self.frames.first_nonzero[start] < 0)
 
     def _next_extent(
         self, max_pages: int, prefer_zero: bool

@@ -130,7 +130,7 @@ class Compactor:
             ext = buddy.peek_run_extent(len(occupied) - moved, prefer_zero=False)
             if ext is None:
                 break
-            start, count = ext
+            start, count, _ = ext
             for new in range(start, start + count):
                 if not self.migrate(occupied[moved], new):
                     refused = new

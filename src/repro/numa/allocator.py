@@ -127,6 +127,17 @@ class NodeAllocator:
                 return ext
         return None
 
+    def peek_run_extent(
+        self, max_pages: int, prefer_zero: bool = True,
+        node: int | None = None, strict: bool = False,
+    ) -> tuple[int, int, bool] | None:
+        """The extent :meth:`try_alloc_run_extent` would allocate now."""
+        for candidate in self._probe_order(node, strict):
+            ext = self.zones[candidate].peek_run_extent(max_pages, prefer_zero)
+            if ext is not None:
+                return ext
+        return None
+
     def try_alloc_run(
         self, npages: int, prefer_zero: bool = True, owner: int = NO_OWNER,
         node: int | None = None, strict: bool = False,

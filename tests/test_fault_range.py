@@ -258,6 +258,22 @@ def test_batched_madvise_matches_scalar_unmap():
     assert np.array_equal(kb.frames.allocated, ks.frames.allocated)
 
 
+@pytest.mark.parametrize("policy", ["linux-4kb", "hawkeye-4kb"])
+def test_budget_stop_inside_an_extent_pops_no_surplus(policy):
+    """A budget stop inside a buddy extent allocates only the frames the
+    per-page loop faults: popping the rest and freeing it again would
+    reorder the free lists and wipe the surplus frames' ledger history."""
+    states = []
+    for reference in (True, False):
+        kernel, proc, vma = build_kernel(policy, reference)
+        ledger = audit.attach(kernel).ledger
+        for _ in range(2):
+            kernel.fault_range(proc, vma.start + 3, 2000, budget_us=100.0)
+        states.append((buddy_snapshot(kernel.buddy),
+                       {name: getattr(ledger, name).tolist() for name in LEDGER_COLUMNS}))
+    assert states[1] == states[0]
+
+
 def test_fault_size_is_asked_only_where_a_huge_fault_can_happen():
     """A §3.5 cap refuses a huge page once per region that could take one:
     once a region is resident no huge fault is possible, so the policy is
