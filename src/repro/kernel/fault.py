@@ -62,14 +62,9 @@ def handle_fault(kernel: "Kernel", proc: Process, vpn: int, vma: VMA | None = No
 
 
 def _huge_at_fault(policy: HugePagePolicy, proc: Process, vma: VMA, vpn: int) -> bool:
-    """Whether a fault on unmapped ``vpn`` tries a huge mapping.
-
-    Only a non-resident region its VMA covers can take one (Linux
-    considers THP only for an empty PMD whose VMA spans the aligned
-    2 MiB), so only there is the policy asked: madvise hints first
-    (NOHUGEPAGE forces base pages, HUGEPAGE requests a huge mapping even
-    from reluctant policies), then ``policy.fault_size``.
-    """
+    """Whether a fault on unmapped ``vpn`` tries a huge mapping.  Only a
+    non-resident region its VMA covers can take one (Linux's empty-PMD
+    rule), so only there are the madvise hint, then the policy, asked."""
     hvpn = vpn >> 9
     if proc.region(hvpn).resident or not vma.covers(hvpn << 9, PAGES_PER_HUGE):
         return False
@@ -166,32 +161,35 @@ def handle_fault_range(
     vma: VMA | None = None,
     work_us: float = 0.0,
     pace_us: float = 0.0,
+    stride: int = 1,
 ) -> tuple[float, int]:
     """Batched equivalent of per-page ``handle_fault`` plus content writes.
 
-    Touches ``[vpn0, vpn0 + npages)`` in ascending order and stops — like
-    the scalar touch loop — once the consumed time reaches ``budget_us``
-    (checked before each page, so the same one-page overshoot is
-    possible).  Each page consumes ``max(fault_cost + work_us, pace_us)``
-    of budget, mirroring the touch loop's per-page work and client pacing;
-    only the raw fault cost is charged to fault-time statistics.  Returns
-    ``(consumed_us, pages_processed)``.
+    Touches ``npages`` pages ``stride`` apart from ``vpn0`` in ascending
+    order and stops — like the per-page touch loop
+    (:func:`repro.oracle.touch_pages`) — once the consumed time reaches
+    ``budget_us`` (checked before each page, so the same one-page
+    overshoot is possible).  Each page consumes ``max(fault_cost +
+    work_us, pace_us)`` of budget, mirroring the touch loop's per-page
+    work and client pacing; only the raw fault cost is charged to
+    fault-time statistics.  Returns ``(consumed_us, pages_processed)``.
 
     The contract is *exact equivalence*: page tables, rmap, buddy
     free-list contents (including dict order, which drives future
     allocations), frame content descriptors and all counters end up
     identical to running ``handle_fault`` — and, when ``content`` is
-    given, a per-page :meth:`FrameTable.write` — page by page.  The only
-    tolerated difference is float rounding in latency totals, which are
-    charged as ``count × per-fault-cost`` per uniform run.
+    given, a per-page :meth:`FrameTable.write` — page by page.  Strided
+    runs charge the budget and fault-time totals page by page too, so
+    they match the loop exactly; dense runs charge them as ``count ×
+    per-fault-cost`` per uniform run, which may differ in float rounding.
 
-    Pages that cannot take the bulk path fall back to scalar
-    ``handle_fault``: shared-zero / shared-COW mappings (write breaks),
-    swapped-out pages, and the first page of a region eligible for a huge
-    fault.  Policies with reservation or post-fault hooks (FreeBSD) and
-    kernels with a ``frame_alloc_hook`` (virtualised setups) take the
-    scalar path for the entire range.  ``content`` duck-types
-    :class:`repro.workloads.base.ContentSpec`.
+    Within one huge region, pages that cannot take a bulk path fall back
+    to scalar ``handle_fault``: shared-zero / shared-COW mappings (write
+    breaks), swapped-out pages, and the first page of a region eligible
+    for a huge fault.  Policies with reservation or post-fault hooks
+    (FreeBSD) and kernels with a ``frame_alloc_hook`` (virtualised
+    setups) take the scalar path for the entire range.  ``content``
+    duck-types :class:`repro.workloads.base.ContentSpec`.
 
     Bulk runs require ``policy.fault_size`` to be stable across a huge
     region for a fixed state (it is consulted once per run, not per
@@ -211,39 +209,34 @@ def handle_fault_range(
     consumed = 0.0
     pos = 0
     while pos < npages and consumed < budget_us:
-        vpn = vpn0 + pos
+        vpn = vpn0 + pos * stride
         if vma is None or not vma.contains(vpn):
             vma = proc.vmas.find(vpn)
         if not scalar_only:
             hvpn = vpn >> 9
-            seg_end = min((hvpn + 1) << 9, vma.end, vpn0 + npages)
-            # Touching an already-mapped page costs flat_inc: the budget
-            # stops a touch-only run after this many pages.
-            limit = seg_end
-            if flat_inc > 0.0 and not math.isinf(budget_us):
-                limit = min(limit, vpn + int(math.ceil((budget_us - consumed) / flat_inc)))
+            # This region's pages of the run: vpn, vpn + stride, ... < seg_end.
+            seg_end = min((hvpn + 1) << 9, vma.end, vpn0 + npages * stride)
+            n = -(-(seg_end - vpn) // stride)
             if hvpn < pt.hframe.shape[0] and pt.hframe[hvpn] >= 0:
                 # Whole tail of the region is huge-mapped: touch + write only.
-                n = limit - vpn
+                consumed, n = _charge(consumed, budget_us, flat_inc, n, stride)
                 pt.hflags[hvpn] |= ACCESSED
                 if content is not None:
                     frame0 = int(pt.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1))
-                    _write_content_run(kernel, frame0, n, content)
-                consumed += n * flat_inc
+                    _write_content_run(kernel, frame0, n, content, stride)
                 pos += n
                 continue
-            frames = pt.frame[vpn:seg_end]
+            frames = pt.frame[vpn:seg_end:stride]
             if frames.shape[0] and frames[0] >= 0:
                 if not pt.flags[vpn] & SHARED:
                     # Run of private already-mapped base pages: touch + write only.
-                    frames = frames[: limit - vpn]
-                    flags = pt.flags[vpn:limit]
+                    flags = pt.flags[vpn:seg_end:stride]
                     stop = np.flatnonzero((frames < 0) | (flags & SHARED != 0))
                     n = int(stop[0]) if stop.shape[0] else frames.shape[0]
+                    consumed, n = _charge(consumed, budget_us, flat_inc, n, stride)
                     flags[:n] |= ACCESSED
                     if content is not None:
                         _write_content_frames(kernel, frames[:n], content)
-                    consumed += n * flat_inc
                     pos += n
                     continue
             elif not (swapped and (pid, vpn) in swapped):
@@ -252,18 +245,19 @@ def handle_fault_range(
                 # above, on fallback it becomes resident>0 and bulk base
                 # faults apply.
                 if not _huge_at_fault(policy, proc, vma, vpn):
-                    # Contiguous unmapped, unswapped run: the bulk base-fault path.
+                    # Unmapped, unswapped run: the bulk base-fault path.
                     mapped = np.flatnonzero(frames >= 0)
-                    v = vpn + int(mapped[0]) if mapped.shape[0] else seg_end
+                    if mapped.shape[0]:
+                        n = int(mapped[0])
                     if swapped:
-                        v = next((u for u in range(vpn + 1, v) if (pid, u) in swapped), v)
-                    run_us, run_pages = _bulk_base_fault(
-                        kernel, proc, vma, vpn, v - vpn, budget_us - consumed,
-                        content, work_us, pace_us,
+                        n = next((i for i in range(1, n)
+                                  if (pid, vpn + i * stride) in swapped), n)
+                    consumed, pages = _bulk_base_fault(
+                        kernel, proc, vma, vpn, n, consumed, budget_us,
+                        content, work_us, pace_us, stride,
                     )
-                    consumed += run_us
-                    pos += run_pages
-                    if run_pages < v - vpn:
+                    pos += pages
+                    if pages < n:
                         break  # latency budget exhausted mid-run
                     continue
         # Per-page path: every page under scalar_only, shared pages (write
@@ -276,26 +270,49 @@ def handle_fault_range(
     return consumed, pos
 
 
+def _charge(consumed: float, budget_us: float, inc: float, n: int,
+            stride: int) -> tuple[float, int]:
+    """Charge up to ``n`` pages ``inc`` µs each while ``consumed`` is below
+    ``budget_us`` (checked before each page, as the per-page loop checks
+    it); returns ``(consumed, pages)``.  Dense runs (``stride`` 1) add
+    ``pages × inc`` at once, the float order their blessed results
+    encode; strided runs add page by page, the per-page loop's own."""
+    if stride == 1:
+        if inc > 0.0 and not math.isinf(budget_us):
+            n = min(n, math.ceil((budget_us - consumed) / inc))
+        return consumed + n * inc, n
+    if n > 0 and (last := trace.repeat_add(consumed, inc, n - 1)) < budget_us:
+        return last + inc, n
+    pages = 0
+    while pages < n and consumed < budget_us:
+        consumed += inc
+        pages += 1
+    return consumed, pages
+
+
 def _bulk_base_fault(
     kernel: "Kernel", proc: Process, vma: VMA, vpn0: int, npages: int,
-    budget_us: float, content, work_us: float = 0.0, pace_us: float = 0.0,
+    consumed: float, budget_us: float, content, work_us: float,
+    pace_us: float, stride: int,
 ) -> tuple[float, int]:
-    """Allocate, map, account and write a run of base faults in bulk.
+    """Allocate, map, account and write a run of ``npages`` base faults
+    ``stride`` apart from ``vpn0``, inside one huge region.
 
     Two phases.  Per buddy extent: pop exactly the frames the per-page
-    loop would take before its budget stop, and charge the counters —
-    fault latency ``count × costs.base_fault(needs_zero)``, budget drain
-    ``count × max(cost + work_us, pace_us)`` — in the scalar float order.
-    Where the budget could stop the run inside the extent, the extent is
-    peeked first and only its prefix allocated, so the free lists and the
-    frame ledger never see a surplus pop.  Once per run,
-    :func:`_write_extents` writes the page table, rmap, zeroing, content
-    and tracepoints of every extent popped.  Only when the buddy runs dry
-    are the pending extents written first and the kernel asked to relieve
-    pressure, so reclaim, policy relief and swap see the page tables and
-    rmap the scalar loop leaves.  Returns ``(µs, pages)`` where the µs
-    are the budget consumption.
+    loop takes before its budget stop (peeking the extent first where
+    the budget could stop the run inside it), and charge the counters
+    per :func:`_charge`.  Once per run, :func:`_write_extents` writes the
+    page table, rmap, zeroing, content and tracepoints of every extent
+    popped.  Only when the buddy runs dry are the pending extents written
+    first and the kernel asked to relieve pressure, so reclaim, policy
+    relief and swap see the page tables and rmap the scalar loop leaves.
+    Returns ``(consumed, pages)``, consumption continuing from
+    ``consumed``.
     """
+    # Dense runs charge their budget from zero and hand the sum back.
+    outer = 0.0
+    if stride == 1:
+        outer, consumed, budget_us = consumed, 0.0, budget_us - consumed
     anon = vma.kind is VMAKind.ANON
     trusts = kernel.policy.trusts_zero_lists
     base_fault = kernel.costs.base_fault
@@ -303,7 +320,6 @@ def _bulk_base_fault(
     pid = proc.pid
     pstats = proc.stats
     kstats = kernel.stats
-    total = 0.0
     done = 0
     written = 0
     #: (start, pages, needs_zero, per_page) popped but not yet written.
@@ -315,14 +331,14 @@ def _bulk_base_fault(
     # The dearest page: a budget that covers the rest of the run at this
     # rate cannot stop it inside an extent.
     max_inc = max(max(base_fault(False), base_fault(True)) + work_us, pace_us)
-    while done < npages and total < budget_us:
+    while done < npages and consumed < budget_us:
         want = npages - done
-        left = budget_us - total
-        peek = not math.isinf(left) and math.ceil(left / max_inc) < want
+        peek = _charge(consumed, budget_us, max_inc, want, stride)[1] < want
         got = (buddy.peek_run_extent(want, anon, **where) if peek
                else buddy.try_alloc_run_extent(want, anon, pid, **where))
         if got is None:
-            _write_extents(kernel, proc, vpn0 + written, pending, content)
+            _write_extents(kernel, proc, vpn0 + written * stride, pending,
+                           content, stride)
             written = done
             pending = []
             kernel._relieve_pressure_or_oom()
@@ -330,38 +346,37 @@ def _bulk_base_fault(
         start, count, zeroed = got
         needs_zero = anon and (not zeroed or not trusts)
         per_page = base_fault(needs_zero)
-        inc = max(per_page + work_us, pace_us)
-        # The scalar loop faults another page whenever the time consumed
-        # so far is below budget, so this extent contributes exactly
-        # ceil(left / inc) pages before the stop (capped by its size).
-        take = count if math.isinf(left) else min(count, int(math.ceil(left / inc)))
+        consumed, take = _charge(consumed, budget_us,
+                                 max(per_page + work_us, pace_us), count, stride)
         if peek:
             buddy.try_alloc_run_extent(take, anon, pid, **where)
         pending.append((start, take, needs_zero, per_page))
-        run_us = take * per_page
-        total += take * inc
         done += take
         pstats.faults += take
-        pstats.fault_time_us += run_us
-        proc.fault_time_epoch_us += run_us
         kstats.faults += take
+        pstats.fault_time_us = _charge(pstats.fault_time_us, math.inf, per_page,
+                                       take, stride)[0]
+        proc.fault_time_epoch_us = _charge(proc.fault_time_epoch_us, math.inf,
+                                           per_page, take, stride)[0]
         if take < count:
             break
-    _write_extents(kernel, proc, vpn0 + written, pending, content)
-    return total, done
+    _write_extents(kernel, proc, vpn0 + written * stride, pending, content, stride)
+    return outer + consumed, done
 
 
 def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
-                   pending: list[tuple[int, int, bool, float]], content) -> None:
+                   pending: list[tuple[int, int, bool, float]], content,
+                   stride: int) -> None:
     """Write popped ``(start, pages, needs_zero, per_page)`` extents,
-    mapped at ``vpn0`` on: one pass over each structure for all of them.
+    mapped at ``vpn0`` on, ``stride`` apart: one pass over each structure
+    for all of them.
 
     Every frame gets the events the per-extent order gives it (zeroed,
     then written), and content tags are minted extent by extent, frame
     by frame.  A stretch of consecutive extents with equal ``per_page``
-    covers consecutive vpns, so one ``emit_run`` over it is the scalar
-    loop's per-page stream (``per_page`` is exactly the scalar latency —
-    the bulk path has no backing hook or swap).
+    covers consecutive pages of the run, so one ``emit_run`` over it is
+    the scalar loop's per-page stream (``per_page`` is exactly the scalar
+    latency — the bulk path has no backing hook or swap).
     """
     if not pending:
         return
@@ -372,8 +387,8 @@ def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
     if zero:
         frames.zero_fill_frames(idx if len(zero) == len(runs) else _frames_of(zero))
     extents = [(start, count, False) for start, count in runs]
-    proc.page_table.map_base_range(vpn0, extents, accessed=True)
-    kernel.rmap_add_range(proc, vpn0, extents)
+    proc.page_table.map_base_range(vpn0, extents, accessed=True, step=stride)
+    kernel.rmap_add_range(proc, vpn0, extents, stride)
     if content is not None:
         if content.zero:
             frames.write_zero(idx)
@@ -383,8 +398,8 @@ def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
         vpn = vpn0
         for per_page, stretch in itertools.groupby(pending, operator.itemgetter(3)):
             n = sum(count for _, count, _, _ in stretch)
-            tp.emit_run(trace.TraceKind.FAULT_BASE, proc.name, per_page, vpn, n)
-            vpn += n
+            tp.emit_run(trace.TraceKind.FAULT_BASE, proc.name, per_page, vpn, n, stride)
+            vpn += n * stride
 
 
 def _frames_of(runs: list[tuple[int, int]]) -> np.ndarray:
@@ -392,12 +407,14 @@ def _frames_of(runs: list[tuple[int, int]]) -> np.ndarray:
     return np.concatenate([np.arange(start, start + count) for start, count in runs])
 
 
-def _write_content_run(kernel: "Kernel", frame0: int, count: int, content) -> None:
-    """Apply a ContentSpec to ``count`` consecutive frames."""
+def _write_content_run(kernel: "Kernel", frame0: int, count: int, content,
+                       stride: int) -> None:
+    """Apply a ContentSpec to ``count`` frames ``stride`` apart."""
     if content.zero:
-        kernel.frames.write_zero(slice(frame0, frame0 + count))
+        kernel.frames.write_zero(slice(frame0, frame0 + count * stride, stride))
     else:
-        kernel.frames.write_range(frame0, count, content.first_nonzero, content.shared_tag)
+        kernel.frames.write_range(frame0, count, content.first_nonzero,
+                                  content.shared_tag, stride)
 
 
 def _write_content_frames(kernel: "Kernel", frames: np.ndarray, content) -> None:

@@ -360,16 +360,17 @@ class Kernel:
         vma=None,
         work_us: float = 0.0,
         pace_us: float = 0.0,
+        stride: int = 1,
     ) -> tuple[float, int]:
-        """Touch ``npages`` consecutive virtual pages through the bulk path.
+        """Touch ``npages`` virtual pages ``stride`` apart through the bulk path.
 
         Exactly equivalent to the per-page touch loop
-        (:func:`repro.workloads.base.touch_pages` with stride 1); see
+        (:func:`repro.oracle.touch_pages`); see
         :func:`repro.kernel.fault.handle_fault_range`.  Returns
         ``(consumed_us, pages)``.
         """
         return handle_fault_range(
-            self, proc, vpn0, npages, budget_us, content, vma, work_us, pace_us
+            self, proc, vpn0, npages, budget_us, content, vma, work_us, pace_us, stride
         )
 
     def madvise_free(self, proc: Process, vpn: int, npages: int) -> float:
@@ -545,18 +546,19 @@ class Kernel:
         """Record the reverse mapping of a huge block's head frame."""
         self._rmap_huge[frame] = (proc, hvpn)
 
-    def rmap_add_range(self, proc: Process, vpn0: int, extents: list[tuple[int, int, bool]]) -> None:
-        """Batched :meth:`rmap_add`: consecutive vpns over physical extents."""
+    def rmap_add_range(self, proc: Process, vpn0: int,
+                       extents: list[tuple[int, int, bool]], step: int = 1) -> None:
+        """Batched :meth:`rmap_add`: vpns ``step`` apart over physical extents."""
         self._rmap_procs[proc.pid] = proc
         vpn = vpn0
         for start, count, _ in extents:
             end = start + count
             self.rmap_pid[start:end] = proc.pid
-            self.rmap_vpn[start:end] = np.arange(vpn, vpn + count, dtype=np.int64)
+            self.rmap_vpn[start:end] = np.arange(vpn, vpn + count * step, step, dtype=np.int64)
             self.rmap_seq[start:end] = np.arange(
                 self._rmap_next, self._rmap_next + count, dtype=np.int64)
             self._rmap_next += count
-            vpn += count
+            vpn += count * step
 
     def rmap_remove(self, frame: int) -> None:
         """Forget a base frame's reverse mapping (it stops being private)."""

@@ -1,7 +1,7 @@
 """Per-page and per-region reference loops for the kernel's fast paths.
 
 The access-bit sample, the HawkEye access_map rebuild, the NUMA
-candidate harvest, dense faulting, madvise unmapping, the set-up
+candidate harvest, faulting (dense or strided), madvise unmapping, the set-up
 fragmenter and compaction's chunk evacuation each run as one batched or
 vectorized pass that is exactly equivalent to a loop kept here.
 :func:`install` binds the loops onto one kernel instance; the
@@ -25,7 +25,6 @@ from repro.mem.compaction import CompactionStats, Compactor
 from repro.mem.fragmentation import FILE_CACHE_OWNER, Fragmenter, fmfi
 from repro.numa.allocator import NodeCompactor
 from repro.units import HUGE_PAGE_ORDER, PAGES_PER_HUGE
-from repro.workloads.base import touch_pages
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -57,12 +56,31 @@ def sample_access_bits(self: "Kernel") -> None:
             self.numa.on_sample(proc)
 
 
-def fault_range(self: "Kernel", proc: "Process", vpn0: int, npages: int,
+def touch_pages(self: "Kernel", proc: "Process", vpn0: int, npages: int,
                 budget_us: float = math.inf, content=None, vma=None,
-                work_us: float = 0.0, pace_us: float = 0.0) -> tuple[float, int]:
-    """Scalar reference for ``Kernel.fault_range``: one fault per page."""
-    return touch_pages(self, proc, vpn0, 1, npages, budget_us, content,
-                       work_us, pace_us)
+                work_us: float = 0.0, pace_us: float = 0.0,
+                stride: int = 1) -> tuple[float, int]:
+    """Scalar reference for ``Kernel.fault_range``: fault, then write
+    ``content`` (unless None) into, every ``stride``-th page from
+    ``vpn0``, one page at a time, up to ``npages`` pages or until the
+    consumed time reaches ``budget_us``.  Each page consumes
+    ``max(fault_cost + work_us, pace_us)``."""
+    consumed = 0.0
+    done = 0
+    frames = self.frames
+    while done < npages and consumed < budget_us:
+        vpn = vpn0 + done * stride
+        cost = self.fault(proc, vpn)
+        translated = proc.page_table.translate(vpn)
+        if translated is not None and content is not None:
+            frame, _ = translated
+            if content.zero:
+                frames.write_zero(frame)
+            else:
+                frames.write(frame, content.first_nonzero, content.shared_tag)
+        consumed += max(cost + work_us, pace_us)
+        done += 1
+    return consumed, done
 
 
 def unmap_base_pages(self: "Kernel", proc: "Process", vpn: int, npages: int) -> float:
@@ -212,7 +230,7 @@ def install(kernel: "Kernel") -> None:
     HawkEye policy's, NUMA state's, fragmenter's and zone compactors');
     classes and other kernels keep the production paths."""
     kernel._sample_access_bits = MethodType(sample_access_bits, kernel)
-    kernel.fault_range = MethodType(fault_range, kernel)
+    kernel.fault_range = MethodType(touch_pages, kernel)
     kernel._unmap_base_batched = MethodType(unmap_base_pages, kernel)
     if isinstance(kernel.policy, HawkEyePolicy):
         kernel.policy.on_sample = MethodType(hawkeye_on_sample, kernel.policy)

@@ -7,7 +7,9 @@ Two entry points, both reachable through ``python -m repro bench``:
   batched fault fast path and once on a kernel running the per-page
   references of :mod:`repro.oracle`.  Reporting both gives a
   machine-independent speedup ratio (used by CI) next to the absolute
-  pages/second (used for baselines).
+  pages/second (used for baselines).  The same workload touching every
+  :data:`TOUCH_STRIDE`-th page is timed the same way and reported
+  beside it, ungated.
 * :func:`epoch_benchmark` — the same scheme for the vectorized epoch
   engine (access-bit sampling, access_map ranking, NUMA harvest).
 * :func:`profile_target` — a cProfile report over a paper benchmark's
@@ -44,6 +46,8 @@ from repro.workloads.base import (
 
 #: pages in the microbenchmark's touch region (256 MiB effective).
 TOUCH_PAGES = 256 * MB // 4096
+#: stride of the strided touch timing (the fleet's sparse batch tier).
+TOUCH_STRIDE = 4
 
 
 class _TouchBench(Workload):
@@ -58,15 +62,18 @@ class _TouchBench(Workload):
 
     name = "touch-bench"
 
-    def __init__(self, npages: int):
+    def __init__(self, npages: int, stride: int = 1):
         self.npages = npages
+        self.stride = stride
 
     def build_phases(self) -> list[Phase]:
         content = ContentSpec(first_nonzero=9)
+        grow, regrow = (TouchOp("heap", npages=self.npages, stride_pages=self.stride,
+                                content=content) for _ in range(2))
         return [
-            Phase("grow", ops=[TouchOp("heap", npages=self.npages, content=content)]),
+            Phase("grow", ops=[grow]),
             Phase("shrink", ops=[FreeOp("heap")]),
-            Phase("regrow", ops=[TouchOp("heap", npages=self.npages, content=content)]),
+            Phase("regrow", ops=[regrow]),
         ]
 
     def mmap_bytes(self) -> int:
@@ -115,12 +122,13 @@ def _paired(run_a, run_b, pairs: int) -> tuple[float, float, float]:
 
 
 def _run_once(policy: str, npages: int, reference: bool = False,
-              trace_mode: str = "off") -> float:
+              trace_mode: str = "off", stride: int = 1) -> float:
     """One timed run; returns wall seconds.
 
     ``reference`` runs the kernel with :func:`repro.oracle.install`'s
     per-page fault and unmap loops; ``trace_mode`` selects the
-    observability state under test (see :func:`_observers`).
+    observability state under test (see :func:`_observers`); ``stride``
+    touches every ``stride``-th page of the region.
     """
     reset_sim_state()
     # make_kernel takes the *full-scale* size; 2x headroom over the region
@@ -130,7 +138,7 @@ def _run_once(policy: str, npages: int, reference: bool = False,
     if reference:
         oracle.install(kernel)
     with _observers(kernel, trace_mode):
-        bench = _TouchBench(npages)
+        bench = _TouchBench(npages, stride)
         run = kernel.spawn(bench)
         kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
         t0 = time.perf_counter()
@@ -150,7 +158,9 @@ def touch_benchmark(
     for each mode, the derived pages/second, and the batched/scalar
     speedup ratio.  A third configuration, every observer attached but
     silent (``trace_mode="disabled"``), yields ``trace_overhead``: the
-    cost of the guards relative to the bare run, gated below 5 %.
+    cost of the guards relative to the bare run, gated below 5 %.  The
+    ``strided_*`` entries time the stride-:data:`TOUCH_STRIDE` touch,
+    batched and per-page, best of ``repeats`` each; no check reads them.
     """
     total_pages = 2 * npages  # grow + regrow both touch the full region
     scalar_s = min(_run_once(policy, npages, reference=True) for _ in range(repeats))
@@ -159,6 +169,10 @@ def touch_benchmark(
         lambda: _run_once(policy, npages, trace_mode="disabled"),
         2 * max(repeats, 5),
     )
+    strided_s, strided_scalar_s = (
+        min(_run_once(policy, npages, reference=reference, stride=TOUCH_STRIDE)
+            for _ in range(repeats))
+        for reference in (False, True))
     return {
         "policy": policy,
         "pages": total_pages,
@@ -169,6 +183,10 @@ def touch_benchmark(
         "scalar_pages_per_s": round(total_pages / scalar_s),
         "speedup": round(scalar_s / batched_s, 2),
         "trace_overhead": round(overhead, 4),
+        "stride": TOUCH_STRIDE,
+        "strided_batched_s": round(strided_s, 4),
+        "strided_scalar_s": round(strided_scalar_s, 4),
+        "strided_speedup": round(strided_scalar_s / strided_s, 2),
     }
 
 
@@ -183,6 +201,9 @@ def format_touch_report(result: dict) -> str:
         f"  speedup: {result['speedup']:.2f}x",
         f"  tracing disabled-overhead: {result['trace_overhead']:+.1%}"
         f"  ({result['trace_disabled_s']:.3f}s with silent tracer)",
+        f"  stride {result['stride']}: batched {result['strided_batched_s']:.3f}s, scalar"
+        f" {result['strided_scalar_s']:.3f}s, speedup {result['strided_speedup']:.2f}x"
+        " (not gated)",
     ])
 
 

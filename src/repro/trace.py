@@ -130,7 +130,7 @@ class TraceEvent:
         )
 
 
-def _repeat_add(total: float, value: float, n: int) -> float:
+def repeat_add(total: float, value: float, n: int) -> float:
     """``total`` plus ``value`` added ``n`` times, one addition at a time.
 
     Bit-identical to ``for _ in range(n): total += value`` (never
@@ -187,7 +187,7 @@ class LatencyHistogram:
             idx = math.frexp(span_us)[1] - 1
         self.buckets[idx] = self.buckets.get(idx, 0) + n
         self.count += n
-        self.total_us = _repeat_add(self.total_us, span_us, n)
+        self.total_us = repeat_add(self.total_us, span_us, n)
         if span_us < self.min_us:
             self.min_us = span_us
         if span_us > self.max_us:
@@ -332,19 +332,20 @@ class Tracer:
         span_us: float,
         page0: int,
         n: int,
+        step: int = 1,
     ) -> None:
-        """Emit ``n`` events on consecutive pages ``page0 .. page0 + n - 1``.
+        """Emit ``n`` events on pages ``page0, page0 + step, ...``.
 
         Exactly equivalent to ``n`` calls ``emit(kind, process, span_us,
-        page0 + i)``: the same counts, span totals (accumulated by ``n``
-        sequential additions), histogram, buffered events, drop count and
-        one-time warning.  Only the events that still fit under
+        page0 + i * step)``: the same counts, span totals (accumulated by
+        ``n`` sequential additions), histogram, buffered events, drop
+        count and one-time warning.  Only the events that still fit under
         ``capacity`` are built.
         """
         if n <= 0:
             return
         self.counts[kind] = self.counts.get(kind, 0) + n
-        self.spans[kind] = _repeat_add(self.spans.get(kind, 0.0), span_us, n)
+        self.spans[kind] = repeat_add(self.spans.get(kind, 0.0), span_us, n)
         if span_us > 0.0:
             hist = self.histograms.get(kind)
             if hist is None:
@@ -355,7 +356,7 @@ class Tracer:
             now_us = self.kernel.now_us
             self.events.extend(
                 TraceEvent(now_us, kind, process, span_us, page)
-                for page in range(page0, page0 + kept)
+                for page in range(page0, page0 + kept * step, step)
             )
         if kept < n:
             self._drop(n - kept)

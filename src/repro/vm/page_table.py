@@ -204,12 +204,12 @@ class PageTable:
         if hvpn >= self.hcount.shape[0]:
             self.hcount = _grown(self.hcount, hvpn + 1, 0)
 
-    def _count(self, vpn0: int, end: int, sign: int) -> None:
-        """Add ``sign`` to ``hcount`` once per vpn of ``[vpn0, end)``."""
+    def _count(self, vpn0: int, end: int, sign: int, step: int = 1) -> None:
+        """Add ``sign`` to ``hcount`` once per vpn of ``range(vpn0, end, step)``."""
         if vpn0 >> 9 == (end - 1) >> 9:  # one region: every bulk fault and run unmap
-            self.hcount[vpn0 >> 9] += sign * (end - vpn0)
+            self.hcount[vpn0 >> 9] += sign * len(range(vpn0, end, step))
         else:
-            np.add.at(self.hcount, np.arange(vpn0, end) >> 9, sign)
+            np.add.at(self.hcount, np.arange(vpn0, end, step) >> 9, sign)
 
     def _set_flags(self, column: str, key: int, old: int, new: int) -> None:
         """Write one mapping's flags, keeping ``shared_zero_count``."""
@@ -243,34 +243,42 @@ class PageTable:
             self.shared_zero_count += 1
 
     def map_base_range(
-        self, vpn0: int, extents: list[tuple[int, int, bool]], accessed: bool = False
+        self, vpn0: int, extents: list[tuple[int, int, bool]], accessed: bool = False,
+        step: int = 1,
     ) -> int:
-        """Install private base mappings for consecutive vpns over ``extents``.
+        """Install private base mappings for vpns ``step`` apart over ``extents``.
 
         ``extents`` is a list of ``(start_frame, count, zeroed)`` runs (the
         shape :meth:`repro.mem.buddy.BuddyAllocator.try_alloc_run` returns);
-        virtual pages ``vpn0, vpn0+1, ...`` map onto the extents' frames in
-        order, and take consecutive ``seq`` values in ascending vpn order.
-        Returns the number of mappings installed.
+        virtual pages ``vpn0, vpn0 + step, ...`` map onto the extents'
+        frames in order, and take consecutive ``seq`` values in ascending
+        vpn order.  Returns the number of mappings installed.
         """
         total = sum(count for _, count, _ in extents)
         if total == 0:
             return 0
-        end = vpn0 + total
-        if (self.frame[vpn0:end] >= 0).any():
+        end = vpn0 + (total - 1) * step + 1
+        if (self.frame[vpn0:end:step] >= 0).any():
             raise InvalidAddressError(f"range [{vpn0}, {end}) overlaps base mappings")
-        if (self.hframe[vpn0 >> 9 : ((end - 1) >> 9) + 1] >= 0).any():
+        if step == 1:
+            huge = self.hframe[vpn0 >> 9 : ((end - 1) >> 9) + 1]
+        else:
+            hvpns = np.arange(vpn0, end, step) >> 9
+            huge = self.hframe[hvpns[hvpns < self.hframe.shape[0]]]
+        if (huge >= 0).any():
             raise InvalidAddressError(f"range [{vpn0}, {end}) overlaps a huge mapping")
         self._ensure_base(end)
         vpn = vpn0
         for start, count, _ in extents:
-            self.frame[vpn : vpn + count] = np.arange(start, start + count, dtype=np.int64)
-            vpn += count
-        self.flags[vpn0:end] = ACCESSED if accessed else 0
-        self.seq[vpn0:end] = np.arange(self._next_seq, self._next_seq + total, dtype=np.int64)
+            self.frame[vpn : vpn + count * step : step] = np.arange(
+                start, start + count, dtype=np.int64)
+            vpn += count * step
+        self.flags[vpn0:end:step] = ACCESSED if accessed else 0
+        self.seq[vpn0:end:step] = np.arange(
+            self._next_seq, self._next_seq + total, dtype=np.int64)
         self._next_seq += total
         self.nbase += total
-        self._count(vpn0, end, 1)
+        self._count(vpn0, end, 1, step)
         return total
 
     def map_huge(self, hvpn: int, frame: int, accessed: bool = False) -> HugePTE:

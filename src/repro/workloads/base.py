@@ -236,48 +236,15 @@ class TouchOp(Op):
             max_this_call = min(max_this_call, int(self.rate_pages_per_sec * budget_us / SEC) + 1)
         pace_us = SEC / self.rate_pages_per_sec if self.rate_pages_per_sec else 0.0
         vpn = vma.start + self.start_page + self._pos * self.stride_pages
-        if self.stride_pages == 1 and self._pos < total:
-            # Dense touch: the bulk fault fast path (scalar-equivalent,
-            # including the budget stop, per-page work and rate pacing —
-            # the per-page budget increment max(cost + work, pace) is
-            # uniform within each uniform run, so it batches exactly).
-            consumed, pages = kernel.fault_range(
-                proc, vpn, max_this_call, budget_us, self.content, vma,
-                work_us=self.work_per_page_us, pace_us=pace_us,
-            )
-        else:
-            consumed, pages = touch_pages(
-                kernel, proc, vpn, self.stride_pages, max_this_call, budget_us,
-                self.content, self.work_per_page_us, pace_us,
-            )
+        # The bulk fault path, scalar-equivalent to faulting and writing
+        # page by page, including the budget stop, per-page work and rate
+        # pacing.
+        consumed, pages = kernel.fault_range(
+            proc, vpn, max_this_call, budget_us, self.content, vma,
+            work_us=self.work_per_page_us, pace_us=pace_us, stride=self.stride_pages,
+        )
         self._pos += pages
         return consumed, self._pos >= total
-
-
-def touch_pages(kernel, proc, vpn0: int, stride: int, npages: int,
-                budget_us: float, content, work_us: float,
-                pace_us: float) -> tuple[float, int]:
-    """Fault, then write ``content`` (unless None) into, every
-    ``stride``-th page from ``vpn0``, up to ``npages`` pages or until the
-    consumed time reaches ``budget_us``.  Each page consumes
-    ``max(fault_cost + work_us, pace_us)``.  Returns
-    ``(consumed_us, pages)``."""
-    consumed = 0.0
-    done = 0
-    frames = kernel.frames
-    while done < npages and consumed < budget_us:
-        vpn = vpn0 + done * stride
-        cost = kernel.fault(proc, vpn)
-        translated = proc.page_table.translate(vpn)
-        if translated is not None and content is not None:
-            frame, _ = translated
-            if content.zero:
-                frames.write_zero(frame)
-            else:
-                frames.write(frame, content.first_nonzero, content.shared_tag)
-        consumed += max(cost + work_us, pace_us)
-        done += 1
-    return consumed, done
 
 
 @dataclass

@@ -374,6 +374,53 @@ def test_bulk_run_crossing_pressure_matches_scalar(policy, swap_mb, oom, content
         assert batched[key] == scalar[key], key
 
 
+def touch_strided_under_pressure(kernel, proc, vma, stride, budget_us):
+    """A huge-mapped or dense first region and a dense stretch further
+    on, then a strided touch of the whole heap, resumed call after call
+    like ``TouchOp`` until done or out of memory.  Returns each call's
+    ``(consumed, pages)`` and whether the kernel ran out of memory."""
+    content = ContentSpec()
+    calls = []
+    try:
+        kernel.fault_range(proc, vma.start, 100, content=content)
+        kernel.fault_range(proc, vma.start + 1024, 600, content=content)
+        # Only the strided calls' charges are compared exactly.
+        proc.stats.fault_time_us = proc.fault_time_epoch_us = 0.0
+        total = -(-(vma.npages - 3) // stride)
+        pos = 0
+        while pos < total:
+            calls.append(kernel.fault_range(
+                proc, vma.start + 3 + pos * stride, total - pos, budget_us,
+                content, work_us=1.0, stride=stride))
+            pos += calls[-1][1]
+    except OutOfMemoryError:
+        return calls, True
+    return calls, False
+
+
+@pytest.mark.parametrize("budget_us", [math.inf, 400.0], ids=["unbounded", "budget"])
+@pytest.mark.parametrize("stride", [2, 3, 4, 7, 64, 511, 512])
+@pytest.mark.parametrize("policy", ["linux-2mb", "hawkeye-g", "hawkeye-4kb",
+                                    "linux-4kb", "ingens-90"])
+def test_strided_run_crossing_pressure_matches_scalar(policy, stride, budget_us):
+    """A strided run takes the bulk paths inside each huge region — huge
+    tail, mapped pages, bulk base faults, with per-page swap-ins and huge
+    faults between — and must leave what the per-page loop leaves, with
+    the budget, ``fault_time_us`` and the epoch fault time charged page by
+    page in the loop's float order, so they match exactly."""
+    states = []
+    for reference in (True, False):
+        kernel, proc, vma, tracer = build_pressure_kernel(policy, reference, 2)
+        calls, oom = touch_strided_under_pressure(kernel, proc, vma, stride, budget_us)
+        state = pressure_state(kernel, proc, tracer)
+        state["calls"] = (calls, oom)
+        state["fault_time"] = (proc.stats.fault_time_us, proc.fault_time_epoch_us)
+        states.append(state)
+    scalar, batched = states
+    for key in scalar:
+        assert batched[key] == scalar[key], key
+
+
 # ---------------------------------------------------------------------- #
 # perf harness                                                            #
 # ---------------------------------------------------------------------- #
@@ -396,6 +443,15 @@ def test_touch_benchmark_smoke():
     assert result["pages"] == 2048
     assert result["batched_s"] > 0 and result["scalar_s"] > 0
     assert "speedup" in format_touch_report(result)
+
+
+def test_touch_benchmark_reports_strided_touch():
+    from repro.perf import TOUCH_STRIDE, format_touch_report, touch_benchmark
+
+    result = touch_benchmark(npages=1024, repeats=1)
+    assert result["stride"] == TOUCH_STRIDE == 4
+    assert result["strided_batched_s"] > 0 and result["strided_scalar_s"] > 0
+    assert "stride 4" in format_touch_report(result)
 
 
 def test_cli_bench_accepts_touch_target():

@@ -8,8 +8,9 @@ built by :func:`repro.oracle.install`, whose ``fault_range`` and
 madvise unmap run one ``Kernel.fault`` / one unmap per page: page
 tables (including flag bits), rmap, buddy free lists (contents *and*
 dict order, which drives future allocations), frame-table arrays and
-fault counters.  Latency totals may differ only
-by float rounding (they are charged as ``count x per-page cost``).
+fault counters.  Dense touches' latency totals may differ only by float
+rounding (they are charged as ``count x per-page cost``); strided
+touches charge page by page, so each one's consumed time is exact.
 
 The equivalence extends to the tracepoint stream: both paths must emit
 the *same events in the same order* — kind, process, page and detail
@@ -64,6 +65,7 @@ ops_strategy = st.lists(
             st.integers(1, REGION_PAGES),
             st.sampled_from([0.0, 1.0]),   # work_per_page_us
             st.sampled_from([0.0, 4.0]),   # pace_us
+            st.one_of(st.just(1), st.integers(1, 512)),  # stride
         ),
         st.tuples(
             st.just("free"),
@@ -71,11 +73,12 @@ ops_strategy = st.lists(
             st.integers(1, 700),
             st.just(0.0),
             st.just(0.0),
+            st.just(1),
         ),
         st.tuples(st.just("promote"), st.integers(0, NUM_REGIONS - 1),
-                  st.just(0), st.just(0.0), st.just(0.0)),
+                  st.just(0), st.just(0.0), st.just(0.0), st.just(1)),
         st.tuples(st.just("demote"), st.integers(0, NUM_REGIONS - 1),
-                  st.just(0), st.just(0.0), st.just(0.0)),
+                  st.just(0), st.just(0.0), st.just(0.0), st.just(1)),
     ),
     min_size=1,
     max_size=12,
@@ -94,18 +97,22 @@ def _build(policy_name: str, batched: bool, capacity: int = trace.DEFAULT_CAPACI
     return kernel, proc, tracer
 
 
-def _apply(kernel, proc, ops) -> tuple[float, bool]:
+def _apply(kernel, proc, ops, strided=None) -> tuple[float, bool]:
+    """Run ``ops``; each strided touch's consumed time goes to ``strided``."""
     content = ContentSpec(first_nonzero=9)
     vma = kernel.find_vma(proc, "heap")
     total = 0.0
     try:
-        for kind, a, b, work, pace in ops:
+        for kind, a, b, work, pace, stride in ops:
             if kind == "touch":
-                n = min(b, REGION_PAGES - a)
+                n = min(b, -(-(REGION_PAGES - a) // stride))
                 consumed, pages = kernel.fault_range(
-                    proc, vma.start + a, n, content=content, work_us=work, pace_us=pace
+                    proc, vma.start + a, n, content=content, work_us=work,
+                    pace_us=pace, stride=stride,
                 )
                 assert pages == n
+                if stride > 1 and strided is not None:
+                    strided.append(consumed)
                 total += consumed
             elif kind == "free":
                 n = min(b, REGION_PAGES - a)
@@ -174,11 +181,13 @@ def _assert_tracers_match(ts, tb, policy_name: str) -> None:
 @given(ops=ops_strategy)
 def test_batched_equals_scalar(policy_name, ops):
     ks, ps, ts = _build(policy_name, batched=False)
-    scalar_total, scalar_oom = _apply(ks, ps, ops)
+    scalar_strided, batched_strided = [], []
+    scalar_total, scalar_oom = _apply(ks, ps, ops, scalar_strided)
     kb, pb, tb = _build(policy_name, batched=True)
-    batched_total, batched_oom = _apply(kb, pb, ops)
+    batched_total, batched_oom = _apply(kb, pb, ops, batched_strided)
 
     assert scalar_oom == batched_oom
+    assert batched_strided == scalar_strided, "strided touches charge page by page"
     # Event-stream equality: same tracepoints, same order, same spans
     # (up to the count x per-page float-rounding the latency totals get).
     assert ts.dropped == 0 and tb.dropped == 0

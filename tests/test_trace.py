@@ -521,9 +521,9 @@ def test_batched_fault_path_emits_one_run_per_extent(kernel4k, monkeypatch):
     runs = []
     real_emit_run = trace.Tracer.emit_run
 
-    def recording_emit_run(self, kind, process, span_us, page0, n):
+    def recording_emit_run(self, kind, process, span_us, page0, n, step=1):
         runs.append(n)
-        real_emit_run(self, kind, process, span_us, page0, n)
+        real_emit_run(self, kind, process, span_us, page0, n, step)
 
     def no_emit(*args, **kwargs):
         pytest.fail("the batched path emitted a single page")
