@@ -223,7 +223,8 @@ def handle_fault_range(
                 pt.hflags[hvpn] |= ACCESSED
                 if content is not None:
                     frame0 = int(pt.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1))
-                    _write_content_run(kernel, frame0, n, content, stride)
+                    _write_content_frames(
+                        kernel, np.arange(frame0, frame0 + n * stride, stride), content)
                 pos += n
                 continue
             frames = pt.frame[vpn:seg_end:stride]
@@ -405,16 +406,6 @@ def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
 def _frames_of(runs: list[tuple[int, int]]) -> np.ndarray:
     """The frames of ``(start, count)`` runs, run after run, ascending in each."""
     return np.concatenate([np.arange(start, start + count) for start, count in runs])
-
-
-def _write_content_run(kernel: "Kernel", frame0: int, count: int, content,
-                       stride: int) -> None:
-    """Apply a ContentSpec to ``count`` frames ``stride`` apart."""
-    if content.zero:
-        kernel.frames.write_zero(slice(frame0, frame0 + count * stride, stride))
-    else:
-        kernel.frames.write_range(frame0, count, content.first_nonzero,
-                                  content.shared_tag, stride)
 
 
 def _write_content_frames(kernel: "Kernel", frames: np.ndarray, content) -> None:

@@ -268,11 +268,8 @@ class PageTable:
         if (huge >= 0).any():
             raise InvalidAddressError(f"range [{vpn0}, {end}) overlaps a huge mapping")
         self._ensure_base(end)
-        vpn = vpn0
-        for start, count, _ in extents:
-            self.frame[vpn : vpn + count * step : step] = np.arange(
-                start, start + count, dtype=np.int64)
-            vpn += count * step
+        self.frame[vpn0:end:step] = np.concatenate(
+            [np.arange(start, start + count, dtype=np.int64) for start, count, _ in extents])
         self.flags[vpn0:end:step] = ACCESSED if accessed else 0
         self.seq[vpn0:end:step] = np.arange(
             self._next_seq, self._next_seq + total, dtype=np.int64)
