@@ -291,6 +291,12 @@ def _charge(consumed: float, budget_us: float, inc: float, n: int,
     return consumed, pages
 
 
+#: Slack on the peek test, far above the relative rounding of the 512
+#: page-by-page additions a run can make: a budget above ``pages × dearest
+#: per-page charge × slack`` cannot stop the run inside an extent.
+_PEEK_SLACK = 1.0 + 2.0 ** -30
+
+
 def _bulk_base_fault(
     kernel: "Kernel", proc: Process, vma: VMA, vpn0: int, npages: int,
     consumed: float, budget_us: float, content, work_us: float,
@@ -329,12 +335,12 @@ def _bulk_base_fault(
     # decision covers the whole run (interleave keys on the region).
     node, strict = _numa_target(kernel, proc, vma, vpn0 >> 9)
     where = {} if node is None else {"node": node, "strict": strict}
-    # The dearest page: a budget that covers the rest of the run at this
-    # rate cannot stop it inside an extent.
+    # The dearest per-page charge: the extent is peeked only where the
+    # budget could stop the run inside it.
     max_inc = max(max(base_fault(False), base_fault(True)) + work_us, pace_us)
     while done < npages and consumed < budget_us:
         want = npages - done
-        peek = _charge(consumed, budget_us, max_inc, want, stride)[1] < want
+        peek = (consumed + want * max_inc) * _PEEK_SLACK >= budget_us
         got = (buddy.peek_run_extent(want, anon, **where) if peek
                else buddy.try_alloc_run_extent(want, anon, pid, **where))
         if got is None:
@@ -355,10 +361,13 @@ def _bulk_base_fault(
         done += take
         pstats.faults += take
         kstats.faults += take
-        pstats.fault_time_us = _charge(pstats.fault_time_us, math.inf, per_page,
-                                       take, stride)[0]
-        proc.fault_time_epoch_us = _charge(proc.fault_time_epoch_us, math.inf,
-                                           per_page, take, stride)[0]
+        if stride == 1:
+            pstats.fault_time_us += take * per_page
+            proc.fault_time_epoch_us += take * per_page
+        else:
+            pstats.fault_time_us = trace.repeat_add(pstats.fault_time_us, per_page, take)
+            proc.fault_time_epoch_us = trace.repeat_add(
+                proc.fault_time_epoch_us, per_page, take)
         if take < count:
             break
     _write_extents(kernel, proc, vpn0 + written * stride, pending, content, stride)
@@ -389,7 +398,7 @@ def _write_extents(kernel: "Kernel", proc: Process, vpn0: int,
         frames.zero_fill_frames(idx if len(zero) == len(runs) else _frames_of(zero))
     extents = [(start, count, False) for start, count in runs]
     proc.page_table.map_base_range(vpn0, extents, accessed=True, step=stride)
-    kernel.rmap_add_range(proc, vpn0, extents, stride)
+    kernel.rmap_add_range(proc, vpn0, idx, stride)
     if content is not None:
         if content.zero:
             frames.write_zero(idx)

@@ -546,19 +546,16 @@ class Kernel:
         """Record the reverse mapping of a huge block's head frame."""
         self._rmap_huge[frame] = (proc, hvpn)
 
-    def rmap_add_range(self, proc: Process, vpn0: int,
-                       extents: list[tuple[int, int, bool]], step: int = 1) -> None:
-        """Batched :meth:`rmap_add`: vpns ``step`` apart over physical extents."""
+    def rmap_add_range(self, proc: Process, vpn0: int, frames: np.ndarray,
+                       step: int = 1) -> None:
+        """Batched :meth:`rmap_add`: ``frames`` (an index array, in mapping
+        order) map the vpns ``step`` apart from ``vpn0``."""
+        n = frames.shape[0]
         self._rmap_procs[proc.pid] = proc
-        vpn = vpn0
-        for start, count, _ in extents:
-            end = start + count
-            self.rmap_pid[start:end] = proc.pid
-            self.rmap_vpn[start:end] = np.arange(vpn, vpn + count * step, step, dtype=np.int64)
-            self.rmap_seq[start:end] = np.arange(
-                self._rmap_next, self._rmap_next + count, dtype=np.int64)
-            self._rmap_next += count
-            vpn += count * step
+        self.rmap_pid[frames] = proc.pid
+        self.rmap_vpn[frames] = np.arange(vpn0, vpn0 + n * step, step, dtype=np.int64)
+        self.rmap_seq[frames] = np.arange(self._rmap_next, self._rmap_next + n, dtype=np.int64)
+        self._rmap_next += n
 
     def rmap_remove(self, frame: int) -> None:
         """Forget a base frame's reverse mapping (it stops being private)."""
@@ -751,7 +748,7 @@ class Kernel:
         block = int(pt.hframe[hvpn])
         self._rmap_huge.pop(block, None)
         pt.demote_huge(hvpn)
-        self.rmap_add_range(proc, hvpn << 9, [(block, PAGES_PER_HUGE, False)])
+        self.rmap_add_range(proc, hvpn << 9, np.arange(block, block + PAGES_PER_HUGE))
         proc.stats.demotions += 1
         self.stats.demotions += 1
         if (al := self.audit) is not None and al.enabled:
