@@ -1,9 +1,10 @@
 """Per-page and per-region reference loops for the kernel's fast paths.
 
 The access-bit sample, the HawkEye access_map rebuild, the NUMA
-candidate harvest, faulting (dense or strided), madvise unmapping, the set-up
-fragmenter and compaction's chunk evacuation each run as one batched or
-vectorized pass that is exactly equivalent to a loop kept here.
+candidate harvest, dense and strided faulting, madvise unmapping, the
+set-up fragmenter and compaction's chunk evacuation each run as one
+batched or vectorized pass that is exactly equivalent to a loop kept
+here.
 :func:`install` binds the loops onto one kernel instance; the
 equivalence tests compare such a twin with a plain kernel, and
 ``repro bench touch|epoch`` time it as the speedup denominator.  No
