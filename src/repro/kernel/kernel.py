@@ -265,36 +265,26 @@ class Kernel:
             self._rmap_huge.pop(frame, None)
             self.buddy.free(frame, 9)
             freed += PAGES_PER_HUGE
-        # Base teardown, batched: frames return to the buddy allocator in
-        # page-table insertion order, with maximal runs of consecutive
-        # private frames released via ``free_range`` (scalar-equivalent,
-        # see ``_unmap_base_batched``).  Shared pages flush the pending run
-        # first because ``cow_registry.unshare`` can free the canonical
-        # frame, which must keep its place in the sequence.  Most exits
-        # hold tens of base pages, so the walk is over plain lists.
+        # Base teardown, batched: private frames return to the buddy
+        # allocator in page-table insertion order, in one ``free_runs`` pass
+        # (per-frame equivalent).  A KSM page cuts the pass, because
+        # ``cow_registry.unshare`` can free the canonical frame, which must
+        # keep its place in the sequence.
         if pt.nbase:
             vpns = pt.base_in_order()
             frames = pt.frame[vpns]
             shared = pt.flags[vpns] & SHARED
-            self.rmap_pid[frames[shared == 0]] = 0
-            run_start = run_len = 0
-            for frame, fl in zip(frames.tolist(), shared.tolist()):
-                if not fl and run_len and frame == run_start + run_len:
-                    run_len += 1
-                    continue
-                if run_len:
-                    self.buddy.free_range(run_start, run_len)
-                    freed += run_len
-                    run_len = 0
-                if not fl:
-                    run_start, run_len = frame, 1
-                elif fl & SHARED_ZERO:
-                    self.zero_registry.unshare()
-                else:
-                    self.cow_registry.unshare(frame)
-            if run_len:
-                self.buddy.free_range(run_start, run_len)
-                freed += run_len
+            private = shared == 0
+            self.rmap_pid[frames[private]] = 0
+            lo = 0
+            for ksm in np.flatnonzero(shared & SHARED_COW).tolist() + [None]:
+                run = frames[lo:ksm][private[lo:ksm]]
+                self.buddy.free_runs(run)
+                freed += run.shape[0]
+                if ksm is not None:
+                    self.cow_registry.unshare(int(frames[ksm]))
+                    lo = ksm + 1
+            self.zero_registry.unshare(pt.shared_zero_count)
         pt.clear()
         self._rmap_procs.pop(proc.pid, None)
         if self.swap is not None:
@@ -322,6 +312,7 @@ class Kernel:
         npages = pages_of(nbytes)
         cursor = self._va_cursor.get(proc.pid, PAGES_PER_HUGE)
         vma = proc.vmas.add(VMA(cursor, npages, name, kind))
+        proc.page_table.generation += 1
         # Leave a guard region so separate VMAs never share a huge region.
         end = cursor + npages
         self._va_cursor[proc.pid] = end + PAGES_PER_HUGE - (end % PAGES_PER_HUGE or PAGES_PER_HUGE) + PAGES_PER_HUGE
@@ -430,7 +421,9 @@ class Kernel:
                 i += 1
                 continue
             # Maximal run of private mappings onto ascending consecutive
-            # frames, cut at region ends (simulated results depend on it).
+            # frames, cut at region ends only for the float order of the
+            # cost sum (one add per region piece, as the blessed digests
+            # encode): ``free_range`` over a longer run frees the same.
             stop = min(len(frames), (((page >> 9) + 1) << 9) - vpn)
             j = i + 1
             while j < stop and frames[j] == frame0 + j - i and not shared[j]:
@@ -650,6 +643,7 @@ class Kernel:
     def madvise_hugepage(self, proc: Process, name: str, hint) -> None:
         """madvise(MADV_HUGEPAGE / MADV_NOHUGEPAGE) on a named VMA."""
         self.find_vma(proc, name).hint = hint
+        proc.page_table.generation += 1
 
     def can_promote(self, proc: Process, hvpn: int) -> bool:
         """Whether a region is currently eligible for huge promotion."""

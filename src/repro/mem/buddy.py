@@ -340,48 +340,63 @@ class BuddyAllocator:
         return carved
 
     def free_range(self, start: int, count: int) -> None:
-        """Free an arbitrary page range, decomposed into maximal buddy blocks.
-
-        Batched bookkeeping: one double-free validation, one
-        ``mark_free`` and one zero-ness prefix-sum cover the whole range,
-        then each maximal block goes straight into the coalescing insert.
-        Free-list contents and dict order end up identical to per-block
-        :meth:`free` calls.
-        """
+        """:meth:`free_runs` over one run: ``free(f, 0)`` for each frame of
+        ``[start, start + count)``, ascending, a double free included."""
         if count <= 0:
             return
         end = start + count
         if not bool(self.frames.allocated[start:end].all()):
-            # Replay the scalar path so a double free raises on exactly
-            # the same block, with earlier blocks already freed.
-            while start < end:
-                order = 0
-                while (
-                    order < self.max_order
-                    and start % (1 << (order + 1)) == 0
-                    and start + (1 << (order + 1)) <= end
-                ):
-                    order += 1
-                self.free(start, order)
-                start += 1 << order
+            for frame in range(start, end):
+                self.free(frame, 0)
             return
-        base = start
         self.frames.mark_free(start, count)
-        nonzero = self.frames.first_nonzero[start:end] >= 0
-        csum = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(nonzero, out=csum[1:])
-        while start < end:
-            order = 0
-            while (
-                order < self.max_order
-                and start % (1 << (order + 1)) == 0
-                and start + (1 << (order + 1)) <= end
-            ):
-                order += 1
-            lo = start - base
-            self._coalesce_insert(
-                start, order, bool(csum[lo + (1 << order)] == csum[lo]))
-            start += 1 << order
+        self._insert_runs([start], [count], self.frames.first_nonzero[start:end] >= 0)
+
+    def free_runs(self, frames: np.ndarray) -> None:
+        """:meth:`free_frames` for a list made of a few ascending runs.
+
+        One allocated/zone/distinctness check, one ``mark_free_frames`` and
+        one zero-ness prefix sum; then each maximal buddy block of each
+        run goes straight into the coalescing insert, which leaves the
+        lists (dict order too) as per-frame frees would: the sub-blocks
+        those insert are merged away before anything else reads the lists.
+        A frame already free, outside the zone or listed twice replays the
+        per-frame loop, so the same frame raises with earlier frees applied.
+        """
+        n = frames.shape[0]
+        if n == 0:
+            return
+        srt = np.sort(frames)
+        if (srt[0] < self.start or srt[-1] >= self.end
+                or not bool(self.frames.allocated[frames].all())
+                or bool((srt[1:] == srt[:-1]).any())):
+            for frame in frames.tolist():
+                self.free(frame, 0)
+            return
+        self.frames.mark_free_frames(frames)
+        bounds = [0, *(np.flatnonzero(frames[1:] != frames[:-1] + 1) + 1).tolist(), n]
+        self._insert_runs([frames.item(i) for i in bounds[:-1]],
+                          [hi - lo for lo, hi in zip(bounds, bounds[1:])],
+                          self.frames.first_nonzero[frames] >= 0)
+
+    def _insert_runs(self, starts: list[int], counts: list[int], dirty: np.ndarray) -> None:
+        """Coalescing-insert the maximal buddy blocks of each run, in order;
+        ``dirty`` flags the runs' frames (concatenated) with content."""
+        csum = np.zeros(dirty.shape[0] + 1, dtype=np.int64)
+        np.cumsum(dirty, out=csum[1:])
+        csum = csum.tolist()
+        top = self.max_order
+        at = 0
+        for start, count in zip(starts, counts):
+            end = start + count
+            while start < end:
+                # the largest block aligned at ``start`` that fits the run
+                order = min(top, (end - start).bit_length() - 1,
+                            (start & -start).bit_length() - 1 if start else top)
+                size = 1 << order
+                self._coalesce_insert(start, order, csum[at + size] == csum[at])
+                start += size
+                at += size
 
     def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
         """Free order-0 frames in list order, in bulk.

@@ -182,12 +182,18 @@ class NodeAllocator:
             start = stop
 
     def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
-        """Free order-0 frames in list order, each zone's share in one
-        bulk :meth:`BuddyAllocator.free_frames` (zones never merge with
-        each other, so only the order within a zone matters).  A frame
-        already free or listed twice replays the per-frame loop across
-        all zones, so the same frame raises with the earlier frees applied.
-        """
+        """:meth:`BuddyAllocator.free_frames` per zone."""
+        self._per_zone(frames, BuddyAllocator.free_frames)
+
+    def free_runs(self, frames: np.ndarray) -> None:
+        """:meth:`BuddyAllocator.free_runs` per zone (runs split at zone ends)."""
+        self._per_zone(frames, BuddyAllocator.free_runs)
+
+    def _per_zone(self, frames: Sequence[int] | np.ndarray, method) -> None:
+        """Each zone's share of ``frames``, in list order, to its bulk free
+        ``method`` (zones never merge, so only the order within one counts).
+        A frame already free or listed twice replays the per-frame loop
+        across all zones, so it raises with the earlier frees applied."""
         idx = np.asarray(frames, dtype=np.int64)
         if idx.size == 0:
             return
@@ -198,7 +204,7 @@ class NodeAllocator:
             return
         nodes = self.node_of_arr(idx)
         for node, zone in enumerate(self.zones):
-            zone.free_frames(idx[nodes == node])
+            method(zone, idx[nodes == node])
 
     def completion_times(self, frames: Sequence[int] | np.ndarray,
                          order: int) -> np.ndarray:

@@ -64,23 +64,30 @@ class LinuxTHPPolicy(HugePagePolicy):
         self._limiter = RateLimiter(promote_per_sec, kernel.config.epoch_us)
         #: per-process scan cursor: khugepaged resumes where it left off.
         self._cursor: dict[int, int] = {}
+        #: per-process page-table generation at its last empty scan.
+        self._scanned: dict[int, int] = {}
 
     def fault_size(self, proc: Process, vma: VMA, vpn: int) -> str:
         """Map a huge page at fault whenever the region allows it."""
         return "huge"
 
     def on_epoch(self) -> None:
-        """khugepaged: FCFS across processes, ascending-VA within each."""
+        """khugepaged: FCFS across processes, ascending-VA within each,
+        skipping a process whose page-table generation has not moved
+        since its last empty scan (which reads only what bumps it)."""
         if not self.khugepaged:
             return
         self._limiter.refill()
         audited = (al := self.kernel.audit) is not None and al.enabled
         # FCFS: finish one process's scan before starting the next.
         for proc in sorted(self.kernel.processes, key=lambda p: p.launch_index):
+            if self._scanned.get(proc.pid) == proc.page_table.generation:
+                continue  # nothing changed since its last empty scan
             while True:
                 hvpn = self._next_candidate(proc)
-                if hvpn is None:
-                    break  # this process fully scanned; move to the next
+                if hvpn is None:  # fully scanned; move to the next
+                    self._scanned[proc.pid] = proc.page_table.generation
+                    break
                 resident = proc.page_table.region_resident(hvpn)
                 if not self._limiter.take():
                     if audited:
@@ -108,8 +115,9 @@ class LinuxTHPPolicy(HugePagePolicy):
                                       "max_ptes_none": self.max_ptes_none})
 
     def on_process_exit(self, proc: Process) -> None:
-        """Forget the exiting process's scan cursor."""
+        """Forget the exiting process's scan cursor and last empty scan."""
         self._cursor.pop(proc.pid, None)
+        self._scanned.pop(proc.pid, None)
 
     def _next_candidate(self, proc: Process) -> int | None:
         """Lowest promotable region at or above the scan cursor, else

@@ -25,6 +25,11 @@ order, which is the insertion order the simulator's results depend on:
 the buddy free lists' order.  The two views are read-only ``Mapping``s
 whose values are :class:`BasePTE` / :class:`HugePTE` proxies; attribute
 writes on a proxy go to the columns.
+
+**Change generation.**  Every mutator below, region-record creation
+(:meth:`PageTable.reserve_region`) and the kernel's VMA and madvise-hint
+writers bump :attr:`PageTable.generation`, so a consumer that found
+nothing to do in a process can skip it until the count moves.
 """
 
 from __future__ import annotations
@@ -165,6 +170,8 @@ class PageTable:
         self.nbase = 0
         self.nhuge = 0
         self._next_seq = 0
+        #: change generation (see the module docstring).
+        self.generation = 0
         self._reset_columns()
         #: ``vpn -> BasePTE`` and ``hvpn -> HugePTE`` views, in insertion order.
         self.base: Mapping[int, BasePTE] = _MappingView(self, "frame", "seq", "nbase", BasePTE)
@@ -197,6 +204,7 @@ class PageTable:
 
     def reserve_region(self, hvpn: int) -> None:
         """Grow the per-region columns to cover ``hvpn`` (region records do)."""
+        self.generation += 1
         if hvpn >= self.hframe.shape[0]:
             self.hframe = _grown(self.hframe, hvpn + 1, -1)
             self.hflags = _grown(self.hflags, hvpn + 1, 0)
@@ -237,6 +245,7 @@ class PageTable:
         self.flags[vpn] = (SHARED_ZERO if shared_zero else 0) | (ACCESSED if accessed else 0)
         self.seq[vpn] = self._next_seq
         self._next_seq += 1
+        self.generation += 1
         self.nbase += 1
         self.hcount[vpn >> 9] += 1
         if shared_zero:
@@ -274,6 +283,7 @@ class PageTable:
         self.seq[vpn0:end:step] = np.arange(
             self._next_seq, self._next_seq + total, dtype=np.int64)
         self._next_seq += total
+        self.generation += 1
         self.nbase += total
         self._count(vpn0, end, 1, step)
         return total
@@ -287,6 +297,7 @@ class PageTable:
         self.hflags[hvpn] = ACCESSED if accessed else 0
         self.hseq[hvpn] = self._next_seq
         self._next_seq += 1
+        self.generation += 1
         self.nhuge += 1
         self.hcount[hvpn] += PAGES_PER_HUGE
         return HugePTE(self, hvpn)
@@ -300,6 +311,7 @@ class PageTable:
         """
         old = int(self.flags[vpn])
         self.frame[vpn] = frame
+        self.generation += 1
         self._set_flags("flags", vpn, old, (old & ~clear_bits) | set_bits)
 
     def unmap_base(self, vpn: int) -> tuple[int, int]:
@@ -310,6 +322,7 @@ class PageTable:
         flags = int(self.flags[vpn])
         self.frame[vpn] = -1
         self.flags[vpn] = 0
+        self.generation += 1
         self.nbase -= 1
         self.hcount[vpn >> 9] -= 1
         if flags & SHARED_ZERO:
@@ -324,6 +337,7 @@ class PageTable:
         """
         self.frame[vpn0 : vpn0 + count] = -1
         self.flags[vpn0 : vpn0 + count] = 0
+        self.generation += 1
         self.nbase -= count
         self._count(vpn0, vpn0 + count, -1)
 
@@ -340,6 +354,7 @@ class PageTable:
         flags = self.flags[vpn0 + offs]
         self.frame[vpn0 + offs] = -1
         self.flags[vpn0 + offs] = 0
+        self.generation += 1
         self.nbase -= offs.shape[0]
         self.hcount[hvpn : hvpn + 1] -= offs.shape[0]  # a slice: hvpn may lie past the columns
         self.shared_zero_count -= int(np.count_nonzero(flags & SHARED_ZERO))
@@ -353,6 +368,7 @@ class PageTable:
         flags = int(self.hflags[hvpn])
         self.hframe[hvpn] = -1
         self.hflags[hvpn] = 0
+        self.generation += 1
         self.nhuge -= 1
         self.hcount[hvpn] -= PAGES_PER_HUGE
         return frame, flags
@@ -488,6 +504,7 @@ class PageTable:
         self.shared_zero_count = 0
         self.nbase = 0
         self.nhuge = 0
+        self.generation += 1
         self._reset_columns()
 
     def resident_pages(self) -> int:

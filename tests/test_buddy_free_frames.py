@@ -17,8 +17,9 @@ sides must agree on
 
 ``BuddyAllocator.check()`` runs on both sides after every step.  The
 same comparison covers a ``NodeAllocator`` whose zones have unaligned
-sizes, and ``completion_times`` is checked against the orders the
-per-frame ``free`` calls return.
+sizes, and ``free_runs`` (the run-wise bulk free process exit uses), on
+the same lists and on ascending ones; ``completion_times`` is checked
+against the orders the per-frame ``free`` calls return.
 """
 
 from __future__ import annotations
@@ -111,16 +112,18 @@ def _build(data, allocator_of, split: bool = False):
     return frames, allocator
 
 
-def _victims(data, frames) -> list[int]:
+def _victims(data, frames, ascending: bool = False) -> list[int]:
     """A random order over a random subset of allocated frames, maybe
-    with a duplicate or an already-free frame mixed in."""
+    with a duplicate or an already-free frame mixed in.  ``ascending``
+    sorts the subset instead, so it holds long runs of frames."""
     allocated = np.flatnonzero(frames.allocated).tolist()
     if data.draw(st.booleans(), label="all"):
         chosen = allocated
     else:
         chosen = data.draw(st.lists(st.sampled_from(allocated), unique=True)
                            if allocated else st.just([]), label="chosen")
-    chosen = data.draw(st.permutations(chosen), label="order")
+    chosen = sorted(chosen) if ascending else data.draw(st.permutations(chosen),
+                                                        label="order")
     spoil = data.draw(st.sampled_from(["none", "none", "dup", "free"]),
                       label="spoil")
     free = np.flatnonzero(~frames.allocated).tolist()
@@ -133,17 +136,18 @@ def _victims(data, frames) -> list[int]:
     return chosen
 
 
-def _compare(data, allocator_of, split: bool = False):
+def _compare(data, allocator_of, split: bool = False, method: str = "free_frames"):
     frames, bulk = _build(data, allocator_of, split)
     _, scalar = copy.deepcopy((frames, bulk))
-    victims = _victims(data, frames)
+    victims = _victims(data, frames, method == "free_runs"
+                       and data.draw(st.booleans(), label="ascending"))
 
     def loop():
         for frame in victims:
             scalar.free(frame, 0)
 
     want = _attempt(loop)
-    got = _attempt(lambda: bulk.free_frames(victims))
+    got = _attempt(lambda: getattr(bulk, method)(np.asarray(victims, dtype=np.int64)))
     assert got == want
     assert buddy_state(bulk) == buddy_state(scalar)
     if not split:
@@ -176,6 +180,16 @@ def _node_allocator(frames: FrameTable) -> NodeAllocator:
 def test_node_allocator_free_frames_matches_per_frame_loop(data):
     """Unaligned zones, split per zone in list order."""
     _compare(data, _node_allocator)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_free_runs_matches_per_frame_loop(data):
+    """``free_runs`` against the same loop, on random and ascending lists,
+    one zone or three unaligned ones, around unmerged buddies too."""
+    split = data.draw(st.booleans(), label="split")
+    _compare(data, data.draw(st.sampled_from([BuddyAllocator, _node_allocator])),
+             split, method="free_runs")
 
 
 @given(st.data())

@@ -187,3 +187,89 @@ def test_next_candidate_matches_sorted_scan(vmas, states, max_ptes_none, cursor)
         want, want_cursor = _sorted_scan(policy, proc)
         assert policy._next_candidate(proc) == want
         assert policy._cursor.get(proc.pid) == want_cursor
+
+
+# --------------------------------------------------------------------- #
+# khugepaged's skip gate: each change that can create a candidate bumps  #
+# the page-table generation, so the next epoch scans again.             #
+# --------------------------------------------------------------------- #
+
+
+def _empty_scan(kernel, proc):
+    """Run one epoch in which khugepaged finds nothing in ``proc``."""
+    promotions = kernel.stats.promotions
+    kernel.run_epochs(1)
+    assert kernel.stats.promotions == promotions
+    assert kernel.policy._scanned[proc.pid] == proc.page_table.generation
+
+
+def test_gate_skips_an_unchanged_process(kernel_thp):
+    proc, vma = make_proc(kernel_thp, nbytes=PAGES_PER_HUGE * 4096 - 4096)
+    kernel_thp.fault(proc, vma.start)  # resident, but the VMA cannot cover it
+    _empty_scan(kernel_thp, proc)
+    calls = []
+    kernel_thp.policy._next_candidate = lambda p: calls.append(p)
+    kernel_thp.run_epochs(3)
+    assert calls == []
+
+
+def test_gate_rescans_after_a_fault_into_a_covered_region(kernel_thp):
+    kernel_thp.fragmenter.fragment(keep_fraction=0.02)  # base faults only
+    proc, vma = make_proc(kernel_thp, nbytes=2 * PAGES_PER_HUGE * 4096 - 4096)
+    kernel_thp.fault(proc, vma.start)  # the covered region's record...
+    kernel_thp.madvise_free(proc, vma.start, 1)  # ...left empty
+    kernel_thp.fault(proc, vma.start + PAGES_PER_HUGE)  # resident, not covered
+    _empty_scan(kernel_thp, proc)
+    kernel_thp.fault(proc, vma.start + 5)
+    kernel_thp.fragmenter.release_all()
+    kernel_thp.run_epochs(1)
+    assert proc.page_table.region_huge(vma.start >> 9)
+
+
+def test_gate_rescans_after_madvise_hugepage(kernel_thp):
+    kernel_thp.fragmenter.fragment(keep_fraction=0.02)
+    proc, vma = make_proc(kernel_thp)
+    kernel_thp.madvise_hugepage(proc, "heap", HugePageHint.NEVER)
+    kernel_thp.fault(proc, vma.start)
+    kernel_thp.fragmenter.release_all()
+    _empty_scan(kernel_thp, proc)
+    kernel_thp.madvise_hugepage(proc, "heap", HugePageHint.ALWAYS)
+    kernel_thp.run_epochs(1)
+    assert proc.page_table.region_huge(vma.start >> 9)
+
+
+def test_gate_rescans_after_demote_region(kernel_thp):
+    proc, vma = make_proc(kernel_thp)
+    hvpn = vma.start >> 9
+    kernel_thp.fault(proc, vma.start)  # huge at fault: nothing to collapse
+    assert proc.page_table.region_huge(hvpn)
+    _empty_scan(kernel_thp, proc)
+    kernel_thp.demote_region(proc, hvpn)
+    kernel_thp.run_epochs(1)
+    assert proc.page_table.region_huge(hvpn)
+
+
+def test_gate_rescans_after_a_swap_in():
+    kernel = Kernel(small_config(swap_bytes=8 * MB),
+                    lambda k: LinuxTHPPolicy(k, promote_per_sec=100.0))
+    kernel.fragmenter.fragment(keep_fraction=0.02)
+    proc, vma = make_proc(kernel)
+    touch(kernel, proc, vma, 4)
+    assert kernel.swap.swap_out(4) == 4  # the region is empty again
+    _empty_scan(kernel, proc)
+    kernel.fault(proc, vma.start)
+    assert kernel.swap.swap_ins == 1
+    kernel.fragmenter.release_all()
+    kernel.run_epochs(1)
+    assert proc.page_table.region_huge(vma.start >> 9)
+
+
+def test_gate_rescans_after_a_region_record_appears(kernel_thp):
+    proc, vma = make_proc(kernel_thp)
+    frame, _ = kernel_thp.buddy.alloc(0, owner=proc.pid)
+    proc.page_table.map_base(vma.start, frame)  # resident, but no record
+    kernel_thp.rmap_add(frame, proc, vma.start)
+    _empty_scan(kernel_thp, proc)
+    proc.region(vma.start >> 9)
+    kernel_thp.run_epochs(1)
+    assert proc.page_table.region_huge(vma.start >> 9)

@@ -9,17 +9,24 @@ Invariants checked under arbitrary alloc/free/zeroing interleavings:
 * zero-list soundness: a block on a zero list contains only zero-content
   frames (mapping a "zero" block without clearing is *always* safe);
 * maximal coalescing: no two free buddy blocks of the same order remain
-  unmerged.
+  unmerged;
+* ``free_range`` over a run crossing huge-region and max-order
+  boundaries leaves the free lists, in dict order, exactly as per-frame
+  ``free`` calls over the same run do.
 """
 
 from __future__ import annotations
 
+import copy
+
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.frames import FrameTable
+from tests.conftest import buddy_snapshot
 
 NUM_FRAMES = 1024
 
@@ -128,3 +135,31 @@ def test_free_range_conserves(count, start):
     buddy.free_range(start, count)
     assert buddy.free_pages == count
     assert not frames.allocated[start:start + count].any()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_free_range_across_boundaries_matches_per_frame_frees(data):
+    """One ``free_range`` over a run that crosses a 512-frame region end
+    and/or a 1024-frame max-order window equals ``free(f, 0)`` frame by
+    frame, ascending: ``Kernel._unmap_base_batched`` cuts its runs at
+    region ends only for the float order of its cost sum."""
+    size = 2048
+    frames = FrameTable(size)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    frames.first_nonzero[:] = rng.choice([-1, -1, -1, 5], size)
+    buddy = BuddyAllocator(frames)
+    buddy.try_alloc_run(size)
+    boundary = data.draw(st.sampled_from([512, 1024, 1536]), label="boundary")
+    lo = boundary - data.draw(st.integers(1, 512), label="below")
+    hi = boundary + data.draw(st.integers(1, 512), label="above")
+    # free neighbours first, in random order, so the run merges into them
+    outside = np.r_[0:lo, hi:size]
+    for f in rng.permutation(outside[rng.random(outside.size) < 0.5]).tolist():
+        buddy.free(f, 0)
+    twin = copy.deepcopy(buddy)
+    buddy.free_range(lo, hi - lo)
+    for f in range(lo, hi):
+        twin.free(f, 0)
+    assert buddy_snapshot(buddy) == buddy_snapshot(twin)
+    buddy.check()
