@@ -183,7 +183,7 @@ def test_ablation_bloat_recovery_vs_samepage_merging(benchmark, scale):
         kernel.run_epochs(2)
         proc = run.proc
         # demote everything so both mechanisms work on base mappings
-        for hvpn in list(proc.page_table.huge):
+        for hvpn in proc.page_table.huge_in_order().tolist():
             kernel.demote_region(proc, hvpn)
         return kernel, proc
 

@@ -64,7 +64,7 @@ def main() -> None:
     print("# Promotions per tenant (promote tracepoints)")
     print(format_table(["tenant", "promotions"], sorted(per_tenant.items())))
     redis_proc = kernel.processes[0]
-    print(f"\nRedis holds {len(redis_proc.page_table.huge)} huge pages "
+    print(f"\nRedis holds {redis_proc.page_table.nhuge} huge pages "
           f"(cap: 8); cap refusals: {kernel.policy.limits.refusals}")
 
     print("\n# Promotion timeline (events per 60 s bucket)")

@@ -41,7 +41,7 @@ def nested_translation() -> None:
         rows.append([
             name, f"{run.elapsed_us / SEC:.0f}",
             f"{vm._host_huge_fraction * 100:.0f}%",
-            len(run.proc.page_table.huge),
+            run.proc.page_table.nhuge,
         ])
     print(format_table(
         ["configuration", "cg.D time s", "host huge backing", "guest huge pages"],

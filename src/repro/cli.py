@@ -1046,6 +1046,7 @@ def cmd_pagemap(args) -> int:
     columns (allocation site/pid/epoch, last lifecycle event).
     """
     from repro.units import PAGES_PER_HUGE
+    from repro.vm.page_table import ACCESSED, DIRTY, SHARED_COW, SHARED_ZERO
 
     result, log = _attach_audit(args)
     kernel, proc = result["kernel"], result["run"].proc
@@ -1065,22 +1066,22 @@ def cmd_pagemap(args) -> int:
     status = 0 if result["outcome"] == "completed" else 1
     if args.region is not None:
         hvpn = args.region
-        huge = pt.huge.get(hvpn)
+        huge = pt.region_huge(hvpn)
         rows = []
         for vpn in range(hvpn * PAGES_PER_HUGE, (hvpn + 1) * PAGES_PER_HUGE):
-            if huge is not None:
-                frame = huge.frame + (vpn - hvpn * PAGES_PER_HUGE)
-                flags = ("HA" if huge.accessed else "H-") \
-                    + ("D" if huge.dirty else "-")
+            if huge:
+                frame = int(pt.hframe[hvpn]) + (vpn - hvpn * PAGES_PER_HUGE)
+                bits = int(pt.hflags[hvpn])
+                flags = ("HA" if bits & ACCESSED else "H-") \
+                    + ("D" if bits & DIRTY else "-")
             else:
-                pte = pt.base.get(vpn)
-                if pte is None:
+                if not pt.base_mapped(vpn):
                     continue
-                frame = pte.frame
-                flags = ("-" + ("A" if pte.accessed else "-")
-                         + ("D" if pte.dirty else "-")
-                         + ("Z" if pte.shared_zero else "")
-                         + ("C" if pte.shared_cow else ""))
+                frame, bits = int(pt.frame[vpn]), int(pt.flags[vpn])
+                flags = ("-" + ("A" if bits & ACCESSED else "-")
+                         + ("D" if bits & DIRTY else "-")
+                         + ("Z" if bits & SHARED_ZERO else "")
+                         + ("C" if bits & SHARED_COW else ""))
             d, last = prov(frame)
             rows.append([vpn, frame, flags, node_of(frame),
                          "yes" if d["live"] else "no", d["site"],
@@ -1101,9 +1102,8 @@ def cmd_pagemap(args) -> int:
     rows = []
     for region in sorted(proc.regions.values(), key=lambda r: r.hvpn):
         hvpn = region.hvpn
-        huge = pt.huge.get(hvpn)
-        if huge is not None:
-            frame, mapping = huge.frame, "huge"
+        if pt.region_huge(hvpn):
+            frame, mapping = int(pt.hframe[hvpn]), "huge"
         else:
             frames, _ = pt.region_mirror(hvpn)
             mapped = frames[frames >= 0]

@@ -385,9 +385,8 @@ class ProcessHeat:
             age_cnt = np.zeros(nb, dtype=np.int64)
             pt = proc.page_table
             for idx, hv in enumerate(h.tolist()):
-                pte = pt.huge.get(hv)
-                if pte is not None:
-                    frame = pte.frame
+                if pt.region_huge(hv):
+                    frame = int(pt.hframe[hv])
                 else:
                     mframes, _ = pt.region_mirror(hv)
                     mapped = mframes[mframes >= 0]

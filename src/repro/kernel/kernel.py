@@ -260,7 +260,7 @@ class Kernel:
         """
         pt = proc.page_table
         freed = 0
-        for hvpn in pt.huge if pt.nhuge else ():
+        for hvpn in pt.huge_in_order().tolist() if pt.nhuge else ():
             frame = int(pt.hframe[hvpn])
             self._rmap_huge.pop(frame, None)
             self.buddy.free(frame, 9)
@@ -374,7 +374,7 @@ class Kernel:
         pt = proc.page_table
         cost = 0.0
         for hvpn in range(vpn >> 9, (vpn + npages - 1 >> 9) + 1):
-            if hvpn in pt.huge and self._range_overlaps_region(vpn, npages, hvpn):
+            if pt.region_huge(hvpn) and self._range_overlaps_region(vpn, npages, hvpn):
                 cost += self.demote_region(proc, hvpn)
         cost += self._unmap_base_batched(proc, vpn, npages)
         self.policy.on_madvise_free(proc, vpn, npages)
@@ -620,7 +620,7 @@ class Kernel:
                 fail(f"pid {proc.pid}: a frame is privately mapped twice")
             expect_pid[frames] = proc.pid
             expect_vpn[frames] = vpns
-            for hvpn in pt.huge:
+            for hvpn in np.flatnonzero(pt.hframe >= 0).tolist():
                 huge[int(pt.hframe[hvpn])] = (proc.pid, hvpn)
         live = self.rmap_pid != 0
         if not np.array_equal(self.rmap_pid, expect_pid):
@@ -711,8 +711,7 @@ class Kernel:
             cost = self.costs.promotion_collapse_us(offs.shape[0])
             collapsed = True
 
-        huge_pte = pt.map_huge(hvpn, block)
-        huge_pte.accessed = True
+        pt.map_huge(hvpn, block, accessed=True)
         self.rmap_add_huge(block, proc, hvpn)
         proc.regions[hvpn].promotions += 1
         proc.stats.promotions += 1
@@ -779,7 +778,7 @@ class Kernel:
 
     def count_zero_pages(self, proc: Process, hvpn: int) -> tuple[int, int]:
         """Count zero-filled base pages under a *huge* mapping (with scan cost)."""
-        block = proc.page_table.huge[hvpn].frame
+        block = int(proc.page_table.hframe[hvpn])
         zeros = int(self.frames.zero_mask(block, PAGES_PER_HUGE).sum())
         fnz = self.frames.first_nonzero[block:block + PAGES_PER_HUGE]
         scanned = int((fnz[fnz >= 0] + 1).sum()) + zeros * BASE_PAGE_SIZE

@@ -35,11 +35,10 @@ from repro import audit, trace
 from repro.kernel.kthread import RateLimiter
 from repro.mem.frames import ZERO_TAG
 from repro.units import BASE_PAGE_SIZE
-from repro.vm.page_table import SHARED_COW
+from repro.vm.page_table import SHARED, SHARED_COW
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-    from repro.vm.page_table import BasePTE
 
 
 class CowShareRegistry:
@@ -138,16 +137,14 @@ class SamePageMerger:
             if not self._limiter.take():
                 return merged
             self._cursor[proc.pid] = vpn
-            pte = pt.base.get(vpn)
-            if pte is None or not pte.private:
+            if not pt.base_mapped(vpn) or pt.flags[vpn] & SHARED:
                 continue
-            merged += self._consider(proc, vpn, pte)
+            merged += self._consider(proc, vpn, int(pt.frame[vpn]))
         return merged
 
-    def _consider(self, proc, vpn: int, pte: "BasePTE") -> int:
+    def _consider(self, proc, vpn: int, frame: int) -> int:
         kernel = self.kernel
         frames = kernel.frames
-        frame = pte.frame
         # a comparison reads the page (hash/compare): full-page cost
         self.bytes_compared += BASE_PAGE_SIZE
         kernel.stats.khugepaged_cpu_us += kernel.costs.ksm_compare_us

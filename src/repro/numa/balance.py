@@ -104,9 +104,8 @@ class NumaState:
         per-node counts are available via :meth:`region_node_counts`.
         """
         pt = proc.page_table
-        huge_pte = pt.huge.get(hvpn)
-        if huge_pte is not None:
-            return self.node_of(huge_pte.frame)
+        if pt.region_huge(hvpn):
+            return self.node_of(int(pt.hframe[hvpn]))
         mframes, mpriv = pt.region_mirror(hvpn)
         priv = np.nonzero(mpriv)[0]
         if priv.size == 0:
@@ -158,9 +157,8 @@ class NumaState:
         """Resident pages of a region per node (exact, one bincount)."""
         counts = [0] * self.nodes
         pt = proc.page_table
-        huge_pte = pt.huge.get(hvpn)
-        if huge_pte is not None:
-            counts[self.node_of(huge_pte.frame)] = PAGES_PER_HUGE
+        if pt.region_huge(hvpn):
+            counts[self.node_of(int(pt.hframe[hvpn]))] = PAGES_PER_HUGE
             return counts
         mframes, mpriv = pt.region_mirror(hvpn)
         frames = mframes[mpriv]
@@ -230,7 +228,8 @@ class NumaState:
         """
         pt = proc.page_table
         pte_tables = set((pt.mapped_vpns() >> 9).tolist())
-        pmd_tables = {h >> 9 for h in pte_tables} | {h >> 9 for h in pt.huge}
+        pmd_tables = {h >> 9 for h in pte_tables} | set(
+            (np.flatnonzero(pt.hframe >= 0) >> 9).tolist())
         pud_tables = {h >> 9 for h in pmd_tables}
         return len(pte_tables) + len(pmd_tables) + len(pud_tables) + 1
 
@@ -379,8 +378,8 @@ class NumaState:
                          inputs={"target_node": target})
             return 0, 0.0, False
         cost = 0.0
-        if hvpn in pt.huge:
-            if self.node_of(pt.huge[hvpn].frame) == target:
+        if pt.region_huge(hvpn):
+            if self.node_of(int(pt.hframe[hvpn])) == target:
                 self._decide(proc, hvpn, "reject", "already_local", stage=1,
                              inputs={"target_node": target})
                 return 0, 0.0, False
@@ -414,7 +413,7 @@ class NumaState:
         kernel = self.kernel
         frames = kernel.frames
         pt = proc.page_table
-        old = pt.huge[hvpn].frame
+        old = int(pt.hframe[hvpn])
         got = self.allocator.try_alloc(
             9, prefer_zero=False, owner=proc.pid, node=target, strict=True)
         if got is None:

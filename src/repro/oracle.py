@@ -89,7 +89,7 @@ def unmap_base_pages(self: "Kernel", proc: "Process", vpn: int, npages: int) -> 
     pt = proc.page_table
     cost = 0.0
     for page in range(vpn, vpn + npages):
-        if page in pt.base:
+        if pt.base_mapped(page):
             self._unmap_base_page(proc, page)
             cost += 0.2
     return cost

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.kernel.kthread import RateLimiter
-from repro.units import PAGES_PER_HUGE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.virt.hypervisor import VirtualMachine
@@ -38,10 +37,10 @@ class BalloonDriver:
         for start, order, _ in list(self.vm.guest.buddy.iter_free_blocks()):
             for frame in range(start, start + (1 << order)):
                 vpn = self.vm.host_vpn(frame)
-                if (vpn >> 9) in pt.huge:
+                if pt.region_huge(vpn >> 9):
                     # Returning any page of a host huge region breaks it.
                     host.demote_region(self.vm.host_proc, vpn >> 9)
-                if vpn not in pt.base:
+                if not pt.base_mapped(vpn):
                     continue
                 if not self._limiter.take():
                     self.returned_pages += returned

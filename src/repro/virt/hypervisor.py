@@ -34,6 +34,7 @@ import numpy as np
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.tlb.perf import PMUCounters
 from repro.units import PAGES_PER_HUGE, pages_of
+from repro.vm.page_table import SHARED_ZERO
 from repro.vm.process import Process
 from repro.workloads.base import Workload, WorkloadRun
 
@@ -113,11 +114,11 @@ class VirtualMachine:
         pt = self.host_proc.page_table
         for frame in range(start, start + count):
             vpn = self.host_vpn(frame)
-            pte = pt.base.get(vpn)
-            if pte is None and (vpn >> 9) not in pt.huge:
+            if pt.base_mapped(vpn):
+                if pt.flags[vpn] & SHARED_ZERO:
+                    cost += host.fault(self.host_proc, vpn)  # COW break
+            elif not pt.region_huge(vpn >> 9):
                 cost += host.fault(self.host_proc, vpn)
-            elif pte is not None and pte.shared_zero:
-                cost += host.fault(self.host_proc, vpn)  # COW break
             # Mark the backing as holding guest data so host-side bloat
             # recovery never de-duplicates an in-use guest page; only KSM
             # (which reads guest truth) may reclaim VM memory.

@@ -89,7 +89,7 @@ class KSMThread:
         # Scanning cost: one cheap hash/compare per page in the region.
         host.stats.khugepaged_cpu_us += host.costs.ksm_compare_us * PAGES_PER_HUGE / 64.0
 
-        if host_hvpn in pt.huge:
+        if pt.region_huge(host_hvpn):
             if nz < DEMOTE_ZERO_FRACTION * PAGES_PER_HUGE:
                 return 0
             host.demote_region(proc, host_hvpn)

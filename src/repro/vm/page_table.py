@@ -19,12 +19,11 @@ contiguity checks, NUMA placement counts) are slice reads and writes.
 **Order contract.**  Every new mapping takes the next value of one
 per-table counter as its ``seq``; changing a mapping in place (COW
 breaks, migration, zero and KSM dedup, NUMA huge migration) keeps it.
-:attr:`PageTable.base` and :attr:`PageTable.huge` iterate in ``seq``
-order, which is the insertion order the simulator's results depend on:
-``exit_process`` frees mappings in that order, and the order becomes
-the buddy free lists' order.  The two views are read-only ``Mapping``s
-whose values are :class:`BasePTE` / :class:`HugePTE` proxies; attribute
-writes on a proxy go to the columns.
+:meth:`PageTable.base_in_order` and :meth:`PageTable.huge_in_order`
+list mappings in ``seq`` order, which is the insertion order the
+simulator's results depend on: ``exit_process`` frees mappings in that
+order, and the order becomes the buddy free lists' order.  Callers
+read the columns directly; there is no per-mapping object.
 
 **Change generation.**  Every mutator below, region-record creation
 (:meth:`PageTable.reserve_region`) and the kernel's VMA and madvise-hint
@@ -33,8 +32,6 @@ nothing to do in a process can skip it until the count moves.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -67,99 +64,6 @@ def _in_seq_order(frame: np.ndarray, seq: np.ndarray) -> np.ndarray:
     return live[np.argsort(seq[live], kind="stable")]
 
 
-def _flag(bit: int, doc: str) -> property:
-    return property(lambda self: self._get(bit), lambda self, on: self._put(bit, on), doc=doc)
-
-
-class _PTE:
-    """A view of one mapping's slots in the ``_FRAME`` / ``_FLAGS`` columns."""
-
-    __slots__ = ("_pt", "_key")
-    _FRAME = _FLAGS = ""
-
-    def __init__(self, pt: "PageTable", key: int):
-        self._pt = pt
-        self._key = key
-
-    @property
-    def frame(self) -> int:
-        """Mapped frame (for a huge mapping, its order-9 block's start)."""
-        return int(getattr(self._pt, self._FRAME)[self._key])
-
-    @frame.setter
-    def frame(self, frame: int) -> None:
-        getattr(self._pt, self._FRAME)[self._key] = frame
-
-    def _get(self, bit: int) -> bool:
-        return bool(getattr(self._pt, self._FLAGS)[self._key] & bit)
-
-    def _put(self, bit: int, on: bool) -> None:
-        old = int(getattr(self._pt, self._FLAGS)[self._key])
-        self._pt._set_flags(self._FLAGS, self._key, old, old | bit if on else old & ~bit)
-
-    accessed = _flag(ACCESSED, "Hardware access bit.")
-    dirty = _flag(DIRTY, "Hardware dirty bit.")
-
-
-class BasePTE(_PTE):
-    """A 4 KiB mapping.
-
-    ``shared_zero`` marks a copy-on-write mapping of the canonical zero
-    frame; ``shared_cow`` marks a copy-on-write mapping of a KSM-merged
-    content frame.  Both are broken by the fault path on write.
-    """
-
-    __slots__ = ()
-    _FRAME, _FLAGS = "frame", "flags"
-    shared_zero = _flag(SHARED_ZERO, "Maps the canonical zero frame.")
-    shared_cow = _flag(SHARED_COW, "Maps a KSM-merged frame.")
-
-    @property
-    def private(self) -> bool:
-        """True when this mapping exclusively owns its frame."""
-        return not self._pt.flags[self._key] & SHARED
-
-
-class HugePTE(_PTE):
-    """A 2 MiB mapping over an order-9 physical block."""
-
-    __slots__ = ()
-    _FRAME, _FLAGS = "hframe", "hflags"
-
-
-class _MappingView(Mapping):
-    """Read-only ``key -> PTE proxy`` view of one granularity's columns."""
-
-    __slots__ = ("_pt", "_frame", "_seq", "_count", "_pte")
-
-    def __init__(self, pt: "PageTable", frame: str, seq: str, count: str, pte: type):
-        self._pt = pt
-        self._frame = frame
-        self._seq = seq
-        self._count = count
-        self._pte = pte
-
-    def __contains__(self, key) -> bool:
-        col = getattr(self._pt, self._frame)
-        return 0 <= key < col.shape[0] and col[key] >= 0
-
-    def __getitem__(self, key):
-        if key not in self:
-            raise KeyError(key)
-        return self._pte(self._pt, int(key))
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def __len__(self) -> int:
-        return getattr(self._pt, self._count)
-
-    def __iter__(self) -> Iterator[int]:
-        """Mapped keys in insertion (``seq``) order."""
-        pt = self._pt
-        return iter(_in_seq_order(getattr(pt, self._frame), getattr(pt, self._seq)).tolist())
-
-
 class PageTable:
     """Both-granularity page table for one process."""
 
@@ -173,9 +77,6 @@ class PageTable:
         #: change generation (see the module docstring).
         self.generation = 0
         self._reset_columns()
-        #: ``vpn -> BasePTE`` and ``hvpn -> HugePTE`` views, in insertion order.
-        self.base: Mapping[int, BasePTE] = _MappingView(self, "frame", "seq", "nbase", BasePTE)
-        self.huge: Mapping[int, HugePTE] = _MappingView(self, "hframe", "hseq", "nhuge", HugePTE)
 
     def _reset_columns(self) -> None:
         # Few slots: the columns grow by doubling as mappings arrive, and a
@@ -218,15 +119,6 @@ class PageTable:
             self.hcount[vpn0 >> 9] += sign * len(range(vpn0, end, step))
         else:
             np.add.at(self.hcount, np.arange(vpn0, end, step) >> 9, sign)
-
-    def _set_flags(self, column: str, key: int, old: int, new: int) -> None:
-        """Write one mapping's flags, keeping ``shared_zero_count``."""
-        getattr(self, column)[key] = new
-        if (old ^ new) & SHARED_ZERO:
-            self.shared_zero_count += 1 if new & SHARED_ZERO else -1
-
-    def _base_mapped(self, vpn: int) -> bool:
-        return 0 <= vpn < self.frame.shape[0] and self.frame[vpn] >= 0
 
     # ------------------------------------------------------------------ #
     # mapping                                                            #
@@ -288,7 +180,7 @@ class PageTable:
         self._count(vpn0, end, 1, step)
         return total
 
-    def map_huge(self, hvpn: int, frame: int, accessed: bool = False) -> HugePTE:
+    def map_huge(self, hvpn: int, frame: int, accessed: bool = False) -> None:
         """Install a 2 MiB mapping over an order-9 physical block."""
         if self.region_huge(hvpn):
             raise InvalidAddressError(f"huge region {hvpn} already mapped")
@@ -300,7 +192,6 @@ class PageTable:
         self.generation += 1
         self.nhuge += 1
         self.hcount[hvpn] += PAGES_PER_HUGE
-        return HugePTE(self, hvpn)
 
     def remap(self, vpn: int, frame: int, set_bits: int = 0, clear_bits: int = 0) -> None:
         """Point base mapping ``vpn`` at ``frame`` in place (keeps its ``seq``).
@@ -310,13 +201,16 @@ class PageTable:
         a shared bit).
         """
         old = int(self.flags[vpn])
+        new = (old & ~clear_bits) | set_bits
         self.frame[vpn] = frame
+        self.flags[vpn] = new
         self.generation += 1
-        self._set_flags("flags", vpn, old, (old & ~clear_bits) | set_bits)
+        if (old ^ new) & SHARED_ZERO:
+            self.shared_zero_count += 1 if new & SHARED_ZERO else -1
 
     def unmap_base(self, vpn: int) -> tuple[int, int]:
         """Remove a base mapping; returns its ``(frame, flags)``."""
-        if not self._base_mapped(vpn):
+        if not self.base_mapped(vpn):
             raise InvalidAddressError(f"vpn {vpn} not base-mapped")
         frame = int(self.frame[vpn])
         flags = int(self.flags[vpn])
@@ -396,14 +290,12 @@ class PageTable:
         return np.flatnonzero(self.frame >= 0)
 
     def base_in_order(self) -> np.ndarray:
-        """Base-mapped vpns in insertion order (the order of ``base``)."""
+        """Base-mapped vpns in insertion (``seq``) order."""
         return _in_seq_order(self.frame, self.seq)
 
-    def region_base_vpns(self, hvpn: int) -> list[int]:
-        """Base-mapped VPNs inside huge region ``hvpn``."""
-        vpn0 = hvpn << 9
-        seg = self.frame[vpn0 : vpn0 + PAGES_PER_HUGE]
-        return (np.flatnonzero(seg >= 0) + vpn0).tolist()
+    def huge_in_order(self) -> np.ndarray:
+        """Huge-mapped regions in insertion (``seq``) order."""
+        return _in_seq_order(self.hframe, self.hseq)
 
     def region_mirror(self, hvpn: int) -> tuple[np.ndarray, np.ndarray]:
         """``(frames, private)`` over one huge region's 512 vpn slots.
@@ -447,7 +339,7 @@ class PageTable:
         hvpn = vpn >> 9
         if self.region_huge(hvpn):
             return int(self.hframe[hvpn]) + (vpn & (PAGES_PER_HUGE - 1)), True
-        if self._base_mapped(vpn):
+        if self.base_mapped(vpn):
             return int(self.frame[vpn]), False
         return None
 
@@ -471,10 +363,6 @@ class PageTable:
             out[mask] = hframes[mask] + (vpns[mask] & (PAGES_PER_HUGE - 1))
         return out
 
-    def is_mapped(self, vpn: int) -> bool:
-        """Whether the virtual page is mapped at either granularity."""
-        return self._base_mapped(vpn) or self.region_huge(vpn >> 9)
-
     def huge_count_in_range(self, hvpn_lo: int, hvpn_hi: int) -> int:
         """Number of huge-mapped regions in ``[hvpn_lo, hvpn_hi)``."""
         return int((self.hframe[hvpn_lo:hvpn_hi] >= 0).sum())
@@ -482,6 +370,10 @@ class PageTable:
     def region_resident(self, hvpn: int) -> int:
         """Pages region ``hvpn`` maps at either granularity (512 when huge)."""
         return self.hcount.item(hvpn) if hvpn < len(self.hcount) else 0
+
+    def base_mapped(self, vpn: int) -> bool:
+        """Whether ``vpn`` has a 4 KiB mapping."""
+        return 0 <= vpn < self.frame.shape[0] and self.frame[vpn] >= 0
 
     def region_huge(self, hvpn: int) -> bool:
         """Whether region ``hvpn`` is huge-mapped."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.hawkeye import HawkEyePolicy
@@ -43,6 +44,15 @@ def buddy_snapshot(allocator) -> dict:
                     for name in ("allocated", "owner", "pinned",
                                  "first_nonzero", "content_tag")},
     }
+
+
+def mappings(pt) -> tuple[dict, dict]:
+    """``({vpn: (frame, flags)}, {hvpn: (frame, flags)})``: every base and
+    huge mapping of a page table, read off its columns."""
+    hvpns = np.flatnonzero(pt.hframe >= 0).tolist()
+    return ({vpn: (int(pt.frame[vpn]), int(pt.flags[vpn]))
+             for vpn in pt.mapped_vpns().tolist()},
+            {hvpn: (int(pt.hframe[hvpn]), int(pt.hflags[hvpn])) for hvpn in hvpns})
 
 
 def small_config(mem_mb: int = 64, **overrides) -> KernelConfig:

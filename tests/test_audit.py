@@ -54,7 +54,7 @@ def test_ledger_alloc_free_cycle():
     kernel = _base_kernel()
     log = audit.attach(kernel)
     proc, vma = _proc_with_heap(kernel, 3)
-    frame = proc.page_table.base[vma.start].frame
+    frame = int(proc.page_table.frame[vma.start])
     rec = log.ledger.describe(frame)
     assert rec["live"] and rec["pid"] == proc.pid and rec["site"] == "fault"
     kernel.madvise_free(proc, vma.start, 3)
@@ -67,7 +67,7 @@ def test_ledger_alloc_free_cycle():
 def test_attach_backfills_preexisting_allocations():
     kernel = _base_kernel()
     proc, vma = _proc_with_heap(kernel, 2)
-    frame = proc.page_table.base[vma.start].frame
+    frame = int(proc.page_table.frame[vma.start])
     log = audit.attach(kernel)  # after the faults
     rec = log.ledger.describe(frame)
     assert rec["live"] and rec["pid"] == proc.pid
@@ -108,7 +108,7 @@ def test_hawkeye_promotion_record_matches_recomputation():
     assert rec.inputs["bucket"] == min(NUM_BUCKETS - 1,
                                        int(321.5) // BUCKET_WIDTH)
     assert rec.inputs["budget_left"] >= 1.0
-    assert hvpn in proc.page_table.huge
+    assert proc.page_table.region_huge(hvpn)
     audit.detach(kernel)
 
 
@@ -129,7 +129,7 @@ def test_ingens_promotion_record_matches_recomputation():
     assert rec.outcome == "accept"
     assert rec.inputs["threshold"] == 0.9
     assert rec.inputs["utilization"] == faulted / PAGES_PER_HUGE
-    assert hvpn in proc.page_table.huge
+    assert proc.page_table.region_huge(hvpn)
     audit.detach(kernel)
 
 

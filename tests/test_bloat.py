@@ -22,7 +22,7 @@ def bloated_proc(kernel, regions=4, used_per_region=8, nbytes=16 * MB):
     for r in range(regions):
         vpn = vma.start + r * PAGES_PER_HUGE
         kernel.fault(proc, vpn)  # huge fault maps 512 zeroed pages
-        block = proc.page_table.huge[vpn >> 9].frame
+        block = int(proc.page_table.hframe[vpn >> 9])
         for i in range(used_per_region):
             kernel.frames.write(block + i, first_nonzero=9)
     return proc, vma
@@ -72,7 +72,7 @@ def test_zero_threshold_spares_dense_regions():
     proc, vma = bloated_proc(kernel, regions=3, nbytes=8 * MB)
     # make one region dense (>50% written)
     dense_hvpn = vma.start >> 9
-    block = proc.page_table.huge[dense_hvpn].frame
+    block = int(proc.page_table.hframe[dense_hvpn])
     for i in range(300):
         kernel.frames.write(block + i, first_nonzero=9)
     thread = recovery(kernel, scan_pages_per_sec=1e9, zero_threshold=0.5)

@@ -45,7 +45,7 @@ def test_sparse_touch_generates_bloat_under_thp(kernel_thp):
     # huge-at-fault maps whole regions while only 1/8 of pages are used
     assert proc.rss_pages() == 2048
     zeros = 0
-    for hvpn in list(proc.page_table.huge):
+    for hvpn in proc.page_table.huge_in_order().tolist():
         z, _ = kernel_thp.count_zero_pages(proc, hvpn)
         zeros += z
     assert zeros == 2048 - 256

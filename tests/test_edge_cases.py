@@ -25,7 +25,7 @@ class TestTinyMachines:
         proc, vma = make_proc(kernel, nbytes=2 * MB)
         kernel.fault(proc, vma.start)
         assert proc.stats.huge_faults == 0
-        assert proc.page_table.is_mapped(vma.start)
+        assert proc.page_table.translate(vma.start) is not None
 
 
 class TestWorkloadEdges:
@@ -92,9 +92,9 @@ class TestMadviseEdges:
         # free a range straddling the two huge regions
         kernel_thp.madvise_free(proc, vma.start + 500, 24)
         assert kernel_thp.stats.demotions == 2
-        assert not proc.page_table.is_mapped(vma.start + 510)
-        assert not proc.page_table.is_mapped(vma.start + 515)
-        assert proc.page_table.is_mapped(vma.start)
+        assert proc.page_table.translate(vma.start + 510) is None
+        assert proc.page_table.translate(vma.start + 515) is None
+        assert proc.page_table.translate(vma.start) is not None
 
     def test_double_madvise_idempotent(self, kernel_thp):
         proc, vma = make_proc(kernel_thp)
@@ -138,7 +138,7 @@ class TestPromotionEdges:
             except OutOfMemoryError:
                 break
         assert kernel.promote_region(proc, vma.start >> 9) is None
-        assert proc.page_table.is_mapped(vma.start), "mappings intact after failure"
+        assert proc.page_table.translate(vma.start) is not None, "mappings intact after failure"
 
 
 class TestSwapEdges:

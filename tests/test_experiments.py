@@ -71,7 +71,7 @@ def test_measurement_helpers(kernel_thp):
     kernel_thp.fault(proc, vma.start)
     assert rss_bytes(proc) == 2 * MB
     # only one page was actually written
-    block = proc.page_table.huge[vma.start >> 9].frame
+    block = int(proc.page_table.hframe[vma.start >> 9])
     kernel_thp.frames.write(block, first_nonzero=0)
     assert useful_bytes(kernel_thp, proc) == 4096
     assert speedup(100.0, 50.0) == 2.0

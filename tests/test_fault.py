@@ -6,6 +6,7 @@ from repro.errors import OutOfMemoryError
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import Linux4KPolicy, LinuxTHPPolicy
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 from repro.vm.vma import VMAKind
 from tests.conftest import small_config
 
@@ -26,7 +27,7 @@ def test_base_fault_maps_and_charges(kernel4k):
     proc, vma = make_proc(kernel4k)
     latency = kernel4k.fault(proc, vma.start)
     assert latency == pytest.approx(3.5)  # sync zeroing baseline
-    assert proc.page_table.is_mapped(vma.start)
+    assert proc.page_table.translate(vma.start) is not None
     assert proc.stats.faults == 1
     assert proc.region(vma.start >> 9).resident == 1
 
@@ -47,7 +48,7 @@ def test_thp_maps_huge_at_first_fault(kernel_thp):
     assert region.is_huge
     assert region.resident == PAGES_PER_HUGE
     # every page of the region is now mapped
-    assert proc.page_table.is_mapped(vma.start + 100)
+    assert proc.page_table.translate(vma.start + 100) is not None
 
 
 def test_thp_falls_back_to_base_when_fragmented(kernel_thp):
@@ -80,11 +81,10 @@ def test_cow_break_on_shared_zero(kernel_hawkeye):
     proc, vma = make_proc(kernel_hawkeye)
     proc.page_table.map_base(vma.start, kernel_hawkeye.zero_registry.zero_frame,
                              shared_zero=True)
-    pte = proc.page_table.base[vma.start]
     kernel_hawkeye.zero_registry.share()
     latency = kernel_hawkeye.fault(proc, vma.start)
     assert latency == pytest.approx(kernel_hawkeye.costs.cow_fault_us)
-    assert not pte.shared_zero
+    assert not proc.page_table.flags[vma.start] & SHARED_ZERO
     assert proc.stats.cow_faults == 1
     assert kernel_hawkeye.zero_registry.cow_faults == 1
 

@@ -12,10 +12,10 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.frames import FrameTable
 from repro.units import MB
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import ACCESSED, DIRTY, PageTable
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, FreeOp, Phase, Workload
-from tests.conftest import LEDGER_COLUMNS, buddy_snapshot
+from tests.conftest import LEDGER_COLUMNS, buddy_snapshot, mappings
 
 
 # ---------------------------------------------------------------------- #
@@ -132,19 +132,17 @@ def test_map_base_range_rejects_huge_overlap():
 def test_map_base_range_installs_extent_frames():
     pt = PageTable()
     assert pt.map_base_range(10, [(100, 3, True), (200, 2, False)], accessed=True) == 5
-    assert [pt.base[10 + i].frame for i in range(5)] == [100, 101, 102, 200, 201]
-    assert all(pt.base[10 + i].accessed for i in range(5))
+    assert [int(pt.frame[10 + i]) for i in range(5)] == [100, 101, 102, 200, 201]
+    assert (pt.flags[10:15] == ACCESSED).all()
 
 
 def test_demote_preserves_dirty_and_accessed_bits():
     pt = PageTable()
-    huge_pte = pt.map_huge(2, 512)
-    huge_pte.accessed = True
-    huge_pte.dirty = True
+    pt.map_huge(2, 512, accessed=True)
+    pt.hflags[2] |= DIRTY  # a write through the huge mapping
     pt.demote_huge(2)
-    assert len(pt.base) == 512
-    assert all(pte.dirty for pte in pt.base.values())
-    assert all(pte.accessed for pte in pt.base.values())
+    assert pt.nbase == 512
+    assert (pt.flags[pt.mapped_vpns()] == ACCESSED | DIRTY).all()
 
 
 # ---------------------------------------------------------------------- #
@@ -192,7 +190,7 @@ def test_fault_range_budget_stop_matches_scalar():
     _, scalar_pages = ks.fault_range(ps, vs.start, 2000, budget_us=budget)
     assert ps.stats.faults == scalar_pages
     assert pages == scalar_pages
-    assert len(proc.page_table.base) == len(ps.page_table.base)
+    assert proc.page_table.nbase == ps.page_table.nbase
 
 
 def test_fault_range_pacing_dominates_budget():
@@ -237,11 +235,11 @@ def test_freeop_reuses_seeded_rng():
     op.execute(kernel, run, math.inf)
     rng = op._rng
     assert rng is not None
-    left = len(proc.page_table.base)
+    left = proc.page_table.nbase
     kernel.fault_range(proc, vma.start, 1024)
     op.execute(kernel, run, math.inf)
     assert op._rng is rng, "the op must reuse one RNG instance across runs"
-    assert len(proc.page_table.base) == left, "re-seeded RNG frees the same subset"
+    assert proc.page_table.nbase == left, "re-seeded RNG frees the same subset"
 
 
 def test_batched_madvise_matches_scalar_unmap():
@@ -251,7 +249,7 @@ def test_batched_madvise_matches_scalar_unmap():
         for vpn in range(vma.start, vma.start + 900):
             kernel.fault(proc, vpn)
         kernel.madvise_free(proc, vma.start + 100, 600)
-    assert sorted(pb.page_table.base) == sorted(ps.page_table.base)
+    assert np.array_equal(pb.page_table.mapped_vpns(), ps.page_table.mapped_vpns())
     for order in range(kb.buddy.max_order + 1):
         assert list(kb.buddy._zero[order]) == list(ks.buddy._zero[order])
         assert list(kb.buddy._nonzero[order]) == list(ks.buddy._nonzero[order])
@@ -335,7 +333,7 @@ def pressure_state(kernel, proc, tracer) -> dict:
     order = pt.base_in_order().tolist()
     return {
         "base": [(vpn, int(pt.frame[vpn]), int(pt.flags[vpn])) for vpn in order],
-        "huge": {h: (p.frame, p.accessed, p.dirty) for h, p in pt.huge.items()},
+        "huge": mappings(pt)[1],
         "rmap": [(f, owner.pid, v) for f in kernel.rmap_by_age().tolist()
                  for owner, v in [kernel.rmap_owner(f)]],
         "buddy": buddy_snapshot(kernel.buddy),

@@ -76,7 +76,7 @@ def test_memory_pressure_triggers_emergency_recovery():
     # fill memory with mostly-bloat huge pages
     for hvpn in range(vma.start >> 9, (vma.end >> 9)):
         kernel.fault(proc, hvpn << 9)
-        block = proc.page_table.huge[hvpn].frame
+        block = int(proc.page_table.hframe[hvpn])
         kernel.frames.write(block, first_nonzero=0)
     # now allocate beyond free memory from a second process: the policy
     # must free bloat rather than OOM

@@ -12,9 +12,11 @@ import pytest
 from repro.errors import OutOfMemoryError
 from repro.experiments import POLICIES, Scale, fragment, make_kernel
 from repro.units import GB, PAGES_PER_HUGE, SEC
+from repro.vm.page_table import SHARED_ZERO
 from repro.workloads.graph import Graph500
 from repro.workloads.microbench import AllocTouchFree
 from repro.workloads.redis import RedisChurn, RedisLight
+from tests.conftest import mappings
 
 SCALE = Scale(1 / 256)
 
@@ -24,15 +26,16 @@ def check_invariants(kernel):
     mapped = 0
     for proc in kernel.processes:
         pt = proc.page_table
-        for vpn, pte in pt.base.items():
-            if pte.shared_zero:
-                assert pte.frame == kernel.zero_registry.zero_frame
+        base, huge = mappings(pt)
+        for vpn, (frame, flags) in base.items():
+            if flags & SHARED_ZERO:
+                assert frame == kernel.zero_registry.zero_frame
             else:
-                assert kernel.frames.allocated[pte.frame], (proc.name, vpn)
+                assert kernel.frames.allocated[frame], (proc.name, vpn)
                 mapped += 1
-        for hvpn, hpte in pt.huge.items():
-            assert hpte.frame % PAGES_PER_HUGE == 0
-            assert kernel.frames.allocated[hpte.frame:hpte.frame + 512].all()
+        for block, _ in huge.values():
+            assert block % PAGES_PER_HUGE == 0
+            assert kernel.frames.allocated[block:block + 512].all()
             mapped += PAGES_PER_HUGE
     overhead = kernel.fragmenter.cache_pages + 1  # file cache + zero frame
     assert kernel.frames.allocated_count() == mapped + overhead

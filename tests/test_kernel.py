@@ -29,16 +29,16 @@ class TestPromotion:
         proc, vma = make_proc(kernel4k)
         # fault only half the region with base pages
         touch_region(kernel4k, proc, vma, n=256)
-        frame = proc.page_table.base[vma.start].frame
+        frame = int(proc.page_table.frame[vma.start])
         kernel4k.frames.write(frame, first_nonzero=3, tag=777)
         hvpn = vma.start >> 9
         cost = kernel4k.promote_region(proc, hvpn)
         assert cost is not None and cost > kernel4k.costs.remap_us
         assert kernel4k.stats.collapse_promotions == 1
-        huge_pte = proc.page_table.huge[hvpn]
+        block = int(proc.page_table.hframe[hvpn])
         # copied page keeps its content, the rest is zero-filled (bloat!)
-        assert kernel4k.frames.content_tag[huge_pte.frame] == 777
-        assert kernel4k.frames.is_zero(huge_pte.frame + 300)
+        assert kernel4k.frames.content_tag[block] == 777
+        assert kernel4k.frames.is_zero(block + 300)
         # only one page holds data; the 511 others (255 never-written
         # touched pages + 256 zero-filled by collapse) are zero
         zeros, _ = kernel4k.count_zero_pages(proc, hvpn)
@@ -63,7 +63,7 @@ class TestDemotionAndDedup:
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
         hvpn = vma.start >> 9
-        block = proc.page_table.huge[hvpn].frame
+        block = int(proc.page_table.hframe[hvpn])
         kernel_thp.demote_region(proc, hvpn)
         assert proc.page_table.translate(vma.start + 5) == (block + 5, False)
         assert kernel_thp.stats.demotions == 1
@@ -73,7 +73,7 @@ class TestDemotionAndDedup:
         kernel_thp.fault(proc, vma.start)  # huge-mapped, all zero content
         hvpn = vma.start >> 9
         # application wrote into 10 pages only
-        block = proc.page_table.huge[hvpn].frame
+        block = int(proc.page_table.hframe[hvpn])
         for i in range(10):
             kernel_thp.frames.write(block + i, first_nonzero=0)
         free_before = kernel_thp.buddy.free_pages
@@ -84,14 +84,14 @@ class TestDemotionAndDedup:
         # RSS excludes the shared-zero mappings now
         assert proc.rss_pages() == 10
         # but the pages are still mapped (reads hit the zero frame)
-        assert proc.page_table.is_mapped(vma.start + 500)
+        assert proc.page_table.translate(vma.start + 500) is not None
 
     def test_dedup_scan_cost_proportional_to_bloat(self, kernel_thp):
         """§3.2: in-use pages cost ~10 bytes, bloat pages 4096."""
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
         hvpn = vma.start >> 9
-        block = proc.page_table.huge[hvpn].frame
+        block = int(proc.page_table.hframe[hvpn])
         for i in range(500):  # 500 in-use, 12 bloat pages
             kernel_thp.frames.write(block + i, first_nonzero=9)
         kernel_thp.demote_region(proc, hvpn)
@@ -109,13 +109,13 @@ class TestMadvise:
         region = proc.region(vma.start >> 9)
         assert not region.is_huge
         assert region.resident == PAGES_PER_HUGE - 100
-        assert not proc.page_table.is_mapped(vma.start + 50)
-        assert proc.page_table.is_mapped(vma.start + 200)
+        assert proc.page_table.translate(vma.start + 50) is None
+        assert proc.page_table.translate(vma.start + 200) is not None
 
     def test_madvised_frames_land_on_dirty_lists(self, kernel_thp):
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
-        block = proc.page_table.huge[vma.start >> 9].frame
+        block = int(proc.page_table.hframe[vma.start >> 9])
         for i in range(100):
             kernel_thp.frames.write(block + i, first_nonzero=0)
         zeroed_before = kernel_thp.buddy.free_zeroed_pages()
@@ -229,6 +229,6 @@ class TestRmapCheck:
 
     def test_huge_head_missing(self, kernel4k):
         proc, vma = self._setup(kernel4k)
-        kernel4k.rmap_remove_huge(proc.page_table.huge[vma.start >> 9].frame)
+        kernel4k.rmap_remove_huge(int(proc.page_table.hframe[vma.start >> 9]))
         with pytest.raises(InvalidAddressError):
             kernel4k.check_rmap()

@@ -48,7 +48,7 @@ def _run_sampled(kernel: Kernel) -> tuple:
     proc = run.proc
     result = (epochs, run.finished, run.finish_time_us, run.op_time_us,
               proc.stats.faults, proc.stats.huge_faults,
-              proc.stats.fault_time_us, len(proc.page_table.huge))
+              proc.stats.fault_time_us, proc.page_table.nhuge)
     return result, procfs.vmstat(kernel)
 
 

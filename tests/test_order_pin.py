@@ -97,8 +97,8 @@ def _scenario():
     for i in range(30):
         kernel.fault(a, va + 4000 - 2 * i)
         kernel.fault(b, vb + 300 + i)
-    huge_order = list(a.page_table.huge)
-    base_order = list(a.page_table.base)
+    huge_order = a.page_table.huge_in_order().tolist()
+    base_order = a.page_table.base_in_order().tolist()
     # Dirty every third base page, so exit fills non-zero lists too.
     for vpn in base_order[::3]:
         frame, _ = a.page_table.translate(vpn)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import InvalidAddressError
 from repro.units import PAGES_PER_HUGE
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import ACCESSED, PageTable
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def pt() -> PageTable:
 def test_base_map_translate_unmap(pt):
     pt.map_base(1000, 77)
     assert pt.translate(1000) == (77, False)
-    assert pt.is_mapped(1000)
+    assert pt.base_mapped(1000) and not pt.base_mapped(1001)
     assert pt.unmap_base(1000) == (77, 0)
     assert pt.translate(1000) is None
 
@@ -31,7 +31,7 @@ def test_huge_map_translates_interior_pages(pt):
     pt.map_huge(2, 4096)  # covers vpns 1024..1535
     assert pt.translate(1024) == (4096, True)
     assert pt.translate(1100) == (4096 + 76, True)
-    assert pt.is_mapped(1535)
+    assert pt.translate(1535) is not None
     assert pt.translate(1536) is None
 
 
@@ -55,23 +55,26 @@ def test_unmap_missing_raises(pt):
 
 
 def test_demote_creates_512_contiguous_base_ptes(pt):
-    huge = pt.map_huge(4, 8192)
-    huge.accessed = True
+    pt.map_huge(4, 8192, accessed=True)
     assert pt.demote_huge(4) == 8192
-    assert 4 not in pt.huge
+    assert not pt.region_huge(4)
     vpn0 = 4 << 9
-    assert list(pt.base) == list(range(vpn0, vpn0 + PAGES_PER_HUGE))
+    assert pt.base_in_order().tolist() == list(range(vpn0, vpn0 + PAGES_PER_HUGE))
     assert pt.translate(vpn0) == (8192, False)
     assert pt.translate(vpn0 + 511) == (8192 + 511, False)
-    assert all(pte.accessed for pte in pt.base.values()), "access bit propagates"
+    assert (pt.flags[vpn0 : vpn0 + PAGES_PER_HUGE] == ACCESSED).all(), "access bit propagates"
 
 
-def test_region_base_vpns(pt):
+def test_region_mirror(pt):
     vpn0 = 2 << 9
     for i in (0, 5, 511):
         pt.map_base(vpn0 + i, 100 + i)
-    assert pt.region_base_vpns(2) == [vpn0, vpn0 + 5, vpn0 + 511]
-    assert pt.region_base_vpns(3) == []
+    pt.map_base(vpn0 + 7, 99, shared_zero=True)
+    frames, private = pt.region_mirror(2)
+    assert (np.flatnonzero(frames >= 0) + vpn0).tolist() == [vpn0, vpn0 + 5, vpn0 + 7, vpn0 + 511]
+    assert (np.flatnonzero(private) + vpn0).tolist() == [vpn0, vpn0 + 5, vpn0 + 511]
+    frames, private = pt.region_mirror(3)
+    assert not (frames >= 0).any() and not private.any()
 
 
 def test_resident_excludes_shared_zero(pt):

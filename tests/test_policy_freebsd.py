@@ -52,7 +52,7 @@ def test_pressure_breaks_reservations(kernel):
     assert kernel.buddy.free_pages == free_before + freed
     assert kernel.policy.reservations_broken == 1
     # the mapped page survives
-    assert proc.page_table.is_mapped(vma.start)
+    assert proc.page_table.translate(vma.start) is not None
 
 
 def test_reservations_count_as_allocated(kernel):
@@ -69,8 +69,8 @@ def test_madvise_breaks_covering_reservation(kernel):
     kernel.madvise_free(proc, vma.start, 5)
     assert (proc.pid, vma.start >> 9) not in kernel.policy.reservations
     # unreserved frames were freed, mapped ones kept
-    assert proc.page_table.is_mapped(vma.start + 7)
-    assert not proc.page_table.is_mapped(vma.start + 2)
+    assert proc.page_table.translate(vma.start + 7) is not None
+    assert proc.page_table.translate(vma.start + 2) is None
 
 
 def test_no_reservation_when_fragmented(kernel):
@@ -78,7 +78,7 @@ def test_no_reservation_when_fragmented(kernel):
     proc, vma = make_proc(kernel)
     kernel.fault(proc, vma.start)
     assert not kernel.policy.reservations
-    assert proc.page_table.is_mapped(vma.start)
+    assert proc.page_table.translate(vma.start) is not None
 
 
 def test_small_vma_gets_no_reservation(kernel):

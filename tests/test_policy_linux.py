@@ -21,7 +21,7 @@ def touch(kernel, proc, vma, n):
 def test_linux4k_never_maps_huge(kernel4k):
     proc, vma = make_proc(kernel4k)
     touch(kernel4k, proc, vma, 2 * PAGES_PER_HUGE)
-    assert len(proc.page_table.huge) == 0
+    assert proc.page_table.nhuge == 0
     kernel4k.run_epochs(5)
     assert kernel4k.stats.promotions == 0
 

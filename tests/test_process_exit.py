@@ -20,8 +20,8 @@ def test_exit_releases_all_memory(kernel_thp):
     assert freed == 4 * PAGES_PER_HUGE
     assert kernel_thp.buddy.free_pages == free_before_exit + freed
     assert proc not in kernel_thp.processes
-    assert len(proc.page_table.base) == 0
-    assert len(proc.page_table.huge) == 0
+    assert proc.page_table.nbase == 0
+    assert proc.page_table.nhuge == 0
 
 
 def test_exit_with_mixed_mappings(kernel_thp):
@@ -145,7 +145,7 @@ def _tenant(monkeypatch, layout, nodes=1, ksm=(), seed=0):
         for vpn in pair:
             kernel.frames.write(int(pt.frame[vpn]), tag=tag)
         for vpn in pair:
-            merger._consider(proc, vpn, pt.base[vpn])
+            merger._consider(proc, vpn, int(pt.frame[vpn]))
     return kernel, proc
 
 

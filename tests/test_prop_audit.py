@@ -36,7 +36,7 @@ from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
-from tests.conftest import LEDGER_COLUMNS
+from tests.conftest import LEDGER_COLUMNS, mappings
 
 
 
@@ -108,7 +108,7 @@ class AuditTwinMachine(RuleBasedStateMachine):
     def demote(self, region):
         for kernel, proc, vma in self.twins:
             hvpn = (vma.start >> 9) + region
-            if hvpn in proc.page_table.huge:
+            if proc.page_table.region_huge(hvpn):
                 kernel.demote_region(proc, hvpn)
 
     @rule(coverage=st.integers(0, 600))
@@ -138,11 +138,11 @@ class AuditTwinMachine(RuleBasedStateMachine):
         for kernel, proc, _vma in self.twins:
             led = kernel.audit.ledger
             pt = proc.page_table
-            for vpn, pte in pt.base.items():
-                assert led.live[pte.frame], (vpn, pte.frame)
-            for hvpn, hpte in pt.huge.items():
-                block = led.live[hpte.frame:hpte.frame + PAGES_PER_HUGE]
-                assert block.all(), hvpn
+            base, huge = mappings(pt)
+            for vpn, (frame, _) in base.items():
+                assert led.live[frame], (vpn, frame)
+            for hvpn, (frame, _) in huge.items():
+                assert led.live[frame:frame + PAGES_PER_HUGE].all(), hvpn
 
     @invariant()
     def freed_frames_marked_freed(self):

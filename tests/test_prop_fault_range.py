@@ -43,6 +43,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.units import MB
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, Phase, Workload
+from tests.conftest import mappings
 
 REGION_PAGES = 2048  # 8 MiB heap on a 16 MiB machine
 NUM_REGIONS = REGION_PAGES // 512
@@ -121,7 +122,7 @@ def _apply(kernel, proc, ops, strided=None) -> tuple[float, bool]:
                 kernel.promote_region(proc, (vma.start >> 9) + a)
             elif kind == "demote":
                 hvpn = (vma.start >> 9) + a
-                if hvpn in proc.page_table.huge:
+                if proc.page_table.region_huge(hvpn):
                     kernel.demote_region(proc, hvpn)
     except OutOfMemoryError:
         return total, True
@@ -129,13 +130,10 @@ def _apply(kernel, proc, ops, strided=None) -> tuple[float, bool]:
 
 
 def _snapshot(kernel, proc) -> dict:
-    pt = proc.page_table
+    base, huge = mappings(proc.page_table)
     return {
-        "base": {
-            vpn: (p.frame, p.accessed, p.dirty, p.shared_zero, p.shared_cow)
-            for vpn, p in pt.base.items()
-        },
-        "huge": {h: (p.frame, p.accessed, p.dirty) for h, p in pt.huge.items()},
+        "base": base,
+        "huge": huge,
         "zero_lists": [list(d) for d in kernel.buddy._zero],
         "nonzero_lists": [list(d) for d in kernel.buddy._nonzero],
         "free_pages": kernel.buddy.free_pages,

@@ -22,7 +22,9 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import LinuxTHPPolicy
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
+from tests.conftest import mappings
 
 
 class KernelMachine(RuleBasedStateMachine):
@@ -53,13 +55,13 @@ class KernelMachine(RuleBasedStateMachine):
     @rule(region=st.integers(0, 7))
     def demote(self, region):
         hvpn = (self.vma.start >> 9) + region
-        if hvpn in self.proc.page_table.huge:
+        if self.proc.page_table.region_huge(hvpn):
             self.kernel.demote_region(self.proc, hvpn)
 
     @rule(region=st.integers(0, 7))
     def dedup(self, region):
         hvpn = (self.vma.start >> 9) + region
-        if hvpn not in self.proc.page_table.huge:
+        if not self.proc.page_table.region_huge(hvpn):
             self.kernel.dedup_zero_pages(self.proc, hvpn)
 
     @rule(offset=st.integers(0, 4095))
@@ -67,18 +69,17 @@ class KernelMachine(RuleBasedStateMachine):
         translated = self.proc.page_table.translate(self.vma.start + offset)
         if translated is not None:
             frame, huge = translated
-            pte = self.proc.page_table.base.get(self.vma.start + offset)
-            if pte is not None and not pte.private:
+            if not huge and self.proc.page_table.flags[self.vma.start + offset] & SHARED:
                 return  # writes to shared pages go through fault()
             self.kernel.frames.write(frame, first_nonzero=offset % 4096)
 
     @rule(offset=st.integers(0, 4095), tag=st.integers(1, 4))
     def write_duplicate_content(self, offset, tag):
         """Give pages one of a few shared tags so ksm finds duplicates."""
-        pte = self.proc.page_table.base.get(self.vma.start + offset)
-        if pte is None or not pte.private:
+        pt, vpn = self.proc.page_table, self.vma.start + offset
+        if not pt.base_mapped(vpn) or pt.flags[vpn] & SHARED:
             return
-        self.kernel.frames.write(pte.frame, first_nonzero=0, tag=1_000_000 + tag)
+        self.kernel.frames.write(int(pt.frame[vpn]), first_nonzero=0, tag=1_000_000 + tag)
 
     @rule()
     def ksm_pass(self):
@@ -100,22 +101,23 @@ class KernelMachine(RuleBasedStateMachine):
         zero_frame = self.kernel.zero_registry.zero_frame
         seen: set[int] = set()
         shared_seen: dict[int, int] = {}
-        for vpn, pte in pt.base.items():
-            if pte.shared_zero:
-                assert pte.frame == zero_frame
+        base, huge = mappings(pt)
+        for vpn, (frame, flags) in base.items():
+            if flags & SHARED_ZERO:
+                assert frame == zero_frame
                 continue
-            assert frames.allocated[pte.frame], f"vpn {vpn} maps a free frame"
-            if pte.shared_cow:
-                shared_seen[pte.frame] = shared_seen.get(pte.frame, 0) + 1
+            assert frames.allocated[frame], f"vpn {vpn} maps a free frame"
+            if flags & SHARED_COW:
+                shared_seen[frame] = shared_seen.get(frame, 0) + 1
                 continue
-            assert pte.frame not in seen
-            seen.add(pte.frame)
-        for hvpn, hpte in pt.huge.items():
-            assert hpte.frame % PAGES_PER_HUGE == 0
+            assert frame not in seen
+            seen.add(frame)
+        for hvpn, (block, _) in huge.items():
+            assert block % PAGES_PER_HUGE == 0
             for i in range(PAGES_PER_HUGE):
-                assert frames.allocated[hpte.frame + i]
-                assert hpte.frame + i not in seen
-                seen.add(hpte.frame + i)
+                assert frames.allocated[block + i]
+                assert block + i not in seen
+                seen.add(block + i)
         # private frames never alias shared canonicals, and sharer counts
         # never exceed the registry's refcounts
         registry = self.kernel.cow_registry
@@ -129,18 +131,17 @@ class KernelMachine(RuleBasedStateMachine):
         pt = self.proc.page_table
         for hvpn, region in self.proc.regions.items():
             if region.is_huge:
-                assert hvpn in pt.huge
+                assert pt.region_huge(hvpn)
                 assert region.resident == PAGES_PER_HUGE
             else:
-                actual = len(pt.region_base_vpns(hvpn))
+                actual = int((pt.region_mirror(hvpn)[0] >= 0).sum())
                 assert region.resident == actual, f"region {hvpn}"
 
     @invariant()
     def physical_conservation(self):
         pt = self.proc.page_table
-        mapped = sum(
-            1 for pte in pt.base.values() if pte.private
-        ) + len(pt.huge) * PAGES_PER_HUGE
+        vpns = pt.mapped_vpns()
+        mapped = int((pt.flags[vpns] & SHARED == 0).sum()) + pt.nhuge * PAGES_PER_HUGE
         # + reserved zero frame + ksm canonical frames
         overhead = 1 + len(self.kernel.cow_registry.refcount)
         assert self.kernel.frames.allocated_count() == mapped + overhead

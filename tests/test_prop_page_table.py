@@ -3,11 +3,13 @@
 :class:`ModelTable` keeps PTE objects in insertion-ordered dicts, the
 representation the column :class:`~repro.vm.page_table.PageTable`
 replaced.  A state machine applies the same mapping, unmapping,
-demotion, in-place and flag operations to both and compares, after every
-step: contents, the iteration order of ``base`` and ``huge``,
-``translate``/``translate_range``, ``region_mirror``,
+demotion and in-place operations to both and compares, after every
+step: every column slot, ``base_in_order``/``huge_in_order`` against
+dict order, ``translate``/``translate_range``, ``region_mirror``,
 ``contiguous_private_block``, the counts, per-region residency and
-huge-ness, and ``PageTable.check()``.
+huge-ness, and ``PageTable.check()``.  It also pins the change
+generation: a step that changes any column must advance
+``PageTable.generation``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from repro.vm.page_table import ACCESSED, DIRTY, SHARED_COW, SHARED_ZERO, PageTa
 
 REGIONS = 12  # the window outgrows the columns' initial capacity
 WINDOW = REGIONS * PAGES_PER_HUGE
-BITS = {"accessed": ACCESSED, "dirty": DIRTY,
-        "shared_zero": SHARED_ZERO, "shared_cow": SHARED_COW}
+#: every column and the value of its unmapped (never-grown) slots.
+COLUMNS = {"frame": -1, "flags": 0, "seq": 0,
+           "hframe": -1, "hflags": 0, "hseq": 0, "hcount": 0}
 
 
 class PTE:
@@ -89,6 +92,10 @@ class PageTableMachine(RuleBasedStateMachine):
         super().__init__()
         self.pt = PageTable()
         self.model = ModelTable()
+        self.snapshot = self._columns()
+
+    def _columns(self):
+        return self.pt.generation, {name: getattr(self.pt, name).copy() for name in COLUMNS}
 
     def _both_raise_or(self, fn, expect_raise):
         if expect_raise:
@@ -161,25 +168,6 @@ class PageTableMachine(RuleBasedStateMachine):
         if hvpn in self.model.huge:
             assert self.pt.demote_huge(hvpn) == self.model.demote(hvpn)
 
-    @rule(pick=st.integers(0, 10**6), attr=st.sampled_from(sorted(BITS)), on=st.booleans())
-    def write_base_flag(self, pick, attr, on):
-        if not self.model.base:
-            return
-        vpn = sorted(self.model.base)[pick % len(self.model.base)]
-        pte = self.model.base[vpn]
-        other = {"shared_zero": SHARED_COW, "shared_cow": SHARED_ZERO}.get(attr, 0)
-        if on and pte.flags & other:
-            return  # a mapping is never zero- and KSM-shared at once
-        setattr(self.pt.base[vpn], attr, on)
-        pte.flags = pte.flags | BITS[attr] if on else pte.flags & ~BITS[attr]
-
-    @rule(pick=st.integers(0, 10**6), frame=frames)
-    def write_base_frame(self, pick, frame):
-        if self.model.base:
-            vpn = sorted(self.model.base)[pick % len(self.model.base)]
-            self.pt.base[vpn].frame = frame
-            self.model.base[vpn].frame = frame
-
     @rule(pick=st.integers(0, 10**6), frame=frames,
           change=st.sampled_from([(0, 0), (DIRTY, SHARED_ZERO), (DIRTY, SHARED_COW),
                                   (SHARED_ZERO, 0), (SHARED_COW, 0)]))
@@ -195,20 +183,6 @@ class PageTableMachine(RuleBasedStateMachine):
         self.pt.remap(vpn, frame, set_bits, clear_bits)
         pte.frame, pte.flags = frame, new
 
-    @rule(pick=st.integers(0, 10**6), attr=st.sampled_from(["accessed", "dirty", "frame"]),
-          on=st.booleans(), frame=st.integers(0, 9).map(lambda k: k * PAGES_PER_HUGE))
-    def write_huge(self, pick, attr, on, frame):
-        if not self.model.huge:
-            return
-        hvpn = sorted(self.model.huge)[pick % len(self.model.huge)]
-        pte = self.model.huge[hvpn]
-        if attr == "frame":
-            self.pt.huge[hvpn].frame = frame
-            pte.frame = frame
-        else:
-            setattr(self.pt.huge[hvpn], attr, on)
-            pte.flags = pte.flags | BITS[attr] if on else pte.flags & ~BITS[attr]
-
     @rule()
     def clear(self):
         self.pt.clear()
@@ -217,21 +191,29 @@ class PageTableMachine(RuleBasedStateMachine):
     # -- comparisons ------------------------------------------------------ #
 
     @invariant()
+    def generation_tracks_columns(self):
+        """A step that changed any column advanced ``generation``."""
+        gen, cols = self._columns()
+        old_gen, old_cols = self.snapshot
+        for name, fill in COLUMNS.items():
+            a, b = old_cols[name], cols[name]
+            n = max(a.shape[0], b.shape[0])  # growth alone changes nothing
+            a, b = (np.concatenate([c, np.full(n - c.shape[0], fill, c.dtype)]) for c in (a, b))
+            if not np.array_equal(a, b):
+                assert gen > old_gen, f"{name} changed, generation stayed {gen}"
+        self.snapshot = gen, cols
+
+    @invariant()
     def same_contents_and_order(self):
         pt, model = self.pt, self.model
         pt.check()
-        assert list(pt.base) == list(model.base)
-        assert list(pt.huge) == list(model.huge)
-        assert len(pt.base) == len(model.base) and len(pt.huge) == len(model.huge)
-        for vpn, pte in pt.base.items():
-            want = model.base[vpn]
-            assert pte.frame == want.frame
-            assert [getattr(pte, a) for a in BITS] == [bool(want.flags & b) for b in BITS.values()]
-            assert pte.private == model.private(vpn)
-        for hvpn, pte in pt.huge.items():
-            want = model.huge[hvpn]
-            assert (pte.frame, pte.accessed, pte.dirty) == (
-                want.frame, bool(want.flags & ACCESSED), bool(want.flags & DIRTY))
+        assert pt.base_in_order().tolist() == list(model.base)
+        assert pt.huge_in_order().tolist() == list(model.huge)
+        assert (pt.nbase, pt.nhuge) == (len(model.base), len(model.huge))
+        assert pt.frame.tolist() == model_column(model.base, pt.frame.shape[0], "frame", -1)
+        assert pt.flags.tolist() == model_column(model.base, pt.flags.shape[0], "flags", 0)
+        assert pt.hframe.tolist() == model_column(model.huge, pt.hframe.shape[0], "frame", -1)
+        assert pt.hflags.tolist() == model_column(model.huge, pt.hflags.shape[0], "flags", 0)
 
     @invariant()
     def same_lookups(self):
@@ -240,7 +222,7 @@ class PageTableMachine(RuleBasedStateMachine):
         assert pt.translate_range(0, WINDOW).tolist() == [-1 if t is None else t[0] for t in expect]
         for vpn in list(model.base) + [h << 9 for h in model.huge] + [0, WINDOW - 1]:
             assert pt.translate(vpn) == expect[vpn]
-            assert pt.is_mapped(vpn) == (expect[vpn] is not None)
+            assert pt.base_mapped(vpn) == (vpn in model.base)
         for hvpn in range(REGIONS):
             vpn0 = hvpn << 9
             frames, private = pt.region_mirror(hvpn)
@@ -250,8 +232,6 @@ class PageTableMachine(RuleBasedStateMachine):
             assert frames.tolist() == want[:n] and set(want[n:]) <= {-1}
             assert private.tolist() == [model.private(v) for v in range(vpn0, vpn0 + n)]
             assert pt.contiguous_private_block(vpn0) == model.contiguous_private_block(vpn0)
-            assert pt.region_base_vpns(hvpn) == [v for v in range(vpn0, vpn0 + PAGES_PER_HUGE)
-                                                 if v in model.base]
         assert pt.huge_count_in_range(0, REGIONS) == len(model.huge)
         resident = [0] * REGIONS
         for vpn in model.base:
@@ -268,6 +248,11 @@ class PageTableMachine(RuleBasedStateMachine):
         assert pt.resident_pages() == (len(model.base) - model.shared_zero_count()
                                        + len(model.huge) * PAGES_PER_HUGE)
         assert np.array_equal(pt.mapped_vpns(), sorted(model.base))
+
+
+def model_column(ptes, n, attr, fill):
+    """The model's ``attr`` for keys ``0..n-1``, ``fill`` where unmapped."""
+    return [getattr(ptes[k], attr) if k in ptes else fill for k in range(n)]
 
 
 def extents_fit(ext, total):

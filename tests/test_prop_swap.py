@@ -14,6 +14,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import LinuxTHPPolicy
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 from repro.vm.process import Process
 
 
@@ -48,20 +49,19 @@ class SwapKernelMachine(RuleBasedStateMachine):
         pt = self.proc.page_table
         for pid, vpn in self.kernel.swap.swapped:
             assert pid == self.proc.pid
-            assert not pt.is_mapped(vpn), f"swapped vpn {vpn} still mapped"
+            assert pt.translate(vpn) is None, f"swapped vpn {vpn} still mapped"
 
     @invariant()
     def no_page_both_resident_and_swapped(self):
         pt = self.proc.page_table
         swapped_vpns = {v for _, v in self.kernel.swap.swapped}
-        assert not (swapped_vpns & set(pt.base)), "page mapped AND swapped"
+        assert not (swapped_vpns & set(pt.mapped_vpns().tolist())), "page mapped AND swapped"
 
     @invariant()
     def conservation_with_swap(self):
         pt = self.proc.page_table
-        mapped = sum(
-            1 for pte in pt.base.values() if not pte.shared_zero
-        ) + len(pt.huge) * PAGES_PER_HUGE
+        vpns = pt.mapped_vpns()
+        mapped = int((pt.flags[vpns] & SHARED_ZERO == 0).sum()) + pt.nhuge * PAGES_PER_HUGE
         kernel = self.kernel
         assert kernel.frames.allocated_count() == mapped + 1  # + zero frame
         assert kernel.buddy.free_pages + mapped + 1 == kernel.buddy.total_pages

@@ -37,9 +37,10 @@ from repro.numa.mempolicy import MemPolicy, MemPolicyKind
 from repro.numa.topology import NumaTopology
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE, SEC
+from repro.vm.page_table import SHARED
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
-from tests.conftest import buddy_snapshot
+from tests.conftest import buddy_snapshot, mappings
 
 
 def _build(vectorized: bool, nodes: int = 1, balance: bool = False):
@@ -90,7 +91,7 @@ class TwinMachine(RuleBasedStateMachine):
     def demote(self, region):
         for kernel, proc, vma in self.twins:
             hvpn = (vma.start >> 9) + region
-            if hvpn in proc.page_table.huge:
+            if proc.page_table.region_huge(hvpn):
                 kernel.demote_region(proc, hvpn)
 
     @rule(cov_hot=st.integers(0, 600), cov_cold=st.integers(0, 600),
@@ -131,13 +132,10 @@ class TwinMachine(RuleBasedStateMachine):
     @invariant()
     def translations_identical(self):
         (_, p0, _), (_, p1, _) = self.twins
-        pt0, pt1 = p0.page_table, p1.page_table
-        assert {v: (e.frame, e.shared_zero, e.shared_cow)
-                for v, e in pt0.base.items()} == \
-               {v: (e.frame, e.shared_zero, e.shared_cow)
-                for v, e in pt1.base.items()}
-        assert {h: e.frame for h, e in pt0.huge.items()} == \
-               {h: e.frame for h, e in pt1.huge.items()}
+        (b0, h0), (b1, h1) = mappings(p0.page_table), mappings(p1.page_table)
+        assert {v: (f, fl & SHARED) for v, (f, fl) in b0.items()} == \
+               {v: (f, fl & SHARED) for v, (f, fl) in b1.items()}
+        assert {h: f for h, (f, _) in h0.items()} == {h: f for h, (f, _) in h1.items()}
 
     @invariant()
     def page_tables_and_rmaps_consistent(self):
@@ -247,7 +245,7 @@ def _drive_compaction(vectorized: bool):
         "buddy": buddy_snapshot(kernel.buddy),
         "cache": sorted(kernel.fragmenter._cache_pages),
         "stats": stats,
-        "mapped": {v: e.frame for v, e in proc.page_table.base.items()},
+        "mapped": {v: f for v, (f, _) in mappings(proc.page_table)[0].items()},
     }
 
 

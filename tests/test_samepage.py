@@ -4,6 +4,7 @@ import pytest
 
 from repro.mem.samepage import CowShareRegistry, SamePageMerger
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_COW
 from tests.test_fault import make_proc
 
 
@@ -74,14 +75,14 @@ class TestCowBreak:
         merger = merger_for(kernel4k)
         for _ in range(3):
             merger.run_epoch()
-        vpn = next(v for v, p in b.page_table.base.items() if p.shared_cow)
-        shared_pte = b.page_table.base[vpn]
+        pt = b.page_table
+        vpn = next(v for v in pt.base_in_order().tolist() if pt.flags[v] & SHARED_COW)
         latency = kernel4k.fault(b, vpn)
         assert latency == pytest.approx(kernel4k.costs.cow_fault_us)
-        assert not shared_pte.shared_cow
+        assert not pt.flags[vpn] & SHARED_COW
         assert b.stats.cow_faults == 1
         # the content followed the copy
-        assert kernel4k.frames.content_tag[shared_pte.frame] == 9
+        assert kernel4k.frames.content_tag[pt.frame[vpn]] == 9
 
     def test_last_unshare_frees_canonical(self, kernel4k):
         a, vma_a = touched_proc(kernel4k, npages=4, tag=5, name="a")
@@ -120,13 +121,13 @@ class TestInteractions:
         merger = merger_for(kernel4k)
         for _ in range(4):
             merger.run_epoch()
-        assert any(p.shared_cow for p in b.page_table.base.values())
+        assert (b.page_table.flags & SHARED_COW).any()
         cost = kernel4k.promote_region(b, vma_b.start >> 9)
         assert cost is not None
-        huge_pte = b.page_table.huge[vma_b.start >> 9]
-        assert kernel4k.frames.content_tag[huge_pte.frame] == 3
+        block = int(b.page_table.hframe[vma_b.start >> 9])
+        assert kernel4k.frames.content_tag[block] == 3
         # a's mappings survived b's collapse
-        assert a.page_table.is_mapped(vma_a.start)
+        assert a.page_table.translate(vma_a.start) is not None
 
     def test_compaction_skips_canonical_frames(self, kernel4k):
         a, _ = touched_proc(kernel4k, npages=8, tag=4, name="a")

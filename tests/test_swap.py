@@ -46,8 +46,8 @@ def test_victims_unmapped_fifo():
     for vpn in range(vma.start, vma.start + 3000):
         kernel.fault(proc, vpn)
     # earliest-mapped pages are evicted first (FIFO)
-    assert not proc.page_table.is_mapped(vma.start)
-    assert proc.page_table.is_mapped(vma.start + 2999)
+    assert proc.page_table.translate(vma.start) is None
+    assert proc.page_table.translate(vma.start + 2999) is not None
 
 
 def test_huge_mappings_demoted_for_swap():

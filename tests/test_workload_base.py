@@ -54,7 +54,7 @@ class TestOps:
                 TouchOp("heap", content=ContentSpec(first_nonzero=5)),
             ]),
         ])
-        frame = run.proc.page_table.base[run.vma("heap").start].frame
+        frame = int(run.proc.page_table.frame[run.vma("heap").start])
         assert kernel4k.frames.first_nonzero[frame] == 5
 
     def test_touch_zero_content(self, kernel4k):
@@ -64,7 +64,7 @@ class TestOps:
                 TouchOp("heap", content=ContentSpec(zero=True)),
             ]),
         ])
-        frame = run.proc.page_table.base[run.vma("heap").start].frame
+        frame = int(run.proc.page_table.frame[run.vma("heap").start])
         assert kernel4k.frames.is_zero(frame)
 
     def test_touch_rate_limit_paces_faults(self, kernel4k):
