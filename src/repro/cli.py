@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available policies and workloads")
+    list_p = sub.add_parser("list", help="list available policies and workloads")
+    list_p.set_defaults(func=cmd_list)
 
     def common(p):
         p.add_argument("--policy", default="hawkeye-g", choices=sorted(POLICIES))
@@ -99,12 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(multi-node only)")
 
     run_p = sub.add_parser("run", help="run one workload under one policy")
+    run_p.set_defaults(func=cmd_run)
     run_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(run_p)
     run_p.add_argument("--procfs", action="store_true",
                        help="print meminfo/vmstat snapshots at the end")
 
     cmp_p = sub.add_parser("compare", help="race one workload across policies")
+    cmp_p.set_defaults(func=cmd_compare)
     cmp_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(cmp_p)
     cmp_p.add_argument("--policies",
@@ -116,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate a paper table/figure, or run a microbenchmark "
              "(touch fault throughput, epoch engine throughput)",
     )
+    bench_p.set_defaults(func=cmd_bench)
     bench_p.add_argument("target", nargs="?", default="touch",
                          choices=sorted(BENCHES) + ["touch", "epoch"],
                          help="paper bench name, 'touch' (default) for the "
@@ -153,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_run_p = trace_sub.add_parser(
         "run", help="run a workload with tracing on; write a JSONL trace")
+    trace_run_p.set_defaults(func=_cmd_trace_run)
     trace_run_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(trace_run_p)
     trace_run_p.add_argument("--out", default="trace.jsonl",
@@ -168,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_view_p = trace_sub.add_parser(
         "view", help="filter and summarise a recorded JSONL trace")
+    trace_view_p.set_defaults(func=_cmd_trace_view)
     trace_view_p.add_argument("file", help="JSONL trace written by 'trace run'")
     trace_view_p.add_argument("--limit", type=int, default=20,
                               help="events to print (default 20; 0 = none)")
@@ -175,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_export_p = trace_sub.add_parser(
         "export", help="convert a recorded JSONL trace to another format")
+    trace_export_p.set_defaults(func=_cmd_trace_export)
     trace_export_p.add_argument("file", help="JSONL trace written by 'trace run'")
     trace_export_p.add_argument("--chrome", action="store_true",
                                 help="emit Chrome trace-event JSON "
@@ -193,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     numa_p = sub.add_parser(
         "numa", help="race NUMA placement modes for one workload")
+    numa_p.set_defaults(func=cmd_numa)
     numa_p.add_argument("--policy", default="hawkeye-g",
                         choices=sorted(POLICIES))
     numa_p.add_argument("--nodes", type=int, default=2,
@@ -204,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_p = sub.add_parser(
         "top", help="run a workload printing periodic /proc-style snapshots")
+    top_p.set_defaults(func=cmd_top)
     top_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(top_p)
     top_p.add_argument("--interval", type=float, default=30.0,
@@ -230,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="drive multi-tenant churn (Poisson arrivals, OOM killer) and "
              "report per-class QoS")
+    fleet_p.set_defaults(func=cmd_fleet)
     fleet_p.add_argument("--policy", default="hawkeye-g",
                          choices=sorted(POLICIES))
     fleet_p.add_argument("--mem-gb", type=float, default=64.0,
@@ -256,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pagemap",
         help="run a workload, then dump its regions with frame provenance "
              "(a /proc/pid/pagemap + kpageflags + page_owner view)")
+    pagemap_p.set_defaults(func=cmd_pagemap)
     pagemap_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(pagemap_p)
     pagemap_p.add_argument("--region", type=int, default=None, metavar="HVPN",
@@ -268,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "why",
         help="run a workload, then replay the recent policy decisions "
              "for its regions with the exact numbers the policy compared")
+    why_p.set_defaults(func=cmd_why)
     why_p.add_argument("workload", choices=sorted(WORKLOADS))
     common(why_p)
     why_p.add_argument("--region", type=int, default=None, metavar="HVPN",
@@ -284,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision-funnel summary (candidates → eligible → "
              "budget-passed → acted): live run, or aggregated from a "
              "sweep cache when no workload is given")
+    audit_p.set_defaults(func=cmd_audit)
     audit_p.add_argument("workload", nargs="?", default=None,
                          choices=sorted(WORKLOADS))
     common(audit_p)
@@ -299,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="DAMON-style spatial access heatmap: adaptive monitoring "
              "regions, per-region bloat and WSS percentiles — live run, "
              "or aggregated from a sweep cache when no workload is given")
+    heat_p.set_defaults(func=cmd_heat)
     heat_p.add_argument("workload", nargs="?", default=None,
                         choices=sorted(WORKLOADS))
     common(heat_p)
@@ -338,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_run_p = sweep_sub.add_parser(
         "run", help="execute a selection of experiment cells")
+    sweep_run_p.set_defaults(func=_cmd_sweep_run)
     sweep_run_p.add_argument(
         "selectors", nargs="*", default=["all"],
         help="cell selectors: all | EXP | EXP/CASE | EXP:POLICY | "
@@ -374,10 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_status_p = sweep_sub.add_parser(
         "status", help="show the last sweep's manifest and cache contents")
+    sweep_status_p.set_defaults(func=_cmd_sweep_status)
     sweep_common(sweep_status_p)
 
     sweep_clean_p = sweep_sub.add_parser(
         "clean", help="delete cached results and the sweep manifest")
+    sweep_clean_p.set_defaults(func=_cmd_sweep_clean)
     sweep_common(sweep_clean_p)
 
     scenario_p = sub.add_parser(
@@ -388,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_run_p = scenario_sub.add_parser(
         "run", help="execute scenario files through the cached sweep runner")
+    scenario_run_p.set_defaults(func=_cmd_scenario_run)
     scenario_run_p.add_argument("files", nargs="+", metavar="FILE",
                                 help="scenario files (.yaml/.yml/.json)")
     sweep_common(scenario_run_p)
@@ -413,10 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_validate_p = scenario_sub.add_parser(
         "validate", help="check scenario files against the schema")
+    scenario_validate_p.set_defaults(func=_cmd_scenario_validate)
     scenario_validate_p.add_argument("files", nargs="+", metavar="FILE")
 
     scenario_list_p = scenario_sub.add_parser(
         "list", help="list the scenarios in a directory")
+    scenario_list_p.set_defaults(func=_cmd_scenario_list)
     scenario_list_p.add_argument("--dir", default="examples/scenarios",
                                  help="directory to scan "
                                       "(default examples/scenarios)")
@@ -427,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_html_p = report_sub.add_parser(
         "html", help="write a self-contained HTML dashboard from the cache")
+    report_html_p.set_defaults(func=_cmd_report_html)
     sweep_common(report_html_p)
     report_html_p.add_argument("--out", default="report.html",
                                help="output path (default report.html)")
@@ -436,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_regress_p = report_sub.add_parser(
         "regress",
         help="compare the cache against a baseline; exit 1 on regression")
+    report_regress_p.set_defaults(func=_cmd_report_regress)
     report_regress_p.add_argument(
         "baseline", help="baseline JSON (see benchmarks/baselines/)")
     sweep_common(report_regress_p)
@@ -491,7 +513,7 @@ def _execute(workload_name: str, policy: str, args, setup=None) -> dict:
     }
 
 
-def cmd_list() -> int:
+def cmd_list(args) -> int:
     """`repro list`: print the policy, workload and bench registries."""
     print(format_table(
         ["policy"], [[name] for name in sorted(POLICIES)],
@@ -616,12 +638,6 @@ def _cmd_bench_micro(args) -> int:
 
     from repro import perf
 
-    run, report, check, profile = {
-        "touch": (perf.touch_benchmark, perf.format_touch_report,
-                  perf.check_regression, perf.profile_touch),
-        "epoch": (perf.epoch_benchmark, perf.format_epoch_report,
-                  perf.check_epoch_regression, perf.profile_epoch),
-    }[args.target]
     if args.check:
         import os
 
@@ -629,13 +645,13 @@ def _cmd_bench_micro(args) -> int:
             print(f"baseline file not found: {args.check}", file=sys.stderr)
             return 2
     if args.profile:
-        print(profile())
+        print(perf.profile(args.target))
         return 0
-    result = run()
+    result = perf.benchmark(args.target)
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        print(report(result))
+        print(perf.format_report(result))
     if args.update_baseline:
         with open(args.update_baseline, "w") as fh:
             json.dump(result, fh, indent=2)
@@ -644,7 +660,7 @@ def _cmd_bench_micro(args) -> int:
     if args.check:
         with open(args.check) as fh:
             baseline = json.load(fh)
-        failures = check(result, baseline)
+        failures = perf.check(result, baseline)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
@@ -791,15 +807,6 @@ def _cmd_trace_export(args) -> int:
     print(f"{len(filtered)} events (of {len(events)} in {args.file}) "
           f"written to {out}; open in chrome://tracing or ui.perfetto.dev")
     return 0
-
-
-def cmd_trace(args) -> int:
-    """`repro trace`: dispatch to the run/view/export sub-commands."""
-    if args.trace_command == "run":
-        return _cmd_trace_run(args)
-    if args.trace_command == "view":
-        return _cmd_trace_view(args)
-    return _cmd_trace_export(args)
 
 
 def cmd_numa(args) -> int:
@@ -1581,15 +1588,6 @@ def _cmd_scenario_list(args) -> int:
     return 0
 
 
-def cmd_scenario(args) -> int:
-    """`repro scenario`: dispatch to the run/validate/list sub-commands."""
-    if args.scenario_command == "run":
-        return _cmd_scenario_run(args)
-    if args.scenario_command == "validate":
-        return _cmd_scenario_validate(args)
-    return _cmd_scenario_list(args)
-
-
 def _cmd_sweep_status(args) -> int:
     """`repro sweep status`: summarise the manifest and cache contents."""
     from repro.runner import Manifest
@@ -1627,15 +1625,6 @@ def _cmd_sweep_clean(args) -> int:
           + (" and the manifest" if had_manifest else "")
           + f" from {cache.root}")
     return 0
-
-
-def cmd_sweep(args) -> int:
-    """`repro sweep`: dispatch to the run/status/clean sub-commands."""
-    if args.sweep_command == "run":
-        return _cmd_sweep_run(args)
-    if args.sweep_command == "status":
-        return _cmd_sweep_status(args)
-    return _cmd_sweep_clean(args)
 
 
 def _cmd_report_html(args) -> int:
@@ -1685,47 +1674,10 @@ def _cmd_report_regress(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_report(args) -> int:
-    """`repro report`: dispatch to the html/regress sub-commands."""
-    if args.report_command == "html":
-        return _cmd_report_html(args)
-    return _cmd_report_regress(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "compare":
-        return cmd_compare(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "numa":
-        return cmd_numa(args)
-    if args.command == "top":
-        return cmd_top(args)
-    if args.command == "fleet":
-        return cmd_fleet(args)
-    if args.command == "pagemap":
-        return cmd_pagemap(args)
-    if args.command == "why":
-        return cmd_why(args)
-    if args.command == "audit":
-        return cmd_audit(args)
-    if args.command == "heat":
-        return cmd_heat(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "scenario":
-        return cmd_scenario(args)
-    if args.command == "report":
-        return cmd_report(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

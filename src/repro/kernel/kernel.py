@@ -797,8 +797,13 @@ class Kernel:
         return fmfi(self.buddy, order)
 
     def active_runs(self) -> list["WorkloadRun"]:
-        """Workload runs that have not finished yet."""
-        return [run for run in self.runs if not run.finished]
+        """Workload runs that have not finished yet, in spawn order.
+
+        Walks only runs whose process has not exited (``exit_process``
+        drops the run from ``_run_by_pid`` after marking it finished), so
+        the cost follows live tenants, not every run ever spawned.
+        """
+        return [run for run in self._run_by_pid.values() if not run.finished]
 
     def run_epoch(self) -> None:
         """Advance the machine by one epoch."""

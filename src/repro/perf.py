@@ -1,23 +1,13 @@
 """Performance harness for the simulator's hot paths.
 
-Two entry points, both reachable through ``python -m repro bench``:
-
-* :func:`touch_benchmark` — the touch-throughput microbenchmark: a dense
-  fault-heavy workload (touch, free, re-touch) run once through the
-  batched fault fast path and once on a kernel running the per-page
-  references of :mod:`repro.oracle`.  Reporting both gives a
-  machine-independent speedup ratio (used by CI) next to the absolute
-  pages/second (used for baselines).  The same workload touching every
-  :data:`TOUCH_STRIDE`-th page is timed the same way and reported
-  beside it, ungated.
-* :func:`epoch_benchmark` — the same scheme for the vectorized epoch
-  engine (access-bit sampling, access_map ranking, NUMA harvest).
-* :func:`profile_target` — a cProfile report over a paper benchmark's
-  experiment function, bypassing pytest-benchmark (whose timed block
-  installs its own profiler hook and would hide everything).
-
-The workload here is self-contained so the numbers do not move when the
-paper benchmarks are retuned.
+One harness times the microbenchmarks of :data:`TARGETS` (``python -m
+repro bench touch|epoch``): a fast pass against the same pass on a kernel
+running :mod:`repro.oracle`'s references (``speedup``) and against a
+kernel with every observer paused (``trace_overhead``).  :func:`benchmark`
+measures, :func:`format_report` renders, :func:`check` applies
+:data:`GATES` to a baseline and :func:`profile` runs one fast pass under
+cProfile, as :func:`profile_target` does for any callable.  The workloads
+are self-contained, so the paper benchmarks' tuning does not move them.
 """
 
 from __future__ import annotations
@@ -25,15 +15,16 @@ from __future__ import annotations
 import cProfile
 import gc
 import io
+import math
 import pstats
 import statistics
 import time
 from contextlib import contextmanager
 
 from repro import audit, heat, oracle, trace
-from repro.experiments import POLICIES, Scale, make_kernel, reset_sim_state
+from repro.experiments import Scale, make_kernel, reset_sim_state
 from repro.metrics import telemetry
-from repro.units import GB, MB, PAGES_PER_HUGE, SEC
+from repro.units import MB, PAGES_PER_HUGE, SEC
 from repro.workloads.base import (
     AccessProfile,
     ContentSpec,
@@ -44,10 +35,29 @@ from repro.workloads.base import (
     Workload,
 )
 
-#: pages in the microbenchmark's touch region (256 MiB effective).
+#: pages in the touch microbenchmark's region (256 MiB effective).
 TOUCH_PAGES = 256 * MB // 4096
 #: stride of the strided touch timing (the fleet's sparse batch tier).
 TOUCH_STRIDE = 4
+#: huge regions the epoch microbenchmark keeps under sampling.
+EPOCH_REGIONS = 2048
+#: sampled epochs in one timed epoch pass.
+EPOCH_EPOCHS = 200
+#: hard floor on the vectorized/scalar epoch speedup (machine-neutral).
+EPOCH_SPEEDUP_FLOOR = 3.0
+#: ceiling on the disabled-tracing overhead: a kernel with every observer
+#: attached but paused must cost less than this fraction over a bare one.
+TRACE_OVERHEAD_CEILING = 0.05
+#: how far a speedup ratio may fall below its baseline's.
+TOLERANCE = 0.25
+#: host seconds of bare passes in one overhead sample: host speed shifts
+#: up to 2x over tenths of a second, which this much work averages out.
+SAMPLE_FLOOR_S = 0.5
+#: most passes in one overhead sample, so tiny test sizes stay quick.
+SAMPLE_MAX_PASSES = 32
+#: host seconds a run advances before the next takes its turn: short next
+#: to host speed shifts, long next to a kernel switch's cache refill.
+TURN_S = 0.02
 
 
 class _TouchBench(Workload):
@@ -57,14 +67,20 @@ class _TouchBench(Workload):
     large coalesced blocks; a sparse free shreds physical memory into
     ~3-page extents and measures the fragmented path for *both* modes
     instead of fault throughput.  Sparse frees are covered by the
-    scalar-vs-batched equivalence tests.
+    scalar-vs-batched equivalence tests.  The :data:`TOUCH_STRIDE`
+    touches are timed too, ungated.
     """
 
     name = "touch-bench"
+    policy = "hawkeye-g"
+    epoch_us = SEC
+    unit = "pages"
+    first_phase = "grow"
 
-    def __init__(self, npages: int, stride: int = 1):
+    def __init__(self, npages: int = TOUCH_PAGES, stride: int = 1):
         self.npages = npages
         self.stride = stride
+        self.work = 2 * npages  # grow + regrow both touch the full region
 
     def build_phases(self) -> list[Phase]:
         content = ContentSpec(first_nonzero=9)
@@ -79,187 +95,11 @@ class _TouchBench(Workload):
     def mmap_bytes(self) -> int:
         return self.npages * 4096
 
-
-@contextmanager
-def _observers(kernel, trace_mode: str):
-    """Attach tracer, telemetry sampler, audit and heat monitor for the
-    block, emitting (``"on"``) or with every gate off (``"disabled"``,
-    the state the <5 % overhead gate measures); ``"off"`` attaches none.
-    """
-    if trace_mode == "off":
-        yield
-        return
-    observers = (trace, telemetry, audit, heat)
-    for mod in observers:
-        mod.attach(kernel).enabled = trace_mode == "on"
-    try:
-        yield
-    finally:
-        for mod in observers:
-            mod.detach(kernel)
-
-
-def _paired(run_a, run_b, pairs: int) -> tuple[float, float, float]:
-    """Time ``pairs`` adjacent (a, b) runs for a tight ratio gate.
-
-    Returns the best a and b times and the median per-pair ``b / a - 1``.
-    GC is off during each pair (collections over the kernel's object
-    graph land in arbitrary runs), per-pair ratios cancel slow drift, and
-    the order alternates so the post-``gc.collect()`` warm-up bias
-    cancels in the median.
-    """
-    runs, times = (run_a, run_b), ([], [])
-    for i in range(pairs):
-        gc.collect()
-        gc.disable()
-        try:
-            for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                times[k].append(runs[k]())
-        finally:
-            gc.enable()
-    ratios = [b / a - 1.0 for a, b in zip(*times)]
-    return min(times[0]), min(times[1]), statistics.median(ratios)
-
-
-def _run_once(policy: str, npages: int, reference: bool = False,
-              trace_mode: str = "off", stride: int = 1) -> float:
-    """One timed run; returns wall seconds.
-
-    ``reference`` runs the kernel with :func:`repro.oracle.install`'s
-    per-page fault and unmap loops; ``trace_mode`` selects the
-    observability state under test (see :func:`_observers`); ``stride``
-    touches every ``stride``-th page of the region.
-    """
-    reset_sim_state()
-    # make_kernel takes the *full-scale* size; 2x headroom over the region
-    # keeps the pressure paths (reclaim/swap) out of the measurement.
-    scale = Scale(1 / 128)
-    kernel = make_kernel(2 * npages * 4096 / scale.factor, policy, scale)
-    if reference:
-        oracle.install(kernel)
-    with _observers(kernel, trace_mode):
-        bench = _TouchBench(npages, stride)
-        run = kernel.spawn(bench)
-        kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
-        t0 = time.perf_counter()
-        kernel.run(max_epochs=20000)
-        elapsed = time.perf_counter() - t0
-    if not run.finished:
-        raise RuntimeError("touch benchmark did not finish within the epoch cap")
-    return elapsed
-
-
-def touch_benchmark(
-    policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, repeats: int = 3
-) -> dict:
-    """Touch-throughput microbenchmark, batched vs per-page reference.
-
-    Returns a JSON-friendly dict with the best-of-``repeats`` wall time
-    for each mode, the derived pages/second, and the batched/scalar
-    speedup ratio.  A third configuration, every observer attached but
-    silent (``trace_mode="disabled"``), yields ``trace_overhead``: the
-    cost of the guards relative to the bare run, gated below 5 %.  The
-    ``strided_*`` entries time the stride-:data:`TOUCH_STRIDE` touch,
-    batched and per-page, best of ``repeats`` each; no check reads them.
-    """
-    total_pages = 2 * npages  # grow + regrow both touch the full region
-    scalar_s = min(_run_once(policy, npages, reference=True) for _ in range(repeats))
-    batched_s, disabled_s, overhead = _paired(
-        lambda: _run_once(policy, npages),
-        lambda: _run_once(policy, npages, trace_mode="disabled"),
-        2 * max(repeats, 5),
-    )
-    strided_s, strided_scalar_s = (
-        min(_run_once(policy, npages, reference=reference, stride=TOUCH_STRIDE)
-            for _ in range(repeats))
-        for reference in (False, True))
-    return {
-        "policy": policy,
-        "pages": total_pages,
-        "batched_s": round(batched_s, 4),
-        "scalar_s": round(scalar_s, 4),
-        "trace_disabled_s": round(disabled_s, 4),
-        "batched_pages_per_s": round(total_pages / batched_s),
-        "scalar_pages_per_s": round(total_pages / scalar_s),
-        "speedup": round(scalar_s / batched_s, 2),
-        "trace_overhead": round(overhead, 4),
-        "stride": TOUCH_STRIDE,
-        "strided_batched_s": round(strided_s, 4),
-        "strided_scalar_s": round(strided_scalar_s, 4),
-        "strided_speedup": round(strided_scalar_s / strided_s, 2),
-    }
-
-
-def format_touch_report(result: dict) -> str:
-    """Human-readable rendering of a :func:`touch_benchmark` result."""
-    return "\n".join([
-        f"touch throughput ({result['policy']}, {result['pages']} pages touched)",
-        f"  batched: {result['batched_s']:.3f}s"
-        f"  ({result['batched_pages_per_s']:,} pages/s)",
-        f"  scalar:  {result['scalar_s']:.3f}s"
-        f"  ({result['scalar_pages_per_s']:,} pages/s)",
-        f"  speedup: {result['speedup']:.2f}x",
-        f"  tracing disabled-overhead: {result['trace_overhead']:+.1%}"
-        f"  ({result['trace_disabled_s']:.3f}s with silent tracer)",
-        f"  stride {result['stride']}: batched {result['strided_batched_s']:.3f}s, scalar"
-        f" {result['strided_scalar_s']:.3f}s, speedup {result['strided_speedup']:.2f}x"
-        " (not gated)",
-    ])
-
-
-#: ceiling on the disabled-tracing overhead ratio (the tentpole's
-#: zero-cost-when-disabled contract): an attached-but-silent tracer must
-#: cost less than this fraction over the no-tracer run.
-TRACE_OVERHEAD_CEILING = 0.05
-
-
-def check_regression(result: dict, baseline: dict, tolerance: float = 0.25) -> list[str]:
-    """Compare a fresh result against a checked-in baseline.
-
-    Returns a list of failure messages (empty when within tolerance).
-    Both checks are machine-neutral same-machine A/Bs: the batched/scalar
-    speedup must stay within ``tolerance`` of the baseline's, and the
-    attached-but-silent tracepoint guards must cost < 5 %.
-    """
-    return (_ratio_failures("batched/scalar speedup", "speedup", result,
-                            baseline, tolerance)
-            + _overhead_failures(
-                result, "(tracepoints must be near-free when not emitting)"))
-
-
-def _ratio_failures(label: str, key: str, result: dict, baseline: dict,
-                    tolerance: float, hard_floor: float = 0.0) -> list[str]:
-    """Fail when ``result[key]`` drops below the baseline's ratio minus
-    ``tolerance`` (or below ``hard_floor``, whichever is higher)."""
-    base = baseline.get(key, 0.0)
-    floor = max(hard_floor, base * (1 - tolerance))
-    value = result.get(key, 0.0)
-    if value >= floor:
-        return []
-    hard = f", hard floor {hard_floor:.0f}x" if hard_floor else ""
-    return [f"{label} {value:.2f}x fell below {floor:.2f}x "
-            f"(baseline {base:.2f}x - {tolerance:.0%}{hard})"]
-
-
-def _overhead_failures(result: dict, where: str) -> list[str]:
-    """The disabled-tracing overhead gate shared by both benchmarks."""
-    overhead = result.get("trace_overhead")
-    if overhead is None or overhead < TRACE_OVERHEAD_CEILING:
-        return []
-    return [f"disabled-tracing overhead {overhead:+.1%} reached the "
-            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling {where}"]
-
-
-# ---------------------------------------------------------------------- #
-# epoch-engine throughput                                                 #
-# ---------------------------------------------------------------------- #
-
-#: huge regions the epoch microbenchmark keeps under sampling.
-EPOCH_REGIONS = 2048
-#: sampled epochs timed per measurement.
-EPOCH_EPOCHS = 200
-#: hard floor on the vectorized/scalar epoch speedup (machine-neutral).
-EPOCH_SPEEDUP_FLOOR = 3.0
+    def extra(self, repeats: int) -> dict:
+        fast_s, reference_s = _best(_TouchBench(self.npages, TOUCH_STRIDE), repeats)
+        return {"stride": TOUCH_STRIDE, "strided_s": round(fast_s, 4),
+                "strided_reference_s": round(reference_s, 4),
+                "strided_speedup": round(reference_s / fast_s, 2)}
 
 
 class _EpochBench(Workload):
@@ -270,14 +110,21 @@ class _EpochBench(Workload):
     without the fault cost of populating them densely.  The serve phase's
     profile keeps half the regions hot at high coverage and a quarter at
     low coverage, so every sample exercises EMA updates, idle marking and
-    cross-bucket access_map churn.
+    cross-bucket access_map churn.  HawkEye with huge faults off keeps
+    regions base-mapped, so that work never collapses into promotions;
+    ``epoch_us`` is the 30 s sampling interval, so every serve epoch runs
+    the sampler.  The scan alone is timed too (``scan_speedup``).
     """
 
     name = "epoch-bench"
+    policy = "hawkeye-4kb"
+    epoch_us = 30 * SEC
+    unit = "epochs"
+    first_phase = "serve"
+    work = EPOCH_EPOCHS
 
-    def __init__(self, regions: int, serve_us: float):
+    def __init__(self, regions: int = EPOCH_REGIONS):
         self.regions = regions
-        self.serve_us = serve_us
 
     def build_phases(self) -> list[Phase]:
         """One sparse grow op, then a profiled serve phase."""
@@ -290,65 +137,132 @@ class _EpochBench(Workload):
                 TouchOp("heap", npages=self.regions * PAGES_PER_HUGE,
                         stride_pages=PAGES_PER_HUGE),
             ]),
-            Phase("serve", duration_us=self.serve_us, profile=profile),
+            Phase("serve", duration_us=EPOCH_EPOCHS * self.epoch_us, profile=profile),
         ]
 
     def mmap_bytes(self) -> int:
         """Virtual span: one huge region per sampled region."""
         return self.regions * PAGES_PER_HUGE * 4096
 
+    def extra(self, repeats: int) -> dict:
+        return {"scan_speedup": round(_scan_speedup(self.regions), 2)}
 
-def _epoch_setup(policy: str, regions: int, serve_epochs: int,
-                 reference: bool = False):
-    """Build a kernel and drive the bench workload to its serve phase.
 
-    ``epoch_us`` is set to the 30 s sampling interval so *every* epoch
-    runs the access-bit sampler — the serve phase then measures the epoch
-    engine, not idle wall-time bookkeeping.  ``reference`` installs the
-    per-region loops of :mod:`repro.oracle` on the kernel.
-    """
+#: the microbenchmarks by name.  Each workload class names its policy,
+#: kernel epoch, the phase its timed pass (the rest of the workload)
+#: starts at, and ``extra`` result entries (``*_speedup`` ones reported).
+TARGETS = {"touch": _TouchBench, "epoch": _EpochBench}
+
+#: every gate :func:`check` applies, as (target, key, label, bound).  A
+#: ``trace_overhead`` row fails at or above ``bound``; a ratio row below
+#: its baseline's less :data:`TOLERANCE`, or below ``bound`` if higher.
+GATES = (
+    ("touch", "speedup", "batched/scalar speedup", 0.0),
+    ("touch", "trace_overhead", "disabled-tracing overhead", TRACE_OVERHEAD_CEILING),
+    ("epoch", "speedup", "vectorized/scalar epoch speedup", EPOCH_SPEEDUP_FLOOR),
+    ("epoch", "scan_speedup", "access-scan speedup", 0.0),
+    ("epoch", "trace_overhead", "disabled-tracing overhead", TRACE_OVERHEAD_CEILING),
+)
+
+
+@contextmanager
+def _observers(kernel):
+    """Attach tracer, telemetry sampler, audit and heat monitor, all
+    paused (the state the <5 % overhead gate measures), for the block."""
+    observers = (trace, telemetry, audit, heat)
+    for mod in observers:
+        mod.attach(kernel).enabled = False
+    try:
+        yield
+    finally:
+        for mod in observers:
+            mod.detach(kernel)
+
+
+def _build(bench: Workload, reference: bool = False):
+    """Spawn ``bench`` on a fresh kernel (``reference``: with the oracle
+    installed) and drive it to its timed pass.  Collecting first frees
+    earlier kernels: each pass starts from the same heap."""
+    gc.collect()
     reset_sim_state()
+    # make_kernel takes the *full-scale* size; 2x headroom over the region
+    # keeps the pressure paths (reclaim/swap) out of the measurement.
     scale = Scale(1 / 128)
-    epoch_us = 30 * SEC
-    kernel = make_kernel(
-        2 * regions * PAGES_PER_HUGE * 4096 / scale.factor,
-        policy, scale, epoch_us=epoch_us)
+    kernel = make_kernel(2 * bench.mmap_bytes() / scale.factor, bench.policy,
+                         scale, epoch_us=bench.epoch_us)
     if reference:
         oracle.install(kernel)
-    bench = _EpochBench(regions, (serve_epochs + 4) * epoch_us)
     run = kernel.spawn(bench)
     kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
-    guard = 0
-    while not run.finished and run.phase_name() != "serve":
-        kernel.run_epochs(1)
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("epoch benchmark never reached its serve phase")
-    return kernel, run
+    for _ in range(10_000):
+        if run.phase_name() == bench.first_phase:
+            return run
+        kernel.run_epoch()
+    raise RuntimeError(f"{bench.name} never reached its {bench.first_phase} phase")
 
 
-def _run_epoch_once(policy: str, regions: int, epochs: int,
-                    reference: bool = False, trace_mode: str = "off") -> float:
-    """One timed serve-phase measurement (arguments as :func:`_run_once`)."""
-    kernel, _run = _epoch_setup(policy, regions, epochs, reference)
-    with _observers(kernel, trace_mode):
-        t0 = time.perf_counter()
-        kernel.run_epochs(epochs)
-        return time.perf_counter() - t0
+def _timed(runs) -> list[float]:
+    """Seconds each of ``runs`` takes to finish its workload, GC off; the
+    runs take turns of :data:`TURN_S`, the order flipping every turn."""
+    totals = [0.0] * len(runs)
+    gc.disable()
+    try:
+        for turn in range(20_000):
+            if all(run.finished for run in runs):
+                return totals
+            for i in (range(len(runs)) if turn % 2 == 0 else reversed(range(len(runs)))):
+                t0 = now = time.perf_counter()
+                while not runs[i].finished and now - t0 < TURN_S:
+                    runs[i].kernel.run_epoch()
+                    now = time.perf_counter()
+                totals[i] += now - t0
+    finally:
+        gc.enable()
+    raise RuntimeError("a benchmark pass did not finish within 20,000 turns")
 
 
-def _scan_speedup(policy: str, regions: int, iters: int = 30) -> float:
-    """Reference/vectorized ratio of the access-bit scan pass in isolation.
+def _pass(bench: Workload, reference: bool = False) -> float:
+    """Seconds of one pass on its own freshly built kernel."""
+    return _timed([_build(bench, reference)])[0]
 
-    Times repeated ``_sample_access_bits`` calls (which include the
-    policy's on_sample ranking) on two kernels prepared by the same
-    :func:`_epoch_setup` — one plain, one with the oracle installed —
-    each after a warm-up call.
-    """
+
+def _best(bench: Workload, repeats: int) -> tuple[float, float]:
+    """Best of ``repeats`` fast and ``repeats`` reference passes, taken in
+    turns so that both sides meet the same spread of host speeds."""
+    times = ([], [])
+    for i in range(repeats):
+        for reference in ((False, True) if i % 2 == 0 else (True, False)):
+            times[reference].append(_pass(bench, reference))
+    return min(times[0]), min(times[1])
+
+
+def _paired(bench: Workload, pairs: int) -> tuple[float, int]:
+    """Time ``pairs`` samples of a bare kernel against one with every
+    observer paused: k :func:`_timed` passes of a fresh pair, k set once
+    so a sample covers :data:`SAMPLE_FLOOR_S`, the pair's build and turn
+    order alternating.  Returns the median ``paused / bare - 1`` and k."""
+    passes = min(SAMPLE_MAX_PASSES, math.ceil(SAMPLE_FLOOR_S / _pass(bench)))
+    ratios = []
+    for _ in range(pairs):
+        totals = [0.0, 0.0]
+        for i in range(passes):
+            runs = [_build(bench), _build(bench)]
+            paused = i % 2
+            with _observers(runs[paused].kernel):
+                times = _timed(runs)
+            totals[0] += times[1 - paused]
+            totals[1] += times[paused]
+        ratios.append(totals[1] / totals[0] - 1.0)
+    return statistics.median(ratios), passes
+
+
+def _scan_speedup(regions: int, iters: int = 30) -> float:
+    """Reference/vectorized ratio of the access-bit scan pass alone:
+    ``_sample_access_bits`` calls (with the policy's on_sample ranking)
+    on an oracle-installed and a plain kernel, each after a warm-up."""
     timings = []
     for reference in (True, False):
-        kernel, _run = _epoch_setup(policy, regions, serve_epochs=4,
-                                    reference=reference)
+        kernel = _build(_EpochBench(regions), reference).kernel
         kernel._sample_access_bits()  # warm caches / allocator state
         gc.collect()
         gc.disable()
@@ -362,86 +276,71 @@ def _scan_speedup(policy: str, regions: int, iters: int = 30) -> float:
     return timings[0] / timings[1]
 
 
-def epoch_benchmark(
-    policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
-    epochs: int = EPOCH_EPOCHS, repeats: int = 3,
-) -> dict:
-    """Epoch-engine throughput, vectorized vs per-region reference.
-
-    The default policy is HawkEye with huge faults off, which keeps every
-    region base-mapped: the sampler, EMA ranking and access_map churn
-    stay maximal instead of collapsing once regions are promoted.
-    Returns a JSON-friendly dict with best-of-``repeats`` wall times, the
-    derived epochs/second, the vectorized/scalar speedup, the isolated
-    access-scan speedup, and the disabled-tracing overhead measured with
-    the same GC-paired A/B scheme as :func:`touch_benchmark`.
-    """
-    scalar_s = min(
-        _run_epoch_once(policy, regions, epochs, reference=True)
-        for _ in range(repeats))
-    vectorized_s, _disabled_s, overhead = _paired(
-        lambda: _run_epoch_once(policy, regions, epochs),
-        lambda: _run_epoch_once(policy, regions, epochs, trace_mode="disabled"),
-        2 * max(repeats, 4),
-    )
-    return {
-        "policy": policy,
-        "regions": regions,
-        "epochs": epochs,
-        "vectorized_s": round(vectorized_s, 4),
-        "scalar_s": round(scalar_s, 4),
-        "vectorized_epochs_per_s": round(epochs / vectorized_s),
-        "scalar_epochs_per_s": round(epochs / scalar_s),
-        "speedup": round(scalar_s / vectorized_s, 2),
-        "scan_speedup": round(_scan_speedup(policy, regions), 2),
-        "trace_overhead": round(overhead, 4),
-    }
+def benchmark(target: str, size: int | None = None, repeats: int = 3) -> dict:
+    """Measure ``target`` (a :data:`TARGETS` name) at ``size`` pages or
+    regions (its default when ``None``): a JSON-friendly dict of the best
+    fast and reference pass (:func:`_best`), their ``speedup``, the
+    ``trace_overhead`` of ``2 * repeats`` samples (:func:`_paired`) and
+    the target's extra entries."""
+    bench = TARGETS[target]() if size is None else TARGETS[target](size)
+    gc.collect()
+    gc.freeze()  # each pass's collection then walks only what passes built
+    try:
+        fast_s, reference_s = _best(bench, repeats)
+        overhead, passes = _paired(bench, 2 * repeats)
+        extra = bench.extra(repeats)
+    finally:
+        gc.unfreeze()
+    return {"target": target, "policy": bench.policy, "work": bench.work,
+            "unit": bench.unit, "fast_s": round(fast_s, 4),
+            "reference_s": round(reference_s, 4), "speedup": round(reference_s / fast_s, 2),
+            "trace_overhead": round(overhead, 4), "samples": 2 * repeats,
+            "passes": passes, **extra}
 
 
-def format_epoch_report(result: dict) -> str:
-    """Human-readable rendering of an :func:`epoch_benchmark` result."""
+def format_report(result: dict) -> str:
+    """Human-readable rendering of a :func:`benchmark` result."""
+    work, unit = result["work"], result["unit"]
     return "\n".join([
-        f"epoch throughput ({result['policy']}, {result['regions']} regions"
-        f" x {result['epochs']} sampled epochs)",
-        f"  vectorized: {result['vectorized_s']:.3f}s"
-        f"  ({result['vectorized_epochs_per_s']:,} epochs/s)",
-        f"  scalar:     {result['scalar_s']:.3f}s"
-        f"  ({result['scalar_epochs_per_s']:,} epochs/s)",
-        f"  speedup: {result['speedup']:.2f}x"
-        f"  (access-scan alone: {result['scan_speedup']:.2f}x)",
-        f"  tracing disabled-overhead: {result['trace_overhead']:+.1%}",
+        f"{result['target']} microbenchmark ({result['policy']}, {work} {unit} per pass)",
+        *(f"  {side}: {result[side + '_s']:.3f}s  ({work / result[side + '_s']:,.0f} {unit}/s)"
+          for side in ("fast", "reference")),
+        f"  tracing disabled-overhead: {result['trace_overhead']:+.1%}"
+        f"  ({result['samples']} samples of {result['passes']} passes)",
+        *(f"  {key}: {value:.2f}x" for key, value in result.items() if key.endswith("speedup")),
     ])
 
 
-def check_epoch_regression(result: dict, baseline: dict,
-                           tolerance: float = 0.25) -> list[str]:
-    """Gate an :func:`epoch_benchmark` result against its baseline.
-
-    Machine-neutral: the vectorized/scalar speedup must clear both the
-    hard :data:`EPOCH_SPEEDUP_FLOOR` and the baseline ratio minus
-    ``tolerance``, and the disabled-tracing overhead must stay under the
-    same <5 % ceiling the touch benchmark enforces.
-    """
-    return (_ratio_failures("vectorized/scalar epoch speedup", "speedup",
-                            result, baseline, tolerance, EPOCH_SPEEDUP_FLOOR)
-            + _ratio_failures("access-scan speedup", "scan_speedup",
-                              result, baseline, tolerance)
-            + _overhead_failures(result, "on the vectorized epoch path"))
-
-
-def profile_epoch(policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
-                  epochs: int = EPOCH_EPOCHS, top: int = 25) -> str:
-    """Profile one vectorized run of the epoch microbenchmark."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    return profile_target(
-        lambda: _run_epoch_once(policy, regions, epochs),
-        f"epoch microbenchmark ({policy})",
-        top,
-    )
+def check(result: dict, baseline: dict) -> list[str]:
+    """Failure messages of ``result["target"]``'s :data:`GATES` rows
+    (empty when all hold); a result without ``trace_overhead`` skips it."""
+    failures = []
+    for target, key, label, bound in GATES:
+        if target != result["target"]:
+            continue
+        if key == "trace_overhead":
+            value = result.get(key)
+            if value is not None and value >= bound:
+                failures.append(f"{label} {value:+.1%} reached the {bound:.0%}"
+                                f" ceiling on the {target} path")
+            continue
+        value, base = result.get(key, 0.0), baseline.get(key, 0.0)
+        floor = max(bound, base * (1 - TOLERANCE))
+        if value < floor:
+            hard = f", hard floor {bound:.0f}x" if bound else ""
+            failures.append(f"{label} {value:.2f}x fell below {floor:.2f}x "
+                            f"(baseline {base:.2f}x - {TOLERANCE:.0%}{hard})")
+    return failures
 
 
-def profile_target(run, label: str, top: int = 25) -> str:
+def profile(target: str) -> str:
+    """cProfile one fast pass of ``target`` at its default size."""
+    bench = TARGETS[target]()
+    return profile_target(lambda: _pass(bench),
+                          f"{target} microbenchmark ({bench.policy})")
+
+
+def profile_target(run, label: str) -> str:
     """cProfile ``run()`` and return the cumulative-time hot-path report.
 
     ``run`` must be a plain callable: pytest-benchmark's timed loop
@@ -456,16 +355,5 @@ def profile_target(run, label: str, top: int = 25) -> str:
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats("cumulative")
     out.write(f"hot paths: {label}\n")
-    stats.print_stats(top)
+    stats.print_stats(25)
     return out.getvalue()
-
-
-def profile_touch(policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, top: int = 25) -> str:
-    """Profile one batched run of the touch microbenchmark."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    return profile_target(
-        lambda: _run_once(policy, npages),
-        f"touch microbenchmark ({policy})",
-        top,
-    )

@@ -424,32 +424,58 @@ def test_strided_run_crossing_pressure_matches_scalar(policy, stride, budget_us)
 # ---------------------------------------------------------------------- #
 
 
+@pytest.fixture(scope="module")
+def touch_result():
+    from repro.perf import benchmark
+
+    return benchmark("touch", size=1024, repeats=1)
+
+
 def test_check_regression_flags_speedup_drop():
-    from repro.perf import check_regression
+    from repro.perf import check
 
     baseline = {"speedup": 4.0}
-    assert check_regression({"speedup": 3.9}, baseline) == []
-    assert check_regression({"speedup": 3.1}, baseline) == []  # within 25%
-    failures = check_regression({"speedup": 2.9}, baseline)
+    assert check({"target": "touch", "speedup": 3.9}, baseline) == []
+    assert check({"target": "touch", "speedup": 3.1}, baseline) == []  # within 25%
+    failures = check({"target": "touch", "speedup": 2.9}, baseline)
     assert failures and "speedup" in failures[0]
 
 
-def test_touch_benchmark_smoke():
-    from repro.perf import format_touch_report, touch_benchmark
+def test_touch_benchmark_smoke(touch_result):
+    from repro.perf import format_report
 
-    result = touch_benchmark(npages=1024, repeats=1)
-    assert result["pages"] == 2048
-    assert result["batched_s"] > 0 and result["scalar_s"] > 0
-    assert "speedup" in format_touch_report(result)
+    assert touch_result["work"] == 2048
+    assert touch_result["fast_s"] > 0 and touch_result["reference_s"] > 0
+    assert 1 <= touch_result["passes"] <= 32
+    assert "speedup: " in format_report(touch_result)
 
 
-def test_touch_benchmark_reports_strided_touch():
-    from repro.perf import TOUCH_STRIDE, format_touch_report, touch_benchmark
+def test_touch_benchmark_reports_strided_touch(touch_result):
+    from repro.perf import TOUCH_STRIDE, format_report
 
-    result = touch_benchmark(npages=1024, repeats=1)
-    assert result["stride"] == TOUCH_STRIDE == 4
-    assert result["strided_batched_s"] > 0 and result["strided_scalar_s"] > 0
-    assert "stride 4" in format_touch_report(result)
+    assert touch_result["stride"] == TOUCH_STRIDE == 4
+    assert touch_result["strided_s"] > 0 and touch_result["strided_reference_s"] > 0
+    assert "strided_speedup: " in format_report(touch_result)
+
+
+def test_epoch_target_smoke():
+    from repro.perf import EPOCH_EPOCHS, benchmark, format_report
+
+    result = benchmark("epoch", size=16, repeats=1)
+    assert result["work"] == EPOCH_EPOCHS
+    assert result["fast_s"] > 0 and result["reference_s"] > 0
+    assert result["scan_speedup"] > 0
+    assert "scan_speedup: " in format_report(result)
+
+
+@pytest.mark.parametrize("target", ["touch", "epoch"])
+def test_cli_bench_profile_prints_a_cprofile_report(target, capsys):
+    from repro.cli import main
+
+    assert main(["bench", target, "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"hot paths: {target} microbenchmark")
+    assert "cumtime" in out and "run_epoch" in out
 
 
 def test_cli_bench_accepts_touch_target():

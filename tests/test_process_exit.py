@@ -73,6 +73,39 @@ def test_exit_finishes_workload_run(kernel4k):
     kernel4k.run_epochs(2)  # the dead run must not be stepped again
 
 
+def test_active_runs_follow_spawn_exit_churn(kernel4k):
+    """``active_runs`` walks only the live runs, yet must list exactly the
+    unfinished runs of ``kernel.runs``, in spawn order, through churn that
+    mixes exits, runs that finish on their own and respawns."""
+    from tests.conftest import spawn_simple
+
+    def expected():
+        return [run for run in kernel4k.runs if not run.finished]
+
+    def assert_same():
+        active = kernel4k.active_runs()
+        assert len(active) == len(expected())
+        assert all(a is b for a, b in zip(active, expected()))
+
+    for wave in range(4):
+        for i in range(3):
+            # short runs finish by themselves; long ones only by exit
+            spawn_simple(kernel4k, heap_mb=2, work_s=2.0 if i == 1 else 1000.0,
+                         name=f"w{wave}.{i}")
+            assert_same()
+        kernel4k.run_epochs(3)
+        assert_same()
+        live = expected()
+        for run in (live[0], live[-1]) if len(live) > 1 else live:
+            kernel4k.exit_process(run.proc)
+            assert_same()
+    assert any(run.finished and run.proc.pid in kernel4k._run_by_pid
+               for run in kernel4k.runs)  # finished without exiting
+    for run in expected():
+        kernel4k.exit_process(run.proc)
+    assert kernel4k.active_runs() == expected() == []
+
+
 def test_exit_twice_is_safe(kernel4k):
     proc, vma = make_proc(kernel4k)
     kernel4k.fault(proc, vma.start)
