@@ -191,7 +191,7 @@ def test_ablation_bloat_recovery_vs_samepage_merging(benchmark, scale):
         kernel, proc = bloated_kernel()
         cpu_before = kernel.stats.bloat_cpu_us
         recovered = 0
-        for hvpn in list(proc.regions):
+        for hvpn in list(proc.regions.slot_of):
             got, scanned = kernel.dedup_zero_pages(proc, hvpn)
             recovered += got
         cpu = kernel.stats.bloat_scan_bytes * kernel.costs.scan_byte_us

@@ -44,8 +44,9 @@ class SecondTouchPolicy(HugePagePolicy):
         return "base"
 
     def on_sample(self, proc):
-        for hvpn, region in proc.regions.items():
-            if region.is_huge or region.last_coverage == 0:
+        table, pt = proc.regions, proc.page_table
+        for hvpn, slot in table.slot_of.items():
+            if pt.region_huge(hvpn) or table.last_coverage[slot] == 0:
                 continue
             key = (proc.pid, hvpn)
             count = self._touches.get(key, 0) + 1

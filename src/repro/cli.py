@@ -1107,8 +1107,8 @@ def cmd_pagemap(args) -> int:
         return status
 
     rows = []
-    for region in sorted(proc.regions.values(), key=lambda r: r.hvpn):
-        hvpn = region.hvpn
+    table = proc.regions
+    for hvpn, slot in sorted(table.slot_of.items()):
         if pt.region_huge(hvpn):
             frame, mapping = int(pt.hframe[hvpn]), "huge"
         else:
@@ -1118,9 +1118,9 @@ def cmd_pagemap(args) -> int:
         if frame < 0:
             continue
         d, last = prov(frame)
-        rows.append([hvpn, mapping, region.resident,
-                     f"{region.coverage_ema:.1f}", frame, node_of(frame),
-                     d["site"], d["pid"], d["epoch"], last])
+        rows.append([hvpn, mapping, pt.region_resident(hvpn),
+                     f"{table.coverage_ema.item(slot):.1f}", frame,
+                     node_of(frame), d["site"], d["pid"], d["epoch"], last])
     shown = rows[: args.limit] if args.limit else rows
     print(format_table(
         ["region", "map", "resident", "ema", "head frame", "node", "site",

@@ -17,6 +17,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import grown
 
 #: bucket width in access-coverage units (paper: 10 buckets over 0..512).
 BUCKET_WIDTH = 50
@@ -38,13 +39,26 @@ class AccessMap:
         self.buckets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(NUM_BUCKETS)
         ]
-        self._bucket_of: dict[int, int] = {}
+        #: bucket of each mapped hvpn, indexed by hvpn, -1 when absent
+        #: (grown on demand), so :meth:`update_many` finds the regions
+        #: that move with one gather.
+        self._bucket_of = np.full(64, -1, dtype=np.int8)
 
     def __len__(self) -> int:
-        return len(self._bucket_of)
+        return sum(map(len, self.buckets))
 
     def __contains__(self, hvpn: int) -> bool:
-        return hvpn in self._bucket_of
+        return self._old(hvpn) >= 0
+
+    def _old(self, hvpn: int) -> int:
+        """Bucket of ``hvpn``, or -1 when it is not mapped."""
+        column = self._bucket_of
+        return column.item(hvpn) if hvpn < column.shape[0] else -1
+
+    def _reserve(self, hvpn: int) -> None:
+        """Grow the bucket column to cover ``hvpn``."""
+        if hvpn >= self._bucket_of.shape[0]:
+            self._bucket_of = grown(self._bucket_of, hvpn + 1, -1)
 
     def update(self, hvpn: int, coverage: float) -> None:
         """Place/move a region according to its new EMA coverage.
@@ -53,14 +67,15 @@ class AccessMap:
         appends at the tail; unchanged buckets keep their position.
         """
         new = bucket_of(min(coverage, PAGES_PER_HUGE))
-        old = self._bucket_of.get(hvpn)
+        old = self._old(hvpn)
         if old == new:
             return
-        if old is not None:
+        if old >= 0:
             del self.buckets[old][hvpn]
-        moved_up = old is None or new > old
+        else:
+            self._reserve(hvpn)
         bucket = self.buckets[new]
-        if moved_up:
+        if new > old:
             bucket[hvpn] = None
             bucket.move_to_end(hvpn, last=False)  # head
         else:
@@ -69,45 +84,56 @@ class AccessMap:
 
     def remove(self, hvpn: int) -> None:
         """Drop a region from the map (promoted, freed, or exited)."""
-        old = self._bucket_of.pop(hvpn, None)
-        if old is not None:
+        old = self._old(hvpn)
+        if old >= 0:
             del self.buckets[old][hvpn]
+            self._bucket_of[hvpn] = -1
 
     def update_many(self, hvpns: np.ndarray, coverages: np.ndarray) -> None:
         """Bulk :meth:`update`: one vectorized bucket computation.
 
         Equivalent to calling ``update(hvpn, coverage)`` pairwise in array
-        order — ``min``/truncate/divide happen as array ops, and the
-        remaining OrderedDict fixups only run for regions whose bucket
-        actually changed (the common case after an EMA refresh is *no*
-        move, which this detects without touching Python floats).
+        order for distinct ``hvpns`` — ``min``/truncate/divide happen as
+        array ops, and the remaining OrderedDict fixups only run for
+        regions whose bucket actually changed (the common case after an
+        EMA refresh is *no* move, which one gather of the old buckets
+        detects without touching Python values).
         """
-        if coverages.size and bool((coverages < 0).any()):
+        if not hvpns.size:
+            return
+        if bool((coverages < 0).any()):
             bad = float(coverages[coverages < 0][0])
             raise ValueError(f"coverage must be non-negative, got {bad}")
         clipped = np.minimum(coverages, PAGES_PER_HUGE)
         news = np.minimum(
             clipped.astype(np.int64) // BUCKET_WIDTH, NUM_BUCKETS - 1)
-        bucket_of_ = self._bucket_of
+        self._reserve(int(hvpns.max()))
+        olds = self._bucket_of[hvpns]
+        moved = np.flatnonzero(olds != news)
         buckets = self.buckets
-        for hvpn, new in zip(hvpns.tolist(), news.tolist()):
-            old = bucket_of_.get(hvpn)
-            if old == new:
-                continue
-            if old is not None:
+        for hvpn, old, new in zip(hvpns[moved].tolist(), olds[moved].tolist(),
+                                  news[moved].tolist()):
+            if old >= 0:
                 del buckets[old][hvpn]
             bucket = buckets[new]
-            if old is None or new > old:
+            if new > old:
                 bucket[hvpn] = None
                 bucket.move_to_end(hvpn, last=False)  # head
             else:
                 bucket[hvpn] = None  # tail
-            bucket_of_[hvpn] = new
+        self._bucket_of[hvpns[moved]] = news[moved]
 
     def remove_many(self, hvpns: np.ndarray) -> None:
-        """Bulk :meth:`remove` in array order."""
-        for hvpn in hvpns.tolist():
-            self.remove(hvpn)
+        """Bulk :meth:`remove`: one gather finds the mapped regions."""
+        if not hvpns.size:
+            return
+        self._reserve(int(hvpns.max()))
+        olds = self._bucket_of[hvpns]
+        mapped = np.flatnonzero(olds >= 0)
+        buckets = self.buckets
+        for hvpn, old in zip(hvpns[mapped].tolist(), olds[mapped].tolist()):
+            del buckets[old][hvpn]
+        self._bucket_of[hvpns[mapped]] = -1
 
     def highest_nonempty(self) -> int | None:
         """Index of the hottest non-empty bucket, or None when empty."""

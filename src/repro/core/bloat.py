@@ -104,9 +104,10 @@ class BloatRecovery:
         """(process, huge region) pairs, least-overhead process first."""
         procs = sorted(self.kernel.processes, key=self.overhead_of)
         for proc in procs:
-            for region in list(proc.regions.values()):
-                if region.is_huge:
-                    yield proc, region.hvpn
+            table = proc.regions
+            hvpns = table.hvpn[: table.n][table.is_huge_arr()]
+            for hvpn in hvpns.tolist():
+                yield proc, hvpn
 
     def _decide(self, proc: Process, hvpn: int, outcome: str, reason: str,
                 stage: int, inputs: dict | None = None) -> None:
@@ -118,8 +119,7 @@ class BloatRecovery:
     def _consider(self, proc: Process, hvpn: int) -> int:
         """Scan one huge page; demote and dedup if it is mostly bloat."""
         kernel = self.kernel
-        region = proc.regions.get(hvpn)
-        if region is None or not region.is_huge:
+        if hvpn not in proc.regions or not proc.page_table.region_huge(hvpn):
             self._decide(proc, hvpn, "reject", "region_gone", stage=1)
             return 0
         zeros, scanned = kernel.count_zero_pages(proc, hvpn)
@@ -139,7 +139,8 @@ class BloatRecovery:
         kernel.demote_region(proc, hvpn)
         recovered, dedup_scanned = kernel.dedup_zero_pages(proc, hvpn)
         kernel.stats.bloat_cpu_us += kernel.costs.scan_page_us(dedup_scanned)
-        region.bloat_demoted = True
+        table = proc.regions
+        table.bloat_demoted[table.slot(hvpn)] = True
         self.regions_demoted += 1
         self._decide(proc, hvpn, "accept", "demoted", stage=4,
                      inputs={"zeros": zeros, "recovered": recovered,

@@ -167,19 +167,20 @@ class HawkEyePolicy(HugePagePolicy):
         """
         amap = self.access_maps.setdefault(proc.pid, AccessMap())
         table = proc.regions
-        if not len(table):
+        n = len(table)
+        if not n:
             return
         numa = self.kernel.numa
         cross_node = numa is not None and not numa.replicated_pt
-        hvpns = table.hvpn_arr()
+        hvpns = table.hvpn[:n]
         drop = table.is_huge_arr() | (table.resident_arr() == 0)
         keep = ~drop
         # Regions in use again may be re-promoted once pressure subsides.
-        bloat_demoted = table.bloat_demoted_arr()
+        bloat_demoted = table.bloat_demoted[:n]
         bloat_demoted[keep & bloat_demoted
-                      & (table.last_coverage_arr() > 0)] = False
+                      & (table.last_coverage[:n] > 0)] = False
         keep_hvpns = hvpns[keep]
-        coverage = table.coverage_ema_arr()[keep].copy()
+        coverage = table.coverage_ema[:n][keep]
         if cross_node:
             nodes = numa.region_nodes_arr(proc, keep_hvpns)
             remote = (nodes >= 0) & (nodes != proc.home_node)

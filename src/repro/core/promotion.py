@@ -99,8 +99,8 @@ class PromotionEngine:
                 break
             proc, hvpn = picked
             amap = self.access_maps[proc.pid]
-            region = proc.regions.get(hvpn)
-            ema = 0.0 if region is None else region.coverage_ema
+            slot = proc.regions.slot(hvpn)
+            ema = 0.0 if slot is None else proc.regions.coverage_ema.item(slot)
             if self.kernel.promote_region(proc, hvpn) is None:
                 # Region unpromotable (gone, or no contiguity): drop it
                 # from the candidate set and keep going.  No token is
@@ -158,27 +158,31 @@ class PromotionEngine:
         order = (
             amap.buckets[idx] if idx is not None else amap.iter_promotion_order()
         )
+        table = proc.regions
         for hvpn in list(order):
-            region = proc.regions.get(hvpn)
-            if region is None or region.is_huge:
+            slot = table.slot(hvpn)
+            if slot is None or proc.page_table.region_huge(hvpn):
                 if audited:
                     self._decide(proc, hvpn, "reject",
-                                 "region_gone" if region is None
+                                 "region_gone" if slot is None
                                  else "already_huge", stage=1)
                 amap.remove(hvpn)
                 continue
-            if skip_bloat and region.bloat_demoted:
+            if skip_bloat and table.bloat_demoted.item(slot):
                 if audited:
                     self._decide(proc, hvpn, "reject", "bloat_demoted",
                                  stage=1,
-                                 inputs={"coverage_ema": region.coverage_ema})
+                                 inputs={"coverage_ema":
+                                         table.coverage_ema.item(slot)})
                 continue
             if self.kernel.can_promote(proc, hvpn):
                 return hvpn
             if audited:
                 self._decide(proc, hvpn, "reject", "not_promotable", stage=1,
-                             inputs={"coverage_ema": region.coverage_ema,
-                                     "resident": region.resident})
+                             inputs={"coverage_ema":
+                                     table.coverage_ema.item(slot),
+                                     "resident":
+                                     proc.page_table.region_resident(hvpn)})
             amap.remove(hvpn)
         return None
 

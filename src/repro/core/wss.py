@@ -45,7 +45,7 @@ class WSSEstimator:
         sum (``np.sum``'s pairwise reduction would not be).
         """
         table = proc.regions
-        ema = table.coverage_ema_arr()
+        ema = table.coverage_ema[: table.n]
         return sum(ema[table.resident_arr() > 0].tolist())
 
     def wss_bytes(self, proc: "Process") -> float:

@@ -298,9 +298,8 @@ class ProcessHeat:
         table = proc.regions
         n = len(table)
         if n:
-            h = table.hvpn_arr()
-            w = np.where(table.resident_arr() > 0,
-                         table.last_coverage_arr(), 0)
+            h = table.hvpn[:n]
+            w = np.where(table.resident_arr() > 0, table.last_coverage[:n], 0)
             order = np.argsort(h, kind="stable")
             sh = h[order]
             cum = np.concatenate(([0], np.cumsum(w[order])))

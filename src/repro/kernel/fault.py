@@ -66,7 +66,9 @@ def _huge_at_fault(policy: HugePagePolicy, proc: Process, vma: VMA, vpn: int) ->
     non-resident region its VMA covers can take one (Linux's empty-PMD
     rule), so only there are the madvise hint, then the policy, asked."""
     hvpn = vpn >> 9
-    if proc.region(hvpn).resident or not vma.covers(hvpn << 9, PAGES_PER_HUGE):
+    proc.regions.ensure(hvpn)
+    if (proc.page_table.region_resident(hvpn)
+            or not vma.covers(hvpn << 9, PAGES_PER_HUGE)):
         return False
     if vma.hint is HugePageHint.NEVER:
         return False

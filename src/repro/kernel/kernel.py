@@ -53,7 +53,7 @@ from repro.tlb.tlb import TLBConfig
 from repro.units import BASE_PAGE_SIZE, PAGES_PER_HUGE, SEC, pages_of
 from repro.vm.page_table import SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
-from repro.vm.vma import VMA, VMAKind
+from repro.vm.vma import VMA, HugePageHint, VMAKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro import heat as heat_mod
@@ -647,10 +647,9 @@ class Kernel:
 
     def can_promote(self, proc: Process, hvpn: int) -> bool:
         """Whether a region is currently eligible for huge promotion."""
-        from repro.vm.vma import HugePageHint
-
-        region = proc.regions.get(hvpn)
-        if region is None or region.is_huge or not region.resident:
+        pt = proc.page_table
+        if (hvpn not in proc.regions or pt.region_huge(hvpn)
+                or not pt.region_resident(hvpn)):
             return False
         vma = proc.vmas.try_find(hvpn << 9)
         if vma is None or vma.hint is HugePageHint.NEVER:
@@ -713,7 +712,8 @@ class Kernel:
 
         pt.map_huge(hvpn, block, accessed=True)
         self.rmap_add_huge(block, proc, hvpn)
-        proc.regions[hvpn].promotions += 1
+        table = proc.regions
+        table.promotions[table.slot(hvpn)] += 1
         proc.stats.promotions += 1
         proc.fault_time_epoch_us += self.costs.promotion_stall_us
         self.stats.count_promotion(proc.name, collapsed)
@@ -877,7 +877,7 @@ class Kernel:
                 scanned = int(active.sum())
             if scanned:
                 profile = proc.access_profile
-                hvpns = table.hvpn_arr()
+                hvpns = table.hvpn[:n]
                 if profile is None:
                     samples = np.zeros(n, dtype=np.int64)
                 else:
@@ -895,9 +895,9 @@ class Kernel:
                 np.minimum(samples, PAGES_PER_HUGE, out=samples)
                 # Same float expression as the scalar loop, elementwise in
                 # float64: alpha * sample + (1 - alpha) * ema.
-                ema = table.coverage_ema_arr()
-                table.last_coverage_arr()[active] = samples[active]
-                table.idle_arr()[active] = samples[active] == 0
+                ema = table.coverage_ema[:n]
+                table.last_coverage[:n][active] = samples[active]
+                table.idle[:n][active] = samples[active] == 0
                 ema[active] = alpha * samples[active] + (1.0 - alpha) * ema[active]
             self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
             if (tp := self.trace) is not None and tp.enabled:

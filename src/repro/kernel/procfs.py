@@ -208,7 +208,7 @@ def smaps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
     """Per-VMA summary, one row per mapping (a compact /proc/pid/smaps)."""
     rows = []
     for vma in proc.vmas:
-        huge_regions = proc.page_table.huge_count_in_range(
+        huge_count = proc.page_table.huge_count_in_range(
             vma.start >> 9, ((vma.end - 1) >> 9) + 1)
         resident = _resident_frames(proc, vma).shape[0]
         rows.append({
@@ -216,7 +216,7 @@ def smaps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
             "start_page": vma.start,
             "size_kb": vma.npages * (BASE_PAGE_SIZE // KB),
             "rss_kb": resident * (BASE_PAGE_SIZE // KB),
-            "anon_huge_kb": huge_regions * PAGES_PER_HUGE * (BASE_PAGE_SIZE // KB),
+            "anon_huge_kb": huge_count * PAGES_PER_HUGE * (BASE_PAGE_SIZE // KB),
             "kind": vma.kind.value,
             "hint": vma.hint.value,
         })

@@ -281,17 +281,18 @@ class NumaState:
         """
         pid = proc.pid
         table = proc.regions
-        if not len(table):
+        n = len(table)
+        if not n:
             return 0
-        hvpns = table.hvpn_arr()
-        mask = (table.resident_arr() > 0) & (table.last_coverage_arr() > 0)
+        hvpns = table.hvpn[:n]
+        mask = (table.resident_arr() > 0) & (table.last_coverage[:n] > 0)
         if not mask.any():
             return 0
         sel = hvpns[mask]
         order = np.argsort(sel, kind="stable")
         sel = sel[order]
-        emas = table.coverage_ema_arr()[mask][order]
-        lasts = table.last_coverage_arr()[mask][order]
+        emas = table.coverage_ema[:n][mask][order]
+        lasts = table.last_coverage[:n][mask][order]
         nodes = self.region_nodes_arr(proc, sel)
         remote = (nodes >= 0) & (nodes != proc.home_node)
         hints = 0

@@ -39,13 +39,15 @@ def sample_access_bits(self: "Kernel") -> None:
         profile = proc.access_profile
         coverage = profile.region_coverage(self, proc) if profile is not None else {}
         scanned = 0
-        for hvpn, region in proc.regions.items():
-            if not region.resident:
+        table = proc.regions
+        for hvpn, slot in table.slot_of.items():
+            if not proc.page_table.region_resident(hvpn):
                 continue
             sample = min(coverage.get(hvpn, 0), PAGES_PER_HUGE)
-            region.last_coverage = sample
-            region.idle = sample == 0
-            region.coverage_ema = alpha * sample + (1.0 - alpha) * region.coverage_ema
+            table.last_coverage[slot] = sample
+            table.idle[slot] = sample == 0
+            table.coverage_ema[slot] = (alpha * sample + (1.0 - alpha)
+                                        * table.coverage_ema.item(slot))
             scanned += 1
         self.stats.sampler_cpu_us += scanned * self.costs.sample_region_us
         if (tp := self.trace) is not None and tp.enabled:
@@ -100,15 +102,16 @@ def hawkeye_on_sample(self: HawkEyePolicy, proc: "Process") -> None:
     amap = self.access_maps.setdefault(proc.pid, AccessMap())
     numa = self.kernel.numa
     cross_node = numa is not None and not numa.replicated_pt
-    for hvpn, region in proc.regions.items():
-        if region.is_huge or not region.resident:
+    table, pt = proc.regions, proc.page_table
+    for hvpn, slot in table.slot_of.items():
+        if pt.region_huge(hvpn) or not pt.region_resident(hvpn):
             amap.remove(hvpn)
             continue
-        if region.bloat_demoted and region.last_coverage > 0:
+        if table.bloat_demoted.item(slot) and table.last_coverage.item(slot) > 0:
             # The region is in use again: it may be re-promoted once
             # memory pressure subsides.
-            region.bloat_demoted = False
-        coverage = region.coverage_ema
+            table.bloat_demoted[slot] = False
+        coverage = table.coverage_ema.item(slot)
         if cross_node and numa.region_node(proc, hvpn) not in (
                 None, proc.home_node):
             coverage *= self.NUMA_REMOTE_COVERAGE_PENALTY
@@ -119,9 +122,10 @@ def numa_harvest(self, proc: "Process") -> int:
     """Reference candidate harvest: one region_node call per region."""
     pid = proc.pid
     hints = 0
-    for hvpn in sorted(proc.regions):
-        region = proc.regions[hvpn]
-        if not region.resident or region.last_coverage == 0:
+    table = proc.regions
+    for hvpn, slot in sorted(table.slot_of.items()):
+        last = table.last_coverage.item(slot)
+        if not proc.page_table.region_resident(hvpn) or last == 0:
             continue
         policy = self.resolve_policy(
             proc, proc.vmas.try_find(hvpn << 9))
@@ -130,8 +134,8 @@ def numa_harvest(self, proc: "Process") -> int:
         node = self.region_node(proc, hvpn)
         if node is None or node == proc.home_node:
             continue
-        hints += region.last_coverage
-        self._candidates[(pid, hvpn)] = region.coverage_ema
+        hints += last
+        self._candidates[(pid, hvpn)] = table.coverage_ema.item(slot)
     return hints
 
 

@@ -259,20 +259,24 @@ def _paired(bench: Workload, pairs: int) -> tuple[float, int]:
 def _scan_speedup(regions: int, iters: int = 30) -> float:
     """Reference/vectorized ratio of the access-bit scan pass alone:
     ``_sample_access_bits`` calls (with the policy's on_sample ranking)
-    on an oracle-installed and a plain kernel, each after a warm-up."""
-    timings = []
-    for reference in (True, False):
-        kernel = _build(_EpochBench(regions), reference).kernel
-        kernel._sample_access_bits()  # warm caches / allocator state
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            for _ in range(iters):
+    on an oracle-installed and a plain kernel.  The sides alternate, one
+    timed call each per turn, so a change in host speed hits both alike;
+    each timed call follows an untimed one on the same kernel, which
+    warms the caches the other side's call evicted."""
+    kernels = [_build(_EpochBench(regions), reference).kernel
+               for reference in (True, False)]
+    timings = [0.0, 0.0]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(iters):
+            for i, kernel in enumerate(kernels):
+                kernel._sample_access_bits()  # warm-up
+                t0 = time.perf_counter()
                 kernel._sample_access_bits()
-            timings.append(time.perf_counter() - t0)
-        finally:
-            gc.enable()
+                timings[i] += time.perf_counter() - t0
+    finally:
+        gc.enable()
     return timings[0] / timings[1]
 
 

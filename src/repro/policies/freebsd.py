@@ -42,8 +42,9 @@ class FreeBSDPolicy(HugePagePolicy):
         key = (proc.pid, hvpn)
         block = self.reservations.get(key)
         if block is None:
-            region = proc.region(hvpn)
-            if not region.resident and vma.covers(hvpn << 9, PAGES_PER_HUGE):
+            proc.regions.ensure(hvpn)
+            if (not proc.page_table.region_resident(hvpn)
+                    and vma.covers(hvpn << 9, PAGES_PER_HUGE)):
                 got = self.kernel.buddy.try_alloc(9, prefer_zero=False, owner=proc.pid)
                 if got is not None:
                     block = got[0]
@@ -58,8 +59,8 @@ class FreeBSDPolicy(HugePagePolicy):
         key = (proc.pid, hvpn)
         if key not in self.reservations:
             return
-        region = proc.region(hvpn)
-        if region.resident >= PAGES_PER_HUGE:
+        proc.regions.ensure(hvpn)
+        if proc.page_table.region_resident(hvpn) >= PAGES_PER_HUGE:
             # Fully populated: in-place promotion (the frames are ours
             # and contiguous, so this is a remap, not a copy).
             del self.reservations[key]

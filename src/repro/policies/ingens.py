@@ -26,6 +26,8 @@ order, the sequential scan the paper's §2.3 criticises.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.kernel.kthread import RateLimiter
 from repro.policies.base import HugePagePolicy
 from repro.units import PAGES_PER_HUGE
@@ -79,13 +81,10 @@ class IngensPolicy(HugePagePolicy):
         """Proportional share of contiguity, penalised for idle huge pages.
 
         Smaller metric = less served = promoted first."""
-        huge = 0
-        idle_huge = 0
-        for region in proc.regions.values():
-            if region.is_huge:
-                huge += 1
-                if region.idle:
-                    idle_huge += 1
+        table = proc.regions
+        is_huge = table.is_huge_arr()
+        huge = int(is_huge.sum())
+        idle_huge = int((is_huge & table.idle[: table.n]).sum())
         rss = max(proc.rss_pages(), 1)
         return (huge + self.idle_penalty * idle_huge) * PAGES_PER_HUGE / rss
 
@@ -95,14 +94,13 @@ class IngensPolicy(HugePagePolicy):
         # counter-productive khugepaged/ksm interaction the paper cites
         # from [51].  Idle regions in general remain candidates: Figure 1
         # shows Ingens's aggressive phase does bloat around them.
-        return sorted(
-            r.hvpn
-            for r in proc.regions.values()
-            if not r.is_huge
-            and not r.bloat_demoted
-            and r.utilization() >= threshold
-            and self.kernel.can_promote(proc, r.hvpn)
-        )
+        table = proc.regions
+        n = table.n
+        mask = ~(table.is_huge_arr() | table.bloat_demoted[:n])
+        mask &= table.resident_arr() / PAGES_PER_HUGE >= threshold
+        can_promote = self.kernel.can_promote
+        return sorted(hvpn for hvpn in table.hvpn[:n][mask].tolist()
+                      if can_promote(proc, hvpn))
 
     def on_epoch(self) -> None:
         """Promote up to budget, fairness-ordered, threshold per FMFI phase."""
@@ -145,7 +143,9 @@ class IngensPolicy(HugePagePolicy):
 
     def estimated_overhead(self, proc: Process) -> float:
         """Ingens has no overhead model; expose utilisation pressure."""
-        return min(1.0, len(proc.candidate_regions()) / 1024.0)
+        table = proc.regions
+        candidates = ~table.is_huge_arr() & (table.resident_arr() > 0)
+        return min(1.0, int(candidates.sum()) / 1024.0)
 
     # ------------------------------------------------------------------ #
     # ksm coordination (§3.2's characterisation of Ingens)                #
@@ -174,15 +174,15 @@ class IngensPolicy(HugePagePolicy):
         to swap or OOM, matching the paper's Figure 1 outcome.
         """
         for proc in self.kernel.processes:
-            for region in list(proc.regions.values()):
-                if region.is_huge and region.idle:
-                    self.kernel.demote_region(proc, region.hvpn)
-                    region.bloat_demoted = True  # cooldown against re-collapse
-                    self.demotions_for_ksm += 1
+            table = proc.regions
+            idle_huge = table.is_huge_arr() & table.idle[: table.n]
+            for slot in np.flatnonzero(idle_huge).tolist():
+                self.kernel.demote_region(proc, table.hvpn.item(slot))
+                table.bloat_demoted[slot] = True  # cooldown against re-collapse
+                self.demotions_for_ksm += 1
         return 0
 
     def on_sample(self, proc: Process) -> None:
         """Lift the ksm-demotion cooldown once a region is accessed again."""
-        for region in proc.regions.values():
-            if region.bloat_demoted and region.last_coverage > 0:
-                region.bloat_demoted = False
+        table, n = proc.regions, proc.regions.n
+        table.bloat_demoted[:n][table.last_coverage[:n] > 0] = False

@@ -101,10 +101,10 @@ class MMUModel:
             return result
 
         for load in loads:
-            huge_regions = load.touched_regions * load.promoted_fraction
-            base_regions = load.touched_regions - huge_regions
-            result.demand_base += base_regions * load.coverage
-            result.demand_huge += huge_regions
+            huge_touched = load.touched_regions * load.promoted_fraction
+            base_touched = load.touched_regions - huge_touched
+            result.demand_base += base_touched * load.coverage
+            result.demand_huge += huge_touched
         result.miss_base, result.miss_huge = self.tlb.miss_fractions(
             result.demand_base, result.demand_huge
         )

@@ -48,7 +48,7 @@ SHARED_COW = 8
 SHARED = SHARED_ZERO | SHARED_COW
 
 
-def _grown(col: np.ndarray, need: int, fill: int) -> np.ndarray:
+def grown(col: np.ndarray, need: int, fill: int) -> np.ndarray:
     """``col`` doubled until it holds ``need`` slots, new slots ``fill``."""
     cap = col.shape[0]
     while cap < need:
@@ -97,21 +97,21 @@ class PageTable:
     def _ensure_base(self, end_vpn: int) -> None:
         """Grow the base columns, and ``hcount`` with them, to ``end_vpn``."""
         if end_vpn > self.frame.shape[0]:
-            self.frame = _grown(self.frame, end_vpn, -1)
-            self.flags = _grown(self.flags, end_vpn, 0)
-            self.seq = _grown(self.seq, end_vpn, 0)
+            self.frame = grown(self.frame, end_vpn, -1)
+            self.flags = grown(self.flags, end_vpn, 0)
+            self.seq = grown(self.seq, end_vpn, 0)
             if (need := ((self.frame.shape[0] - 1) >> 9) + 1) > self.hcount.shape[0]:
-                self.hcount = _grown(self.hcount, need, 0)
+                self.hcount = grown(self.hcount, need, 0)
 
     def reserve_region(self, hvpn: int) -> None:
         """Grow the per-region columns to cover ``hvpn`` (region records do)."""
         self.generation += 1
         if hvpn >= self.hframe.shape[0]:
-            self.hframe = _grown(self.hframe, hvpn + 1, -1)
-            self.hflags = _grown(self.hflags, hvpn + 1, 0)
-            self.hseq = _grown(self.hseq, hvpn + 1, 0)
+            self.hframe = grown(self.hframe, hvpn + 1, -1)
+            self.hflags = grown(self.hflags, hvpn + 1, 0)
+            self.hseq = grown(self.hseq, hvpn + 1, 0)
         if hvpn >= self.hcount.shape[0]:
-            self.hcount = _grown(self.hcount, hvpn + 1, 0)
+            self.hcount = grown(self.hcount, hvpn + 1, 0)
 
     def _count(self, vpn0: int, end: int, sign: int, step: int = 1) -> None:
         """Add ``sign`` to ``hcount`` once per vpn of ``range(vpn0, end, step)``."""

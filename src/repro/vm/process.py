@@ -1,14 +1,13 @@
 """Processes: address space, per-region metadata and time accounting.
 
-``RegionInfo`` is the per-huge-region record every policy in the paper
-keys off: FreeBSD's ``population_map`` (residency), Ingens's
-``access_bitvector`` (utilisation + idleness) and HawkEye's ``access_map``
-(EMA access-coverage) are all views over this structure (§3.3).  Storage
-lives in :class:`repro.core.region_table.RegionTable` — parallel numpy
-arrays the epoch hot paths (access-bit sampling, EMA ranking, WSS) read
-as whole columns; ``RegionInfo`` is a per-slot proxy so scalar call
-sites keep the dict-of-records shape.  Residency and huge-ness are read
-off the process's page table, as a kernel reads them off its PTEs.
+``Process.regions`` holds the per-huge-region metadata every policy in
+the paper keys off: FreeBSD's ``population_map`` (residency), Ingens's
+``access_bitvector`` (utilisation + idleness) and HawkEye's
+``access_map`` (EMA access-coverage) are all views over it (§3.3).  It
+is a :class:`repro.core.region_table.RegionTable`: parallel numpy
+columns indexed by slot, which the epoch hot paths (access-bit sampling,
+EMA ranking, WSS) read whole.  Residency and huge-ness are read off the
+process's page table, as a kernel reads them off its PTEs.
 
 Time accounting follows the execution model of the evaluation: a process
 retires its workload's *useful work* at a rate discounted by page-fault
@@ -22,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.region_table import RegionInfo, RegionTable
+from repro.core.region_table import RegionTable
 from repro.vm.page_table import PageTable
 from repro.vm.vma import VMAList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.base import AccessProfile
 
-__all__ = ["Process", "ProcessStats", "RegionInfo", "RegionTable"]
+__all__ = ["Process", "ProcessStats", "RegionTable"]
 
 
 @dataclass
@@ -78,21 +77,9 @@ class Process:
         #: Typed loosely to keep single-node builds import-free of numa.
         self.mempolicy = None
 
-    def region(self, hvpn: int) -> RegionInfo:
-        """Get or create the metadata record for huge region ``hvpn``."""
-        return self.regions.get_or_create(hvpn)
-
     def rss_pages(self) -> int:
         """Resident set size in base pages (excludes shared-zero mappings)."""
         return self.page_table.resident_pages()
-
-    def huge_regions(self) -> list[RegionInfo]:
-        """Regions currently mapped huge."""
-        return [r for r in self.regions.values() if r.is_huge]
-
-    def candidate_regions(self) -> list[RegionInfo]:
-        """Regions not yet huge that have at least one resident page."""
-        return [r for r in self.regions.values() if not r.is_huge and r.resident > 0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.pid} {self.name!r} rss={self.rss_pages()}p>"

@@ -116,3 +116,28 @@ def test_figure4_promotion_order():
         order = [regions[h][0] for h in amap.iter_promotion_order()]
         expected = [lbl for lbl, _ in sorted(regions, key=lambda r: -r[1])]
         assert order == expected
+
+
+def test_bulk_calls_match_scalar_calls():
+    """update_many/remove_many equal pairwise update/remove in array
+    order: same bucket contents and order, membership and length, also
+    for hvpns past the bucket column's initial size."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    bulk, scalar = AccessMap(), AccessMap()
+    for _ in range(30):
+        hvpns = rng.choice(300, size=40, replace=False).astype(np.int64)
+        coverage = rng.uniform(0, 600, size=40)
+        bulk.update_many(hvpns, coverage)
+        for hvpn, cov in zip(hvpns.tolist(), coverage.tolist()):
+            scalar.update(hvpn, cov)
+        gone = rng.choice(400, size=15, replace=False).astype(np.int64)
+        bulk.remove_many(gone)
+        for hvpn in gone.tolist():
+            scalar.remove(hvpn)
+        assert [list(b) for b in bulk.buckets] == [list(b) for b in scalar.buckets]
+        assert len(bulk) == len(scalar)
+        assert all((h in bulk) == (h in scalar) for h in range(450))
+    with pytest.raises(ValueError):
+        bulk.update_many(np.array([1]), np.array([-1.0]))

@@ -45,18 +45,25 @@ def test_pattern_enum_exported():
 
 
 def test_process_region_metadata():
-    from repro.vm.process import Process, RegionInfo
+    import repro.vm
+    from repro.vm.process import Process
 
+    assert not hasattr(repro.vm, "RegionInfo")
     proc = Process("x")
-    region = proc.region(5)
-    assert isinstance(region, RegionInfo)
-    assert proc.region(5) is region, "get-or-create must be stable"
+    table, pt = proc.regions, proc.page_table
+    assert table.slot(5) is None and 5 not in table
+    slot = table.ensure(5)
+    assert table.ensure(5) == slot, "get-or-create must be stable"
+    assert table.slot(5) == slot and 5 in table and len(table) == 1
+    assert table.hvpn[:table.n].tolist() == [5]
     # Residency is read from the page table: map half the region...
-    proc.page_table.map_base_range(5 << 9, [(0, 256, False)])
-    assert region.utilization() == 0.5
-    assert proc.candidate_regions() == [region]
+    pt.map_base_range(5 << 9, [(0, 256, False)])
+    assert pt.region_resident(5) == 256
+    assert table.resident_arr().tolist() == [256]
+    assert table.is_huge_arr().tolist() == [False]
     # ...then collapse it into one huge mapping, as promotion does.
-    proc.page_table.unmap_base_run_private(5 << 9, 256)
-    proc.page_table.map_huge(5, 0)
-    assert proc.huge_regions() == [region]
-    assert proc.candidate_regions() == []
+    pt.unmap_base_run_private(5 << 9, 256)
+    pt.map_huge(5, 0)
+    assert pt.region_huge(5)
+    assert table.is_huge_arr().tolist() == [True]
+    assert table.resident_arr().tolist() == [512]

@@ -89,13 +89,12 @@ def test_hawkeye_promotion_record_matches_recomputation():
     policy = kernel.policy
     proc, vma = _proc_with_heap(kernel, PAGES_PER_HUGE)
     hvpn = vma.start >> 9
-    region = proc.regions.get(hvpn)
-    region.coverage_ema = 321.5
+    proc.regions.coverage_ema[proc.regions.slot(hvpn)] = 321.5
     # install the candidate the way the sampler would
     from repro.core.access_map import AccessMap
 
     amap = policy.access_maps.setdefault(proc.pid, AccessMap())
-    amap.update(hvpn, region.coverage_ema)
+    amap.update(hvpn, 321.5)
 
     promoted = policy.engine.run_epoch()
     assert promoted >= 1
@@ -329,3 +328,42 @@ def test_cli_why_filters_by_region(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "none matched" in out
+
+
+@pytest.mark.parametrize("policy", ["hawkeye-g", "ingens-90"])
+def test_region_reads_reach_records_as_python_scalars(policy, monkeypatch):
+    """Values read off the region table's numpy columns reach decision
+    inputs, their text and ``repro pagemap``'s region rows as exact
+    Python scalars: ``str`` of an ``np.float64`` prints ``np.float64(..)``."""
+    from repro import cli
+
+    logs, tables = [], []
+    attach = audit.attach
+    monkeypatch.setattr(audit, "attach",
+                        lambda kernel: logs.append(attach(kernel)) or logs[-1])
+    monkeypatch.setattr(cli, "format_table",
+                        lambda headers, rows, **kw: tables.append(rows) or "")
+    main(["pagemap", "redis-fig1", "--policy", policy, "--fragment",
+          "--scale", "256", "--max-epochs", "1000", "--limit", "0"])
+    records = list(logs[0].decisions)
+    # a §3.5 cap refuses huge faults: the fault_size decision point
+    kernel = Kernel(small_config(), lambda k: HawkEyePolicy(
+        k, variant="g", huge_page_limits={"capped": 1}))
+    log = audit.attach(kernel)
+    proc, vma = _proc_with_heap(kernel, 0, name="capped")
+    for region in range(2):
+        kernel.fault(proc, vma.start + region * PAGES_PER_HUGE)
+    records += log.decisions
+    points = {rec.point for rec in records}
+    assert {"promote", "fault_size"} <= points
+    if policy == "hawkeye-g":
+        assert "bloat" in points
+    for rec in records:
+        for key, value in rec.inputs.items():
+            assert type(value) in (int, float, bool, str), (rec.point, key, value)
+        assert "np." not in str(rec)
+    (rows,) = tables
+    assert rows
+    for row in rows:
+        for cell in row:
+            assert type(cell) in (int, float, str), (row, cell)

@@ -54,7 +54,7 @@ def test_recovers_when_watermark_crossed():
     assert recovered > 0
     assert kernel.stats.bloat_pages_recovered == recovered
     # demoted regions are marked to avoid promote/demote thrash
-    assert any(r.bloat_demoted for r in proc.regions.values())
+    assert proc.regions.bloat_demoted[:proc.regions.n].any()
 
 
 def test_recovery_stops_at_low_watermark():
@@ -77,7 +77,7 @@ def test_zero_threshold_spares_dense_regions():
         kernel.frames.write(block + i, first_nonzero=9)
     thread = recovery(kernel, scan_pages_per_sec=1e9, zero_threshold=0.5)
     thread.run_epoch()
-    assert proc.regions[dense_hvpn].is_huge, "dense huge page must survive"
+    assert proc.page_table.region_huge(dense_hvpn), "dense huge page must survive"
 
 
 def test_victim_order_lowest_overhead_first():

@@ -29,7 +29,7 @@ def test_base_fault_maps_and_charges(kernel4k):
     assert latency == pytest.approx(3.5)  # sync zeroing baseline
     assert proc.page_table.translate(vma.start) is not None
     assert proc.stats.faults == 1
-    assert proc.region(vma.start >> 9).resident == 1
+    assert proc.page_table.region_resident(vma.start >> 9) == 1
 
 
 def test_repeat_fault_free(kernel4k):
@@ -44,9 +44,8 @@ def test_thp_maps_huge_at_first_fault(kernel_thp):
     latency = kernel_thp.fault(proc, vma.start + 7)
     assert latency == pytest.approx(465.0)  # huge fault with sync zeroing
     assert proc.stats.huge_faults == 1
-    region = proc.region(vma.start >> 9)
-    assert region.is_huge
-    assert region.resident == PAGES_PER_HUGE
+    assert proc.page_table.region_huge(vma.start >> 9)
+    assert proc.page_table.region_resident(vma.start >> 9) == PAGES_PER_HUGE
     # every page of the region is now mapped
     assert proc.page_table.translate(vma.start + 100) is not None
 

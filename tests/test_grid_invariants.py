@@ -9,9 +9,9 @@ production flag, so that after each epoch it calls
 khugepaged's skip gate: every process whose page-table generation is the
 one its last empty scan saw has no candidate (``_next_candidate`` is
 None), so skipping it changes nothing.
-Region residency needs no check of its own: ``RegionInfo.resident`` and
-``is_huge`` are read from the page table, whose per-region count column
-``PageTable.check()`` verifies.
+Region residency needs no check of its own: the region table stores no
+residency or huge-ness, both are read from the page table, whose
+per-region count column ``PageTable.check()`` verifies.
 
 The ``fleet-smoke`` cells also run under telemetry capture, with every
 scrape checked to publish per-process series for live processes only.

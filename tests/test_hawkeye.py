@@ -118,12 +118,14 @@ def test_bloat_demoted_flag_cleared_on_reuse():
     proc, vma = make_proc(kernel)
     vma.hint = HugePageHint.NEVER  # five base faults, no huge fault
     kernel.fault_range(proc, vma.start, 5)
-    region = proc.region(vma.start >> 9)
-    assert region.resident == 5 and not region.is_huge
-    region.bloat_demoted = True
-    region.last_coverage = 40
+    hvpn = vma.start >> 9
+    table, slot = proc.regions, proc.regions.slot(hvpn)
+    assert proc.page_table.region_resident(hvpn) == 5
+    assert not proc.page_table.region_huge(hvpn)
+    table.bloat_demoted[slot] = True
+    table.last_coverage[slot] = 40
     kernel.policy.on_sample(proc)
-    assert not region.bloat_demoted
+    assert not table.bloat_demoted[slot]
 
 
 def test_process_exit_cleans_state():

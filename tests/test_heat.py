@@ -89,7 +89,7 @@ def test_sample_counts_conserved(kernel_hawkeye):
     state = monitor.procs[run.proc.pid]
     table = run.proc.regions
     weights = np.where(table.resident_arr() > 0,
-                       table.last_coverage_arr(), 0)
+                       table.last_coverage[:table.n], 0)
     assert sum(r.sample for r in state.regions) == int(weights.sum())
 
 

@@ -19,11 +19,11 @@ class TestPromotion:
         kernel_thp.fault(proc, vma.start)  # huge fault
         hvpn = vma.start >> 9
         kernel_thp.demote_region(proc, hvpn)
-        assert not proc.region(hvpn).is_huge
+        assert not proc.page_table.region_huge(hvpn)
         cost = kernel_thp.promote_region(proc, hvpn)
         assert cost == pytest.approx(kernel_thp.costs.remap_us)
         assert kernel_thp.stats.inplace_promotions == 1
-        assert proc.region(hvpn).is_huge
+        assert proc.page_table.region_huge(hvpn)
 
     def test_collapse_promotion_copies_and_zero_fills(self, kernel4k):
         proc, vma = make_proc(kernel4k)
@@ -106,9 +106,9 @@ class TestMadvise:
         free_before = kernel_thp.buddy.free_pages
         kernel_thp.madvise_free(proc, vma.start, 100)
         assert kernel_thp.buddy.free_pages == free_before + 100
-        region = proc.region(vma.start >> 9)
-        assert not region.is_huge
-        assert region.resident == PAGES_PER_HUGE - 100
+        hvpn = vma.start >> 9
+        assert not proc.page_table.region_huge(hvpn)
+        assert proc.page_table.region_resident(hvpn) == PAGES_PER_HUGE - 100
         assert proc.page_table.translate(vma.start + 50) is None
         assert proc.page_table.translate(vma.start + 200) is not None
 
@@ -136,8 +136,8 @@ class TestEpochLoop:
         run = spawn_simple(kernel_hawkeye, heap_mb=8, work_s=120.0)
         kernel_hawkeye.run_epochs(31)
         proc = run.proc
-        sampled = [r for r in proc.regions.values() if r.coverage_ema > 0]
-        assert sampled, "30-second sampling must have recorded coverage"
+        sampled = proc.regions.coverage_ema[:proc.regions.n] > 0
+        assert sampled.any(), "30-second sampling must have recorded coverage"
 
     def test_epoch_hooks_called(self, kernel4k):
         seen = []

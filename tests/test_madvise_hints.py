@@ -66,24 +66,24 @@ class TestMaxPtesNone:
         kernel = self.make(511)
         proc, vma = self.fault_partial(kernel, resident=1)
         kernel.run_epochs(2)
-        assert proc.region(vma.start >> 9).is_huge
+        assert proc.page_table.region_huge(vma.start >> 9)
 
     def test_zero_requires_full_population(self):
         kernel = self.make(0)
         proc, vma = self.fault_partial(kernel, resident=511)
         kernel.run_epochs(2)
-        assert not proc.region(vma.start >> 9).is_huge
+        assert not proc.page_table.region_huge(vma.start >> 9)
         for i in range(511, PAGES_PER_HUGE):
             kernel.fault(proc, vma.start + i)
         kernel.run_epochs(2)
-        assert proc.region(vma.start >> 9).is_huge
+        assert proc.page_table.region_huge(vma.start >> 9)
 
     def test_intermediate_threshold(self):
         kernel = self.make(64)
         proc, vma = self.fault_partial(kernel, resident=400)  # 112 holes > 64
         kernel.run_epochs(2)
-        assert not proc.region(vma.start >> 9).is_huge
+        assert not proc.page_table.region_huge(vma.start >> 9)
         for i in range(400, 460):  # holes: 52 <= 64
             kernel.fault(proc, vma.start + i)
         kernel.run_epochs(2)
-        assert proc.region(vma.start >> 9).is_huge
+        assert proc.page_table.region_huge(vma.start >> 9)

@@ -35,10 +35,10 @@ def test_promotion_only_at_full_population(kernel):
     proc, vma = make_proc(kernel)
     for i in range(PAGES_PER_HUGE - 1):
         kernel.fault(proc, vma.start + i)
-    region = proc.region(vma.start >> 9)
-    assert not region.is_huge
+    hvpn = vma.start >> 9
+    assert hvpn in proc.regions and not proc.page_table.region_huge(hvpn)
     kernel.fault(proc, vma.start + PAGES_PER_HUGE - 1)
-    assert region.is_huge, "512th fault triggers in-place promotion"
+    assert proc.page_table.region_huge(hvpn), "512th fault triggers in-place promotion"
     assert kernel.stats.inplace_promotions == 1
     assert (proc.pid, vma.start >> 9) not in kernel.policy.reservations
 

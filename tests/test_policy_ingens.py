@@ -37,7 +37,7 @@ def test_aggressive_phase_promotes_sparse_regions():
     kernel.fault(proc, vma.start)  # 1/512 resident
     assert kernel.policy.current_threshold() < 0.01
     kernel.run_epochs(1)
-    assert proc.region(vma.start >> 9).is_huge
+    assert proc.page_table.region_huge(vma.start >> 9)
 
 
 def test_conservative_phase_requires_utilization():
@@ -48,7 +48,7 @@ def test_conservative_phase_requires_utilization():
     fill_region(kernel, proc, vma, pages=256)  # 50% utilised
     assert kernel.policy.current_threshold() == 0.9
     kernel.run_epochs(2)
-    assert not proc.region(vma.start >> 9).is_huge
+    assert not proc.page_table.region_huge(vma.start >> 9)
 
 
 def test_non_adaptive_always_conservative():
@@ -64,7 +64,7 @@ def test_utilization_threshold_variants():
         proc, vma = make_proc(kernel)
         fill_region(kernel, proc, vma, pages=300)  # ~59% utilised
         kernel.run_epochs(2)
-        assert proc.region(vma.start >> 9).is_huge is expect_promoted
+        assert proc.page_table.region_huge(vma.start >> 9) is expect_promoted
 
 
 def test_proportional_fairness_prefers_less_served_process():
@@ -90,8 +90,8 @@ def test_idle_penalty_lowers_priority():
     for proc, vma in ((busy, vma_b), (idle, vma_i)):
         fill_region(kernel, proc, vma)
         kernel.promote_region(proc, vma.start >> 9)
-    busy.region(vma_b.start >> 9).idle = False
-    idle.region(vma_i.start >> 9).idle = True
+    busy.regions.idle[busy.regions.slot(vma_b.start >> 9)] = False
+    idle.regions.idle[idle.regions.slot(vma_i.start >> 9)] = True
     policy = kernel.policy
     assert policy.promotion_metric(idle) > policy.promotion_metric(busy)
 
@@ -130,16 +130,17 @@ class TestKsmCoordination:
             fill_region(kernel, proc, vma, hvpn_offset=offset, pages=1)
             kernel.run_epochs(1)  # aggressive promote (FMFI low)
         hot, cold = (vma.start >> 9), (vma.start >> 9) + 1
-        assert proc.regions[hot].is_huge and proc.regions[cold].is_huge
-        proc.regions[hot].idle = False
-        proc.regions[cold].idle = True
+        assert proc.page_table.region_huge(hot)
+        assert proc.page_table.region_huge(cold)
+        proc.regions.idle[proc.regions.slot(hot)] = False
+        proc.regions.idle[proc.regions.slot(cold)] = True
         freed = kernel.policy.on_memory_pressure(100)
         # only the idle region was demoted; demotion itself frees nothing
         # (reclaim happens at the background merger's pace), so Ingens
         # still OOMs in Figure 1
         assert freed == 0
-        assert not proc.regions[cold].is_huge
-        assert proc.regions[hot].is_huge
+        assert not proc.page_table.region_huge(cold)
+        assert proc.page_table.region_huge(hot)
         assert kernel.policy.demotions_for_ksm == 1
 
     def test_background_merger_reclaims_exposed_bloat(self):
@@ -148,8 +149,8 @@ class TestKsmCoordination:
         proc, vma = make_proc(kernel, nbytes=8 * MB)
         fill_region(kernel, proc, vma, pages=1)
         kernel.run_epochs(1)  # aggressive promotion of the sparse region
-        assert proc.regions[vma.start >> 9].is_huge
-        proc.regions[vma.start >> 9].idle = True
+        assert proc.page_table.region_huge(vma.start >> 9)
+        proc.regions.idle[proc.regions.slot(vma.start >> 9)] = True
         kernel.policy.on_memory_pressure(100)  # demote for ksm
         free_before = kernel.buddy.free_pages
         kernel.run_epochs(2)  # merger passes reclaim the zero pages
@@ -160,7 +161,6 @@ class TestKsmCoordination:
         proc, vma = make_proc(kernel)
         fill_region(kernel, proc, vma)
         kernel.run_epochs(1)
-        for region in proc.regions.values():
-            region.idle = False
+        proc.regions.idle[:] = False
         assert kernel.policy.on_memory_pressure(100) == 0
         assert kernel.policy.demotions_for_ksm == 0

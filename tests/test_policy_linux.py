@@ -35,7 +35,7 @@ def test_khugepaged_promotes_sparse_regions(kernel_thp):
     assert proc.stats.huge_faults == 0
     kernel_thp.fragmenter.release_all()  # contiguity returns
     kernel_thp.run_epochs(3)
-    assert proc.region(vma.start >> 9).is_huge
+    assert proc.page_table.region_huge(vma.start >> 9)
     assert kernel_thp.stats.promotions == 1
 
 
@@ -120,13 +120,14 @@ def _sorted_scan(policy, proc):
     eligible region, take the first at or above the cursor, else wrap.
     Returns ``(hvpn, cursor after)``."""
     cursor = policy._cursor.get(proc.pid)
+    pt = proc.page_table
     candidates = sorted(
-        r.hvpn
-        for r in proc.regions.values()
-        if not r.is_huge
-        and r.resident > 0
-        and PAGES_PER_HUGE - r.resident <= policy.max_ptes_none
-        and policy.kernel.can_promote(proc, r.hvpn)
+        hvpn
+        for hvpn in proc.regions.slot_of
+        if not pt.region_huge(hvpn)
+        and pt.region_resident(hvpn) > 0
+        and PAGES_PER_HUGE - pt.region_resident(hvpn) <= policy.max_ptes_none
+        and policy.kernel.can_promote(proc, hvpn)
     )
     for hvpn in candidates:
         if hvpn >= (cursor or 0):
@@ -173,7 +174,7 @@ def test_next_candidate_matches_sorted_scan(vmas, states, max_ptes_none, cursor)
     frame = 0
     for hvpn, (kind, pages) in enumerate(states, start=1):
         if kind in ("record", "base", "huge"):
-            proc.region(hvpn)
+            proc.regions.ensure(hvpn)
         if kind == "huge":
             pt.map_huge(hvpn, frame)
             frame += PAGES_PER_HUGE
@@ -270,6 +271,6 @@ def test_gate_rescans_after_a_region_record_appears(kernel_thp):
     proc.page_table.map_base(vma.start, frame)  # resident, but no record
     kernel_thp.rmap_add(frame, proc, vma.start)
     _empty_scan(kernel_thp, proc)
-    proc.region(vma.start >> 9)
+    proc.regions.ensure(vma.start >> 9)
     kernel_thp.run_epochs(1)
     assert proc.page_table.region_huge(vma.start >> 9)

@@ -145,7 +145,7 @@ def test_smaps_and_numa_maps_drop_zero_deduplicated_pages(kernel_thp):
     kernel_thp.fault(proc, vma.start)
     kernel_thp.demote_region(proc, vma.start >> 9)
     kernel_thp.dedup_zero_pages(proc, vma.start >> 9)
-    assert proc.region(vma.start >> 9).resident == PAGES_PER_HUGE
+    assert proc.page_table.region_resident(vma.start >> 9) == PAGES_PER_HUGE
     assert proc.rss_pages() == 0
     assert sum(row["rss_kb"] for row in procfs.smaps(kernel_thp, proc)) // 4 == proc.rss_pages()
     assert _numa_maps_pages(kernel_thp, proc) == proc.rss_pages()

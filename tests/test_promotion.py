@@ -56,8 +56,8 @@ def test_g_promotes_hottest_bucket_first():
     amap.update(hvpn0 + 2, 250)   # warm
     engine = engine_for(kernel, {proc.pid: amap}, rate=1.0)
     engine.run_epoch()
-    assert proc.regions[hvpn0 + 1].is_huge
-    assert not proc.regions[hvpn0 + 0].is_huge
+    assert proc.page_table.region_huge(hvpn0 + 1)
+    assert not proc.page_table.region_huge(hvpn0 + 0)
 
 
 def test_g_round_robin_at_same_level():
@@ -150,7 +150,7 @@ def test_failed_promotion_does_not_burn_budget(monkeypatch):
 
     monkeypatch.setattr(kernel, "promote_region", flaky)
     assert engine.run_epoch() == 1, "budget of 1 must survive the failed pick"
-    assert proc.regions[hvpn + 1].is_huge
+    assert proc.page_table.region_huge(hvpn + 1)
     assert hvpn not in amap, "failed candidate dropped from the map"
 
 
@@ -208,11 +208,11 @@ def test_skip_bloat_demoted_during_pressure():
     amap = AccessMap()
     amap.update(hvpn, 480)
     amap.update(hvpn + 1, 480)
-    proc.regions[hvpn].bloat_demoted = True
+    proc.regions.bloat_demoted[proc.regions.slot(hvpn)] = True
     engine = PromotionEngine(
         kernel, {proc.pid: amap}, promote_per_sec=10.0, variant="g",
         skip_bloat_demoted=lambda: True,
     )
     engine.run_epoch()
-    assert not proc.regions[hvpn].is_huge, "bloat-demoted region spared"
-    assert proc.regions[hvpn + 1].is_huge
+    assert not proc.page_table.region_huge(hvpn), "bloat-demoted region spared"
+    assert proc.page_table.region_huge(hvpn + 1)

@@ -143,7 +143,8 @@ def _snapshot(kernel, proc) -> dict:
         "kstats": (kernel.stats.faults, kernel.stats.huge_faults, kernel.stats.cow_faults),
         "pstats": (proc.stats.faults, proc.stats.huge_faults, proc.stats.cow_faults),
         "residents": {
-            h: r.resident for h, r in proc.regions.items() if r.resident
+            h: n for h in proc.regions.slot_of
+            if (n := proc.page_table.region_resident(h))
         } if hasattr(proc, "regions") else None,
     }
 

@@ -6,8 +6,8 @@ zero-page dedup must preserve:
 * translation consistency — every mapped virtual page resolves to an
   allocated frame (or the canonical zero frame), and no frame is mapped
   by two pages;
-* region accounting — ``RegionInfo.resident`` equals the actual mapped
-  page count of the region;
+* region accounting — a recorded region's residency equals the actual
+  mapped page count of the region;
 * physical conservation — allocated frames == frames reachable from page
   tables + reserved frames.
 """
@@ -129,13 +129,17 @@ class KernelMachine(RuleBasedStateMachine):
     @invariant()
     def region_residency_matches(self):
         pt = self.proc.page_table
-        for hvpn, region in self.proc.regions.items():
-            if region.is_huge:
+        table = self.proc.regions
+        for hvpn, resident, huge in zip(table.slot_of,
+                                        table.resident_arr().tolist(),
+                                        table.is_huge_arr().tolist()):
+            assert pt.region_resident(hvpn) == resident
+            if huge:
                 assert pt.region_huge(hvpn)
-                assert region.resident == PAGES_PER_HUGE
+                assert resident == PAGES_PER_HUGE
             else:
                 actual = int((pt.region_mirror(hvpn)[0] >= 0).sum())
-                assert region.resident == actual, f"region {hvpn}"
+                assert resident == actual, f"region {hvpn}"
 
     @invariant()
     def physical_conservation(self):

@@ -69,6 +69,6 @@ def test_epoch_promotes_min_budget_promotable(states, rate, ghost_entries):
     # when the scan reaches them) but never count as promotions.
     waiting = [
         h for h in amap.iter_promotion_order()
-        if h < hvpn0 + nregions and not proc.regions[h].is_huge
+        if h < hvpn0 + nregions and not proc.page_table.region_huge(h)
     ]
     assert len(waiting) == promotable - done

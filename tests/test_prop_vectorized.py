@@ -26,6 +26,7 @@ with an interleave mempolicy forcing half the regions remote.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -146,15 +147,15 @@ class TwinMachine(RuleBasedStateMachine):
     @invariant()
     def regions_identical(self):
         (_, p0, _), (_, p1, _) = self.twins
-        assert list(p0.regions.keys()) == list(p1.regions.keys())
-        for hvpn in p0.regions.keys():
-            r0, r1 = p0.regions[hvpn], p1.regions[hvpn]
-            assert r0.resident == r1.resident
-            assert r0.is_huge == r1.is_huge
-            assert r0.coverage_ema == r1.coverage_ema  # float-exact
-            assert r0.last_coverage == r1.last_coverage
-            assert r0.idle == r1.idle
-            assert r0.bloat_demoted == r1.bloat_demoted
+        t0, t1 = p0.regions, p1.regions
+        assert list(t0.slot_of.items()) == list(t1.slot_of.items())
+        assert t0.n == t1.n
+        for column in ("hvpn", "coverage_ema", "last_coverage", "idle",
+                       "promotions", "bloat_demoted"):  # floats bit-exact
+            assert np.array_equal(getattr(t0, column)[:t0.n],
+                                  getattr(t1, column)[:t1.n]), column
+        assert np.array_equal(t0.resident_arr(), t1.resident_arr())
+        assert np.array_equal(t0.is_huge_arr(), t1.is_huge_arr())
 
     @invariant()
     def buddy_identical(self):
@@ -204,9 +205,10 @@ def _drive_numa(vectorized: bool, balance: bool = True):
         "hint_faults": kernel.stats.numa_hint_faults,
         "migrated": kernel.stats.numa_pages_migrated,
         "buckets": [list(b) for b in amap.buckets],
-        "emas": [(h, proc.regions[h].coverage_ema) for h in proc.regions],
+        "emas": list(zip(proc.regions.slot_of,
+                         proc.regions.coverage_ema[:len(proc.regions)].tolist())),
         "counts": [kernel.numa.region_node_counts(proc, h)
-                   for h in proc.regions],
+                   for h in proc.regions.slot_of],
     }
 
 

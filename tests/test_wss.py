@@ -65,7 +65,7 @@ def test_belief_zero_within_tlb_reach():
 
 
 def test_wss_vectorized_matches_scalar_exactly():
-    """The column-array gather must be bit-identical to the proxy sum.
+    """The column-array gather must be bit-identical to a per-region sum.
 
     Same values, same sequential addition order — ``==``, not approx.
     """
@@ -77,6 +77,8 @@ def test_wss_vectorized_matches_scalar_exactly():
     for proc in (rand, seq):
         table = proc.regions
         fast = estimator.wss_pages(proc)
-        slow = sum(r.coverage_ema for r in table.values() if r.resident > 0)
+        slow = sum(table.coverage_ema.item(slot)
+                   for hvpn, slot in table.slot_of.items()
+                   if proc.page_table.region_resident(hvpn) > 0)
         assert fast == slow
         assert fast > 0
