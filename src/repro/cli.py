@@ -1293,8 +1293,8 @@ def cmd_heat(args) -> int:
         state["last_samples"] = monitor.samples
         state["last_wall"] = wall
         blocks = []
-        for pid in sorted(monitor.procs):
-            snap = monitor.procs[pid].snapshot()
+        for pid in sorted(monitor.owners):
+            snap = monitor.process_snapshot(pid)
             if args.process and snap["process"] != args.process:
                 continue
             blocks.append(heat.format_heatmap(

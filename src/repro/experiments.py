@@ -248,15 +248,18 @@ def useful_bytes(kernel: Kernel, proc) -> int:
     """Bytes of *non-zero* (actually used) data mapped by ``proc``.
 
     RSS minus this is memory bloat: mapped, zero-filled pages nobody
-    wrote — what HawkEye's §3.2 recovery reclaims.
+    wrote — what HawkEye's §3.2 recovery reclaims.  Counted over every
+    allocated frame the process owns, not only its mapped ones: a FreeBSD
+    reservation's unmapped frames can hold stale data.
     """
     import numpy as np
 
     from repro.units import BASE_PAGE_SIZE
 
     frames = kernel.frames
-    mask = (frames.owner == proc.pid) & frames.allocated & (frames.first_nonzero >= 0)
-    return int(np.count_nonzero(mask)) * BASE_PAGE_SIZE
+    owned = np.flatnonzero(frames.owner == proc.pid)
+    used = frames.allocated[owned] & (frames.first_nonzero[owned] >= 0)
+    return int(np.count_nonzero(used)) * BASE_PAGE_SIZE
 
 
 def speedup(baseline_us: float, measured_us: float) -> float:

@@ -1,60 +1,44 @@
 """DAMON-style spatial access monitoring: adaptive regions and heatmaps.
 
-The observability stack so far (trace, telemetry, audit) is entirely
-*aggregate* — it can say how much time promotion cost or how many bloat
-pages were recovered, but not **where** in an address space the hot
-pages, huge mappings or bloat actually live over time.  This module
-closes that gap the way Linux's DAMON does: a :class:`HeatMonitor`
-piggybacks on the kernel's existing access-bit scan
-(``Kernel._sample_access_bits`` writes ``last_coverage`` into the
-:class:`~repro.core.region_table.RegionTable` SoA; this module only ever
-*reads* those columns) and folds every sample into
+The aggregate observers (trace, telemetry, audit) say how much time
+promotion cost, not **where** in an address space the hot pages, huge
+mappings or bloat live over time.  A :class:`HeatMonitor` answers that
+the way Linux's DAMON does, folding each access-bit sample (the region
+tables ``Kernel._sample_access_bits`` just wrote) into, per process,
 
-1. **Adaptive monitoring regions** — per process, a set of contiguous
-   ``[start_hvpn, end_hvpn)`` spans that exactly partition the process's
-   VMA extents.  After each sample, adjacent regions inside one VMA whose
-   access *densities* differ by at most :data:`MERGE_THRESHOLD` are
-   merged, and (when under half the :data:`MAX_REGIONS` budget) every
-   splittable region is split at its midpoint — DAMON's min/max-regions
-   algorithm, made deterministic (midpoint instead of a random offset)
-   so serial-vs-pooled sweep determinism is preserved.  Access counts are
-   conserved exactly across split/merge: a region's ``sample`` is the sum
-   of sampled coverage over its span, child sums are recomputed from the
-   same prefix-sum array the parent used, and EMAs are partitioned
-   proportionally / summed.
+1. **adaptive monitoring regions** — ``[start, end)`` hvpn spans that
+   exactly partition the VMA extents.  Adjacent regions of one VMA whose
+   densities differ by at most :data:`MERGE_THRESHOLD` merge; under half
+   the :data:`MAX_REGIONS` budget, regions split at the midpoint
+   (deterministic, so serial and pooled sweeps agree).  Sampled counts
+   are conserved exactly and EMAs split in proportion;
+2. **spatial × temporal matrices** — the span on at most :data:`NBINS`
+   bins, one row per sample for :data:`HISTORY` samples: access heat,
+   huge-page share, utilization, bloat (zero-filled base pages under
+   huge mappings), NUMA node and mean allocation epoch (``repro.audit``);
+3. **WSS percentiles** — the region-EMA working-set estimate, beside the
+   exact :class:`~repro.core.wss.WSSEstimator` value as a cross-check.
 
-2. **Spatial × temporal matrices** — each process's address span is
-   projected onto :data:`NBINS` fixed bins and a bounded ring of rows
-   records, per sample: access heat (mean sampled pages per region),
-   huge-page share, utilization (resident fraction), bloat (zero-filled
-   base pages under huge mappings, read off the frame table), NUMA node
-   placement (when multi-node) and mean allocation epoch (joining the
-   frame ledger when ``repro.audit`` is attached).
+**One column store per kernel.**  Every live process's regions are rows
+of one set of numpy columns (:data:`FIELDS`), grouped by owner in
+first-seen order.  A sample is one pass: the region-table gathers are
+concatenated, sorted once by (owner, hvpn) and prefix-summed; a region's
+sum is two ``searchsorted`` lookups of composite keys; EMA and age update
+elementwise; each matrix row of every owner comes from one ``bincount``
+or gather keyed by per-owner bin offsets.  Reshaping runs, sequentially,
+only for owners whose layout can change: a new span set, more than one
+region or a region wider than one hvpn.  Values are rounded (Python's
+``round``) only by :meth:`HeatMonitor.snapshot`, and per-owner float
+totals are sequential Python sums, so every published byte is the one a
+per-process fold gives (``tests/heat_reference.py`` keeps one).
 
-3. **WSS percentile series** — per process, the monitoring-region WSS
-   estimate (sum of region EMAs) feeds a
-   :class:`~repro.trace.LatencyHistogram` for p50/p95/p99, alongside the
-   exact :class:`~repro.core.wss.WSSEstimator` value as the ground-truth
-   cross-check (the two integrate the same access-bit signal, so they
-   track within a tested error bound on steady workloads).
-
-Zero-cost-when-disabled contract (same as ``repro.trace`` /
-``repro.audit``): the only per-sample cost with no monitor attached is
-one ``kernel.heat is not None`` test in ``Kernel.run_epoch``, and
-``repro bench touch`` / ``repro bench epoch`` hold the attached-but-silent
-state under the same <5 % ceiling.  The monitor is a pure observer: it
-never charges simulated time or mutates kernel state, so attaching it
-cannot change any result byte.
-
-Usage::
-
-    from repro import heat
+Unattached, a sample costs one ``kernel.heat is not None`` test; ``repro
+bench touch|epoch`` hold an attached, paused monitor under 5 %.  The
+monitor never charges simulated time or mutates kernel state::
 
     mon = heat.attach(kernel)
     ... run the workload ...
-    snap = mon.snapshot()
-    print(heat.format_heatmap(snap["processes"][0]))
-    heat.detach(kernel)
+    print(heat.format_heatmap(mon.snapshot()["processes"][0]))
 """
 
 from __future__ import annotations
@@ -71,7 +55,6 @@ from repro.units import HUGE_PAGE_SIZE, PAGES_PER_HUGE, SEC, bytes_human
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.metrics.registry import MetricsRegistry
-    from repro.vm.process import Process
 
 #: Region-budget floor: splitting stops shrinking resolution below this.
 MIN_REGIONS = 10
@@ -98,359 +81,150 @@ HOT_DENSITY = PAGES_PER_HUGE // 2
 #: Terminal heat ramp, cold to hot (9 levels, index 0 = exactly zero).
 RAMP = " ▁▂▃▄▅▆▇█"
 
+#: The monitoring-region columns: the ``[start, end)`` hvpn span, the
+#: index of the VMA span holding it, the sum of last sampled coverage
+#: over it (resident regions only), that sum's EMA with the kernel's
+#: ``ema_alpha``, and samples since it last changed shape (DAMON's age).
+#: A region *row* is a list of these, in this order.
+FIELDS = ("start", "end", "span", "sample", "ema", "age")
+_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64, np.int64)
 
-class Region:
-    """One monitoring region: a ``[start, end)`` hvpn span inside a VMA.
 
-    ``sample`` is the exact sum of last sampled coverage (resident
-    regions only) over the span; ``ema`` integrates it with the kernel's
-    ``ema_alpha``; ``age`` counts samples since the region last changed
-    shape (DAMON's region age, used to judge stability).
+# -- region reshaping: one owner's rows, sequentially ------------------
+
+
+def _density(row: list) -> float:
+    """Sampled pages per huge-region slot (0..512) of one region row."""
+    width = row[1] - row[0]
+    return row[3] / width if width else 0.0
+
+
+def _absorb(a: list, b: list) -> None:
+    """Merge region row ``b`` into its left neighbour ``a``."""
+    a[1] = b[1]
+    a[3] += b[3]
+    a[4] += b[4]
+    a[5] = min(a[5], b[5])
+
+
+def _sync_spans(rows: list[list], spans: tuple) -> list[list]:
+    """Re-partition region rows onto a new VMA span set, keeping state.
+
+    Old rows are clipped into the new spans; any uncovered gap inside a
+    span becomes a fresh zero-state row, so the rows exactly partition
+    the spans by construction.
     """
-
-    __slots__ = ("start", "end", "span", "sample", "ema", "age")
-
-    def __init__(self, start: int, end: int, span: int,
-                 sample: int = 0, ema: float = 0.0, age: int = 0):
-        self.start = start
-        self.end = end
-        self.span = span
-        self.sample = sample
-        self.ema = ema
-        self.age = age
-
-    @property
-    def width(self) -> int:
-        return self.end - self.start
-
-    def density(self) -> float:
-        """Sampled pages per huge-region slot (0..512)."""
-        return self.sample / self.width if self.width else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-able form (EMA and density rounded for stable output)."""
-        return {
-            "start": self.start, "end": self.end,
-            "sample": self.sample, "ema": round(self.ema, 3),
-            "density": round(self.density(), 2), "age": self.age,
-        }
-
-
-class ProcessHeat:
-    """Per-process monitoring state: regions, matrices, WSS series."""
-
-    def __init__(self, proc: "Process", nbins: int, history: int,
-                 min_regions: int, max_regions: int,
-                 merge_threshold: float) -> None:
-        self.pid = proc.pid
-        self.name = proc.name
-        self.nbins = nbins
-        self.history = history
-        self.min_regions = min_regions
-        self.max_regions = max_regions
-        self.merge_threshold = merge_threshold
-        #: the VMA extents (hvpn spans) the regions currently partition.
-        self.spans: tuple[tuple[int, int], ...] = ()
-        self.regions: list[Region] = []
-        #: (lo_hvpn, hi_hvpn, nbins) of the current spatial axis; a
-        #: change (address-space growth) resets the matrix rings.
-        self.bin_key: Optional[tuple[int, int, int]] = None
-        self.t_s: deque = deque(maxlen=history)
-        self.epoch: deque = deque(maxlen=history)
-        self.heat_rows: deque = deque(maxlen=history)
-        self.util_rows: deque = deque(maxlen=history)
-        self.huge_rows: deque = deque(maxlen=history)
-        self.bloat_rows: deque = deque(maxlen=history)
-        self.node_rows: deque = deque(maxlen=history)
-        self.age_rows: deque = deque(maxlen=history)
-        self.wss_hist = LatencyHistogram()
-        self.wss_t_s: deque = deque(maxlen=history)
-        self.wss_estimate: deque = deque(maxlen=history)
-        self.wss_exact: deque = deque(maxlen=history)
-        self.last_estimate = 0.0
-        self.samples = 0
-        self.finished = False
-
-    # -- region layout -------------------------------------------------- #
-
-    def _sync_spans(self, spans: tuple[tuple[int, int], ...]) -> None:
-        """Re-partition after a VMA-set change, keeping surviving state.
-
-        Old regions are clipped into the new spans; any uncovered gap
-        inside a span becomes a fresh zero-state region, so the invariant
-        *regions exactly partition the spans* holds by construction.
-        """
-        old = self.regions
-        self.spans = spans
-        out: list[Region] = []
-        for si, (lo, hi) in enumerate(spans):
-            cursor = lo
-            for r in old:
-                s, e = max(r.start, cursor), min(r.end, hi)
-                if s >= e:
-                    continue
-                if s > cursor:
-                    out.append(Region(cursor, s, si))
-                if (s, e) == (r.start, r.end):
-                    r.span = si
-                    out.append(r)
-                else:
-                    # clipped: scale the conserved quantities by overlap.
-                    frac = (e - s) / r.width
-                    out.append(Region(s, e, si, int(r.sample * frac),
-                                      r.ema * frac, 0))
-                cursor = e
-            if cursor < hi:
-                out.append(Region(cursor, hi, si))
-        self.regions = out
-
-    def _merge_similar(self) -> None:
-        """Merge adjacent same-VMA regions with similar access density."""
-        if len(self.regions) <= 1:
-            return
-        out = [self.regions[0]]
-        for r in self.regions[1:]:
-            last = out[-1]
-            if (r.span == last.span
-                    and abs(r.density() - last.density())
-                    <= self.merge_threshold):
-                last.end = r.end
-                last.sample += r.sample
-                last.ema += r.ema
-                last.age = min(last.age, r.age)
-            else:
-                out.append(r)
-        self.regions = out
-
-    def _enforce_budget(self) -> None:
-        """Hard cap: merge most-similar adjacent pairs until within budget.
-
-        A VMA-layout change can transiently leave more regions than
-        ``max_regions`` (every clipped survivor and every gap becomes
-        its own region).  DAMON's answer is to merge aggressively until
-        the budget holds again: similarity still picks the victims, but
-        the merge threshold no longer gates.  Ties break toward the
-        lowest address, keeping the pass deterministic.  The floor is
-        one region per span, so a span count beyond the budget simply
-        leaves one region each.
-        """
-        while len(self.regions) > self.max_regions:
-            best: Optional[int] = None
-            best_diff = 0.0
-            for i in range(len(self.regions) - 1):
-                a, b = self.regions[i], self.regions[i + 1]
-                if a.span != b.span:
-                    continue
-                diff = abs(a.density() - b.density())
-                if best is None or diff < best_diff:
-                    best, best_diff = i, diff
-            if best is None:
-                return
-            a, b = self.regions[best], self.regions[best + 1]
-            a.end = b.end
-            a.sample += b.sample
-            a.ema += b.ema
-            a.age = min(a.age, b.age)
-            del self.regions[best + 1]
-
-    def _split_for_budget(self, sh: np.ndarray, cum: np.ndarray) -> None:
-        """Midpoint-split regions while under half the region budget.
-
-        DAMON splits every region in two whenever the count drops under
-        ``max_nr_regions / 2``; we do the same but at the deterministic
-        midpoint, recomputing child sums from the sample's prefix-sum
-        array so access counts are conserved exactly.
-        """
-        if len(self.regions) >= max(self.min_regions, self.max_regions // 2):
-            return
-        out: list[Region] = []
-        room = self.max_regions - len(self.regions)
-        for r in self.regions:
-            if room <= 0 or r.width < 2:
-                out.append(r)
+    out: list[list] = []
+    for si, (lo, hi) in enumerate(spans):
+        cursor = lo
+        for r in rows:
+            s, e = max(r[0], cursor), min(r[1], hi)
+            if s >= e:
                 continue
-            mid = r.start + r.width // 2
-            left_sum = int(cum[np.searchsorted(sh, mid)]
-                           - cum[np.searchsorted(sh, r.start)])
-            right_sum = r.sample - left_sum
-            if r.sample > 0:
-                left_ema = r.ema * (left_sum / r.sample)
+            if s > cursor:
+                out.append([cursor, s, si, 0, 0.0, 0])
+            if (s, e) == (r[0], r[1]):
+                r[2] = si
+                out.append(r)
             else:
-                left_ema = r.ema * ((mid - r.start) / r.width)
-            out.append(Region(r.start, mid, r.span, left_sum, left_ema, r.age))
-            out.append(Region(mid, r.end, r.span, right_sum,
-                              r.ema - left_ema, r.age))
-            room -= 1
-        self.regions = out
+                # clipped: scale the conserved quantities by overlap.
+                frac = (e - s) / (r[1] - r[0])
+                out.append([s, e, si, int(r[3] * frac), r[4] * frac, 0])
+            cursor = e
+        if cursor < hi:
+            out.append([cursor, hi, si, 0, 0.0, 0])
+    return out
 
-    # -- sampling --------------------------------------------------------#
 
-    def on_sample(self, kernel: "Kernel", proc: "Process",
-                  alpha: float) -> None:
-        """Fold one access-bit sample into regions, matrices and WSS."""
-        spans = tuple(
-            (v.start >> 9, (v.end + PAGES_PER_HUGE - 1) >> 9)
-            for v in proc.vmas if v.npages > 0)
-        if spans != self.spans:
-            self._sync_spans(spans)
-        if not self.regions:
-            return
-        table = proc.regions
-        n = len(table)
-        if n:
-            h = table.hvpn[:n]
-            w = np.where(table.resident_arr() > 0, table.last_coverage[:n], 0)
-            order = np.argsort(h, kind="stable")
-            sh = h[order]
-            cum = np.concatenate(([0], np.cumsum(w[order])))
-        else:
-            h = sh = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.int64)
-            cum = np.zeros(1, dtype=np.int64)
-        starts = np.fromiter((r.start for r in self.regions),
-                             dtype=np.int64, count=len(self.regions))
-        ends = np.fromiter((r.end for r in self.regions),
-                           dtype=np.int64, count=len(self.regions))
-        sums = cum[np.searchsorted(sh, ends)] - cum[np.searchsorted(sh, starts)]
-        for r, s in zip(self.regions, sums.tolist()):
-            r.sample = int(s)
-            r.ema = alpha * s + (1.0 - alpha) * r.ema
-            r.age += 1
-        self._merge_similar()
-        self._enforce_budget()
-        self._split_for_budget(sh, cum)
-        self._record_matrices(kernel, proc, h, w)
-        est = sum(r.ema for r in self.regions)
-        self.last_estimate = est
-        self.wss_hist.add(est)
-        from repro.core.wss import WSSEstimator
-        exact = WSSEstimator(kernel).wss_pages(proc)
-        t_s = kernel.now_us / SEC
-        self.wss_t_s.append(round(t_s, 3))
-        self.wss_estimate.append(round(est, 2))
-        self.wss_exact.append(round(exact, 2))
-        self.samples += 1
+def _reshape(rows: list[list], sh: np.ndarray, cum: np.ndarray,
+             min_regions: int, max_regions: int,
+             merge_threshold: float) -> list[list]:
+    """Merge, enforce the budget, then midpoint-split one owner's rows.
 
-    def _record_matrices(self, kernel: "Kernel", proc: "Process",
-                         h: np.ndarray, w: np.ndarray) -> None:
-        lo = min(s for s, _ in self.spans)
-        hi = max(e for _, e in self.spans)
-        nb = max(1, min(self.nbins, hi - lo))
-        key = (lo, hi, nb)
-        if key != self.bin_key:
-            # the spatial axis moved (VMA growth): old columns no longer
-            # line up, so restart the rings on the new axis.
-            self.bin_key = key
-            for ring in (self.t_s, self.epoch, self.heat_rows,
-                         self.util_rows, self.huge_rows, self.bloat_rows,
-                         self.node_rows, self.age_rows):
-                ring.clear()
-        span = hi - lo
-        if len(h):
-            pos = np.clip((h - lo) * nb // span, 0, nb - 1)
-            cnt = np.bincount(pos, minlength=nb)
-            denom = np.maximum(cnt, 1)
-            resident = proc.regions.resident_arr()
-            heat = np.bincount(pos, weights=w, minlength=nb) / denom
-            util = (np.bincount(pos, weights=resident, minlength=nb)
-                    / (denom * PAGES_PER_HUGE))
-            huge = (np.bincount(pos, weights=proc.regions.is_huge_arr(),
-                                minlength=nb) / denom)
-        else:
-            heat = util = huge = np.zeros(nb)
-        bloat = np.zeros(nb, dtype=np.int64)
-        fnz = kernel.frames.first_nonzero
-        hframe = proc.page_table.hframe
-        hvs = np.flatnonzero(hframe[lo:hi] >= 0) + lo
-        for hv, frame in zip(hvs.tolist(), hframe[hvs].tolist()):
-            b = min((hv - lo) * nb // span, nb - 1)
-            bloat[b] += int((fnz[frame:frame + PAGES_PER_HUGE] < 0).sum())
-        numa = kernel.numa
-        node_row: Optional[list[int]] = None
-        if numa is not None and len(h):
-            node_count = np.zeros((nb, numa.nodes), dtype=np.int64)
-            for hv in h.tolist():
-                node = numa.region_node(proc, hv)
-                if node is not None:
-                    b = min((hv - lo) * nb // span, nb - 1)
-                    node_count[b, node] += 1
-            node_row = np.where(node_count.sum(axis=1) > 0,
-                                node_count.argmax(axis=1), -1).tolist()
-        age_row: Optional[list[float]] = None
-        audit_log = kernel.audit
-        if audit_log is not None and len(h):
-            ledger = audit_log.ledger
-            age_sum = np.zeros(nb)
-            age_cnt = np.zeros(nb, dtype=np.int64)
-            pt = proc.page_table
-            for idx, hv in enumerate(h.tolist()):
-                if pt.region_huge(hv):
-                    frame = int(pt.hframe[hv])
-                else:
-                    mframes, _ = pt.region_mirror(hv)
-                    mapped = mframes[mframes >= 0]
-                    if not len(mapped):
-                        continue
-                    frame = int(mapped[0])
-                epoch = int(ledger.alloc_epoch[frame])
-                if epoch >= 0:
-                    b = min((hv - lo) * nb // span, nb - 1)
-                    age_sum[b] += epoch
-                    age_cnt[b] += 1
-            age_row = [round(s / c, 1) if c else -1.0
-                       for s, c in zip(age_sum.tolist(), age_cnt.tolist())]
-        self.t_s.append(round(kernel.now_us / SEC, 3))
-        self.epoch.append(kernel.stats.epochs)
-        self.heat_rows.append([round(v, 2) for v in heat.tolist()])
-        self.util_rows.append([round(v, 3) for v in util.tolist()])
-        self.huge_rows.append([round(v, 3) for v in huge.tolist()])
-        self.bloat_rows.append(bloat.tolist())
-        self.node_rows.append(node_row)
-        self.age_rows.append(age_row)
+    Adjacent same-span rows within ``merge_threshold`` density merge;
+    over budget, the most similar adjacent same-span pair merges (lowest
+    address on ties; floor one row per span); under half the budget,
+    rows two or more hvpns wide split at the midpoint, the left sum from
+    the sample's sorted hvpns ``sh`` and prefix sums ``cum``.
+    """
+    if len(rows) > 1:
+        out = [rows[0]]
+        for r in rows[1:]:
+            last = out[-1]
+            if (r[2] == last[2]
+                    and abs(_density(r) - _density(last)) <= merge_threshold):
+                _absorb(last, r)
+            else:
+                out.append(r)
+        rows = out
+    while len(rows) > max_regions:
+        pairs = [(abs(_density(a) - _density(b)), i)
+                 for i, (a, b) in enumerate(zip(rows, rows[1:]))
+                 if a[2] == b[2]]
+        if not pairs:
+            break
+        i = min(pairs)[1]
+        _absorb(rows[i], rows.pop(i + 1))
+    if len(rows) >= max(min_regions, max_regions // 2):
+        return rows
+    out = []
+    room = max_regions - len(rows)
+    for r in rows:
+        start, end, span, sample, ema, age = r
+        width = end - start
+        if room <= 0 or width < 2:
+            out.append(r)
+            continue
+        mid = start + width // 2
+        left = int(cum[np.searchsorted(sh, mid)]
+                   - cum[np.searchsorted(sh, start)])
+        left_ema = ema * (left / sample if sample > 0
+                          else (mid - start) / width)
+        out.append([start, mid, span, left, left_ema, age])
+        out.append([mid, end, span, sample - left, ema - left_ema, age])
+        room -= 1
+    return out
 
-    # -- queries ---------------------------------------------------------#
 
-    def hot_regions(self) -> int:
-        """Monitoring regions whose EMA density clears :data:`HOT_DENSITY`."""
-        return sum(1 for r in self.regions
-                   if r.width and r.ema / r.width >= HOT_DENSITY)
+def _rows(cols: list, a: int, b: int) -> list[list]:
+    """Rows ``[a, b)`` of the region columns as mutable region rows."""
+    return [list(r) for r in zip(*(col[a:b].tolist() for col in cols))]
 
-    def snapshot(self) -> dict:
-        """JSON-able state: regions, matrices, WSS percentile series."""
-        lo, hi, nb = self.bin_key if self.bin_key else (0, 0, 0)
-        wss: dict = {
-            "t_s": list(self.wss_t_s),
-            "estimate": list(self.wss_estimate),
-            "exact": list(self.wss_exact),
-            "samples": self.wss_hist.count,
-        }
-        if self.wss_hist.count:
-            wss.update({k: round(v, 2)
-                        for k, v in self.wss_hist.percentiles().items()})
-        return {
-            "process": self.name,
-            "pid": self.pid,
-            "finished": self.finished,
-            "samples": self.samples,
-            "span": [lo, hi],
-            "bins": nb,
-            "t_s": list(self.t_s),
-            "epoch": list(self.epoch),
-            "heat": [list(r) for r in self.heat_rows],
-            "util": [list(r) for r in self.util_rows],
-            "huge": [list(r) for r in self.huge_rows],
-            "bloat": [list(r) for r in self.bloat_rows],
-            "node": [r if r is None else list(r) for r in self.node_rows],
-            "alloc_age": [r if r is None else list(r)
-                          for r in self.age_rows],
-            "regions": [r.to_dict() for r in self.regions],
-            "hot_regions": self.hot_regions(),
-            "wss": wss,
-        }
+
+def _cat(parts: list, dtype=np.int64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+# -- the monitor -------------------------------------------------------
+
+
+class _Owner:
+    """A monitored process: span set, last counts, matrix and WSS rings.
+    Once it retires, ``regions`` is ``(columns, a, b)``: where its rows
+    were (columns are replaced, never written in place)."""
+
+    __slots__ = ("pid", "name", "spans", "axis", "nregions", "hot",
+                 "estimate", "samples", "finished", "rows", "wss",
+                 "wss_hist", "regions")
+
+    def __init__(self, pid: int, name: str, history: int) -> None:
+        self.pid, self.name = pid, name
+        #: the hvpn spans the regions partition; the matrix rows' axis.
+        self.spans: tuple = ()
+        self.axis: Optional[tuple[int, int, int]] = None
+        self.nregions = self.hot = self.samples = 0
+        self.estimate, self.finished = 0.0, False
+        #: unrounded per sample: (t_s, epoch, heat/util/huge/alloc-age/
+        #: bloat/node lists, node shown, age shown); (t_s, est, exact).
+        self.rows: deque = deque(maxlen=history)
+        self.wss: deque = deque(maxlen=history)
+        self.wss_hist = LatencyHistogram()
+        self.regions: Optional[tuple] = None
 
 
 class HeatMonitor:
-    """Per-kernel spatial monitor: one :class:`ProcessHeat` per process."""
+    """Per-kernel spatial monitor: every live process's monitoring regions
+    as rows of one set of columns, folded in one pass per sample."""
 
     def __init__(self, kernel: "Kernel", nbins: int = NBINS,
                  history: int = HISTORY, min_regions: int = MIN_REGIONS,
@@ -465,55 +239,286 @@ class HeatMonitor:
         #: per-monitor gate: False pauses sampling while staying attached
         #: (the disabled-overhead benchmarks measure exactly this state).
         self.enabled = True
-        self.procs: dict[int, ProcessHeat] = {}
-        #: the last :data:`RETIRED_CAP` exited processes' states, oldest
-        #: first; nothing updates them, so they snapshot when asked.
-        self._retired: deque[ProcessHeat] = deque(maxlen=RETIRED_CAP)
+        #: live owners by pid, in first-seen order (the column order),
+        #: and the last :data:`RETIRED_CAP` exited ones, snapshotted lazily.
+        self.owners: dict[int, _Owner] = {}
+        self._retired: deque[_Owner] = deque(maxlen=RETIRED_CAP)
         self.samples = 0
+        #: the region columns and each live owner's row count.
+        for name, dtype in zip(FIELDS, _DTYPES):
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        self._counts = _cat([])
+
+    def _cols(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in FIELDS]
+
+    def _bounds(self) -> list[int]:
+        """Row offsets: owner k holds rows ``[b[k], b[k + 1])``."""
+        return [0, *np.cumsum(self._counts).tolist()]
+
+    def _splice(self, segs: list) -> None:
+        """Rebuild the columns from one segment per owner, in owner order:
+        an ``(a, b)`` range of the current rows or a list of new rows."""
+        new = [row for seg in segs if isinstance(seg, list) for row in seg]
+        fresh = [np.array(col, dtype=dtype)
+                 for col, dtype in zip(zip(*new), _DTYPES)]
+        old, pieces, at = self._cols(), [], 0
+        for seg in segs:
+            if isinstance(seg, list):
+                pieces.append((fresh, at, at + len(seg)))
+                at += len(seg)
+            else:
+                pieces.append((old, *seg))
+        for i, (name, dtype) in enumerate(zip(FIELDS, _DTYPES)):
+            setattr(self, name, _cat([src[i][a:b] for src, a, b in pieces
+                                      if b > a], dtype))
+        self._counts = np.array([b - a for _, a, b in pieces], dtype=np.int64)
+
+    # -- sampling ----------------------------------------------------------#
 
     def on_sample(self, kernel: "Kernel") -> None:
         """Fold the access-bit sample the kernel just took (epoch hook)."""
-        alpha = kernel.config.ema_alpha
-        live = {p.pid for p in kernel.processes}
-        for pid in list(self.procs):
-            if pid not in live:
-                state = self.procs.pop(pid)
-                state.finished = True
-                self._retired.append(state)
-        for proc in kernel.processes:
-            state = self.procs.get(proc.pid)
-            if state is None:
-                state = self.procs[proc.pid] = ProcessHeat(
-                    proc, self.nbins, self.history, self.min_regions,
-                    self.max_regions, self.merge_threshold)
-            state.on_sample(kernel, proc, alpha)
+        owners, plist = self._sync({p.pid: p for p in kernel.processes})
+        self._record(kernel, owners, plist,
+                     self._fold(kernel.config.ema_alpha, plist))
         self.samples += 1
         # WSS doubles as a zero-span tracepoint per process: a counter
         # track in the Perfetto export, a `heat` row in attribution.
         if (tp := kernel.trace) is not None and tp.enabled:
-            for state in self.procs.values():
-                tp.emit(trace.TraceKind.HEAT_WSS, state.name, 0.0, None,
-                        f"wss_pages={state.last_estimate:.1f};"
-                        f"hot_regions={state.hot_regions()};"
-                        f"regions={len(state.regions)}")
+            for owner in owners:
+                tp.emit(trace.TraceKind.HEAT_WSS, owner.name, 0.0, None,
+                        f"wss_pages={owner.estimate:.1f};"
+                        f"hot_regions={owner.hot};regions={owner.nregions}")
+
+    def _sync(self, procs: dict) -> tuple[list, list]:
+        """Retire exited owners, add new ones, follow VMA-layout changes;
+        returns the live owners and their processes, in owner order."""
+        cols, bounds = self._cols(), self._bounds()
+        segs: list = []
+        for k, owner in enumerate(list(self.owners.values())):
+            if owner.pid in procs:
+                segs.append((bounds[k], bounds[k + 1]))
+                continue
+            del self.owners[owner.pid]
+            owner.finished = True
+            owner.regions = (cols, bounds[k], bounds[k + 1])
+            self._retired.append(owner)
+        for pid, proc in procs.items():
+            if pid not in self.owners:
+                self.owners[pid] = _Owner(pid, proc.name, self.history)
+                segs.append([])
+        owners = list(self.owners.values())
+        plist = [procs[owner.pid] for owner in owners]
+        for k, (owner, proc) in enumerate(zip(owners, plist)):
+            spans = tuple((v.start >> 9,
+                           (v.start + v.npages + PAGES_PER_HUGE - 1) >> 9)
+                          for v in proc.vmas if v.npages > 0)
+            if spans == owner.spans:
+                continue
+            owner.spans = spans
+            rows = segs[k] if isinstance(segs[k], list) else _rows(cols, *segs[k])
+            segs[k] = _sync_spans(rows, spans)
+            if spans:  # ascending, as the VMAs are sorted and disjoint
+                lo, hi = spans[0][0], spans[-1][1]
+                axis = (lo, hi, max(1, min(self.nbins, hi - lo)))
+                if axis != owner.axis:
+                    # the axis moved (VMA growth): restart the matrix rows
+                    owner.axis = axis
+                    owner.rows.clear()
+        if len(segs) != len(self._counts) or any(
+                isinstance(seg, list) for seg in segs):
+            self._splice(segs)
+        return owners, plist
+
+    def _fold(self, alpha: float, plist: list) -> tuple:
+        """Sums, EMA and age of every region; reshape where it can change.
+        Returns the owners' concatenated region-table gather (hvpns, weights,
+        residency, huge frames, coverage EMAs, slot owner, slot counts)."""
+        counts = self._counts.tolist()
+        hs, lcs, res, hfs, covs, nslot = [], [], [], [], [], []
+        for proc, c in zip(plist, counts):
+            table = proc.regions
+            n = table.n if c else 0
+            nslot.append(n)
+            if n:
+                h = table.hvpn[:n]
+                hs.append(h)
+                lcs.append(table.last_coverage[:n])
+                res.append(proc.page_table.hcount[h])
+                hfs.append(proc.page_table.hframe[h])
+                covs.append(table.coverage_ema[:n])
+        h, resident = _cat(hs), _cat(res)
+        w = np.where(resident > 0, _cat(lcs), 0)
+        so = np.repeat(np.arange(len(plist)), nslot)
+        ro = np.repeat(np.arange(len(plist)), counts)
+        # one stable sort by (owner, hvpn) and one prefix sum: a region's
+        # sum is two lookups of its composite bounds.
+        stride = int(max(h.max(initial=0), self.end.max(initial=0))) + 1
+        key = so * stride + h
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        cum = np.concatenate(([0], np.cumsum(w[order])))
+        sums = (cum[np.searchsorted(sk, ro * stride + self.end)]
+                - cum[np.searchsorted(sk, ro * stride + self.start)])
+        self.sample = sums
+        self.ema = alpha * sums + (1.0 - alpha) * self.ema
+        self.age = self.age + 1
+        wide = np.bincount(ro[self.end - self.start >= 2],
+                           minlength=len(plist))
+        reshape = np.flatnonzero((self._counts > 1) | (wide > 0)).tolist()
+        if reshape:
+            bounds, cols = self._bounds(), self._cols()
+            soff = [0, *np.cumsum(nslot).tolist()]
+            segs: list = list(zip(bounds, bounds[1:]))
+            for k in reshape:
+                segs[k] = _reshape(_rows(cols, *segs[k]),
+                                   sk[soff[k]:soff[k + 1]] - k * stride,
+                                   cum[soff[k]:soff[k + 1] + 1],
+                                   self.min_regions, self.max_regions,
+                                   self.merge_threshold)
+            self._splice(segs)
+        return (h, w, resident, _cat(hfs), _cat(covs, np.float64), so,
+                nslot)
+
+    def _record(self, kernel: "Kernel", owners: list, plist: list,
+                gather: tuple) -> None:
+        """Matrix rows, WSS and region counts of every owner."""
+        h, w, resident, hf, cov, so, nslot = gather
+        counts = self._counts.tolist()
+        lo_k, hi_k, nb_k = np.array(
+            [o.axis if c else (0, 1, 0) for o, c in zip(owners, counts)],
+            dtype=np.int64).reshape(-1, 3).T
+        span_k = hi_k - lo_k
+        boff = np.concatenate(([0], np.cumsum(nb_k)))
+        total = int(boff[-1])
+        snb = nb_k[so]
+        gbin = boff[so] + np.clip((h - lo_k[so]) * snb // span_k[so],
+                                  0, snb - 1)
+        denom = np.maximum(np.bincount(gbin, minlength=total), 1)
+        # all owners' heat/util/huge/alloc-age/bloat/node rows; k's from boff[k]
+        mat = np.zeros((6, total))
+        mat[0] = np.bincount(gbin, weights=w, minlength=total) / denom
+        mat[1] = (np.bincount(gbin, weights=resident, minlength=total)
+                  / (denom * PAGES_PER_HUGE))
+        mat[2] = np.bincount(gbin, weights=hf >= 0, minlength=total) / denom
+        # bloat: zero-filled base frames under the span's huge mappings
+        # (every huge mapping has a region record: faults and promotion
+        # create it first).
+        huge = np.flatnonzero((hf >= 0) & (h >= lo_k[so]) & (h < hi_k[so]))
+        block = hf[huge][:, None] + np.arange(PAGES_PER_HUGE)
+        mat[4] = np.bincount(gbin[huge], minlength=total, weights=(
+            kernel.frames.first_nonzero[block] < 0).sum(axis=1))
+        numa, audit_log = kernel.numa, kernel.audit
+        soff = np.cumsum(nslot)[:-1]
+        if numa is not None:
+            nodes = _cat([numa.region_nodes_arr(proc, hh) for proc, hh
+                          in zip(plist, np.split(h, soff)) if hh.size])
+            ok = nodes >= 0
+            per = np.bincount(gbin[ok] * numa.nodes + nodes[ok],
+                              minlength=total * numa.nodes).reshape(total, -1)
+            mat[5] = np.where(per.sum(axis=1) > 0, per.argmax(axis=1), -1)
+        if audit_log is not None:
+            # a region's allocation epoch is its huge frame's, else its
+            # first base-mapped page's.
+            v0 = h << 9
+            size = np.repeat([proc.page_table.frame.shape[0]
+                              for proc in plist], nslot)
+            first = _cat([proc.page_table.frame.take(vv, mode="clip")
+                          for proc, vv in zip(plist, np.split(v0, soff))
+                          if vv.size])
+            frames = np.where(hf >= 0, hf, np.where(v0 < size, first, -1))
+            for s in np.flatnonzero(frames < 0).tolist():
+                mframes, _ = plist[so[s]].page_table.region_mirror(h.item(s))
+                mapped = mframes[mframes >= 0]
+                if mapped.size:
+                    frames[s] = mapped[0]
+            epochs = audit_log.ledger.alloc_epoch[frames]
+            ok = (frames >= 0) & (epochs >= 0)
+            n_age = np.bincount(gbin[ok], minlength=total)
+            mat[3] = np.where(n_age > 0, np.bincount(
+                gbin[ok], weights=epochs[ok], minlength=total)
+                / np.maximum(n_age, 1), -1.0)
+        # per-owner totals stay sequential Python sums: the estimate in
+        # region order, the exact WSS in region-table slot order.
+        ro = np.repeat(np.arange(len(owners)), counts)
+        hot = np.bincount(ro[self.ema / (self.end - self.start)
+                             >= HOT_DENSITY], minlength=len(owners))
+        ema, exact = self.ema.tolist(), cov[resident > 0].tolist()
+        eoff = [0, *np.cumsum(np.bincount(so[resident > 0],
+                                          minlength=len(owners))).tolist()]
+        bounds, b = self._bounds(), boff.tolist()
+        t_s, epoch = kernel.now_us / SEC, kernel.stats.epochs
+        for k, (owner, n) in enumerate(zip(owners, hot.tolist())):
+            owner.nregions, owner.hot = counts[k], n
+            if not counts[k]:
+                continue
+            owner.rows.append((t_s, epoch, mat[:, b[k]:b[k + 1]].tolist(),
+                               numa is not None and nslot[k] > 0,
+                               audit_log is not None and nslot[k] > 0))
+            est = sum(ema[bounds[k]:bounds[k + 1]])
+            owner.estimate = est
+            owner.wss_hist.add(est)
+            owner.wss.append((t_s, est, sum(exact[eoff[k]:eoff[k + 1]])))
+            owner.samples += 1
+
+    # -- queries ---------------------------------------------------------#
+
+    def _snapshot(self, owner: _Owner, regions: list[list]) -> dict:
+        """One owner's JSON-able state; the only place values are rounded."""
+        lo, hi, nb = owner.axis if owner.axis else (0, 0, 0)
+        mats = [m for _, _, m, _, _ in owner.rows]
+        wss: dict = {"t_s": [round(t, 3) for t, _, _ in owner.wss],
+                     "estimate": [round(e, 2) for _, e, _ in owner.wss],
+                     "exact": [round(x, 2) for _, _, x in owner.wss],
+                     "samples": owner.wss_hist.count}
+        if owner.wss_hist.count:
+            wss.update({k: round(v, 2)
+                        for k, v in owner.wss_hist.percentiles().items()})
+        return {
+            "process": owner.name,
+            "pid": owner.pid,
+            "finished": owner.finished,
+            "samples": owner.samples,
+            "span": [lo, hi],
+            "bins": nb,
+            "t_s": [round(r[0], 3) for r in owner.rows],
+            "epoch": [r[1] for r in owner.rows],
+            "heat": [[round(v, 2) for v in m[0]] for m in mats],
+            "util": [[round(v, 3) for v in m[1]] for m in mats],
+            "huge": [[round(v, 3) for v in m[2]] for m in mats],
+            "bloat": [[int(v) for v in m[4]] for m in mats],
+            "node": [[int(v) for v in m[5]] if r[3] else None
+                     for r, m in zip(owner.rows, mats)],
+            "alloc_age": [[round(v, 1) for v in m[3]] if r[4] else None
+                          for r, m in zip(owner.rows, mats)],
+            "regions": [{"start": s, "end": e, "sample": n,
+                         "ema": round(ema, 3),
+                         "density": round(n / (e - s) if e - s else 0.0, 2),
+                         "age": age} for s, e, _, n, ema, age in regions],
+            "hot_regions": owner.hot,
+            "wss": wss,
+        }
+
+    def process_snapshot(self, pid: int) -> dict:
+        """The JSON-able state of live process ``pid``."""
+        k = list(self.owners).index(pid)
+        b = self._bounds()
+        return self._snapshot(self.owners[pid], _rows(self._cols(), *b[k:k + 2]))
 
     @property
     def retired(self) -> list[dict]:
         """Final snapshots of exited processes, oldest first."""
-        return [state.snapshot() for state in self._retired]
+        return [self._snapshot(owner, _rows(*owner.regions))
+                for owner in self._retired]
 
     def snapshot(self) -> dict:
         """JSON-able monitor state: live processes (by pid) then retired."""
-        return {
-            "samples": self.samples,
-            "processes": [self.procs[pid].snapshot()
-                          for pid in sorted(self.procs)] + self.retired,
-        }
+        return {"samples": self.samples,
+                "processes": [self.process_snapshot(pid)
+                              for pid in sorted(self.owners)] + self.retired}
 
 
-# ---------------------------------------------------------------------- #
-# attachment (mirrors repro.trace / repro.audit)                           #
-# ---------------------------------------------------------------------- #
+# -- attachment (mirrors repro.trace / repro.audit) --------------------
 
 
 def attach(kernel: "Kernel", **config) -> HeatMonitor:
@@ -534,9 +539,7 @@ def detach(kernel: "Kernel") -> HeatMonitor | None:
     return monitor
 
 
-# ---------------------------------------------------------------------- #
-# publication: families, artifact section, scalars, rows, rendering       #
-# ---------------------------------------------------------------------- #
+# -- publication: families, artifact section, scalars, rows, rendering ---
 
 #: the heat section's key in a telemetry artifact.
 SECTION = "heat"
@@ -547,28 +550,25 @@ def collect(registry: "MetricsRegistry", kernel: "Kernel") -> None:
     for live processes only."""
     if (monitor := kernel.heat) is None:
         return
-    regions = registry.gauge(
-        "heat_monitoring_regions", "adaptive monitoring regions per process",
-        labelnames=("process",))
-    hot = registry.gauge(
-        "heat_hot_regions",
-        "monitoring regions above the hot-density threshold",
-        labelnames=("process",))
-    wss = registry.gauge(
-        "heat_wss_pages",
-        "monitoring-region working-set estimate in base pages",
-        labelnames=("process",))
-    # The monitor retires an exited process at its next sample; a
-    # scrape in between must not publish it.
+    families = [registry.gauge(name, help, labelnames=("process",))
+                for name, help in (
+        ("heat_monitoring_regions", "adaptive monitoring regions per process"),
+        ("heat_hot_regions",
+         "monitoring regions above the hot-density threshold"),
+        ("heat_wss_pages",
+         "monitoring-region working-set estimate in base pages"))]
+    # The counts are the last sample's: nothing else changes them.  The
+    # monitor retires an exited process at its next sample; a scrape in
+    # between must not publish it.
     pids = {proc.pid for proc in kernel.processes}
     live = set()
-    for pid, state in monitor.procs.items():
+    for pid, owner in monitor.owners.items():
         if pid in pids:
-            live.add(state.name)
-            regions.labels(process=state.name).set(len(state.regions))
-            hot.labels(process=state.name).set(state.hot_regions())
-            wss.labels(process=state.name).set(round(state.last_estimate, 2))
-    for family in (regions, hot, wss):
+            live.add(owner.name)
+            for family, value in zip(families, (owner.nregions, owner.hot,
+                                                round(owner.estimate, 2))):
+                family.labels(process=owner.name).set(value)
+    for family in families:
         for name in [name for name in family.children if name not in live]:
             family.remove(name)
 

@@ -106,3 +106,109 @@ def test_coarse_epochs_preserve_rates():
     fine = promotions_after(SEC, 400)
     coarse = promotions_after(2 * SEC, 400)
     assert coarse == pytest.approx(fine, abs=3)
+
+
+def _useful_by_masks(kernel, proc) -> int:
+    """``useful_bytes`` as three whole-machine frame masks."""
+    import numpy as np
+
+    frames = kernel.frames
+    mask = ((frames.owner == proc.pid) & frames.allocated
+            & (frames.first_nonzero >= 0))
+    return int(np.count_nonzero(mask)) * 4096
+
+
+def _mapped_frames(proc):
+    """Every frame the page table maps (512 per huge mapping), once."""
+    import numpy as np
+
+    pt = proc.page_table
+    huge = pt.hframe[pt.hframe >= 0]
+    return np.unique(np.concatenate(
+        (pt.frame[pt.frame >= 0], (huge[:, None] + np.arange(512)).ravel())))
+
+
+@pytest.mark.parametrize("policy", ["hawkeye-g", "linux-2mb"])
+def test_useful_bytes_at_every_fleet_exit(monkeypatch, policy):
+    """The fleet's QoS ledger reads ``useful_bytes`` as each tenant exits."""
+    from repro import experiments
+    from repro.runner.registry import Cell, execute_cell
+
+    calls = []
+
+    def checked(kernel, proc):
+        got = useful_bytes(kernel, proc)
+        assert got == _useful_by_masks(kernel, proc)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(experiments, "useful_bytes", checked)
+    execute_cell(Cell("fleet-smoke", "arrival-smoke", policy))
+    assert len(calls) >= 100 and any(calls)
+
+
+def test_useful_bytes_counts_stale_reserved_frames():
+    """A FreeBSD reservation owns frames it has not mapped, and reused
+    frames keep a former owner's data: they count, so the count is over
+    the owned frames, not the mapped ones."""
+    import numpy as np
+
+    from repro.workloads.base import (ContentSpec, MmapOp, Phase, TouchOp,
+                                      Workload)
+
+    class Touch(Workload):
+        def __init__(self, name, stride):
+            self.name, self.stride = name, stride
+
+        def build_phases(self):
+            return [Phase("a", ops=[
+                MmapOp("h", 64 * MB),
+                TouchOp("h", stride_pages=self.stride,
+                        content=ContentSpec(first_nonzero=5))]),
+                Phase("idle", duration_us=100 * SEC)]
+
+    kernel = make_kernel(4 * GB, "freebsd", Scale(1 / 8))
+    first = kernel.spawn(Touch("dense", 1))
+    kernel.run(max_epochs=20)
+    kernel.exit_process(first.proc)
+    proc = kernel.spawn(Touch("sparse", 7)).proc
+    kernel.run(max_epochs=20)
+    assert kernel.policy.reservations
+    useful = useful_bytes(kernel, proc)
+    assert useful == _useful_by_masks(kernel, proc)
+    frames = kernel.frames
+    mapped = _mapped_frames(proc)
+    assert useful > 4096 * int(np.count_nonzero(
+        frames.first_nonzero[mapped] >= 0))
+
+
+def test_useful_bytes_ksm_and_balloon():
+    """KSM-shared pages count once, for the canonical frame's owner; a
+    guest's ballooned-back memory leaves the host process's count."""
+    from repro.kernel.kernel import Kernel
+    from repro.policies.linux import Linux4KPolicy
+    from tests.conftest import small_config
+    from tests.test_samepage import merger_for, touched_proc
+
+    kernel = Kernel(small_config(), Linux4KPolicy)
+    a, _ = touched_proc(kernel, tag=42, name="a")
+    b, _ = touched_proc(kernel, tag=42, name="b")
+    merger = merger_for(kernel)
+    for _ in range(3):
+        merger.run_epoch()
+    assert kernel.cow_registry.pages_saved() > 0
+    for proc in (a, b):
+        assert useful_bytes(kernel, proc) == _useful_by_masks(kernel, proc)
+
+    import examples.virtualized_overcommit as vo
+
+    for guest_policy in ("linux-2mb", "hawkeye-g"):
+        hyp = make_hypervisor(96 * GB, "linux-2mb", vo.SCALE)
+        vm = make_vm(hyp, "vm1", 24 * GB, guest_policy, vo.SCALE)
+        hyp.enable_ksm(pages_per_sec=vo.SCALE.rate(1e6))
+        if guest_policy == "hawkeye-g":
+            vm.guest.policy.prezero._limiter.per_second = vo.SCALE.rate(1e6)
+        run = vm.spawn(vo.ChurnGuest(vo.SCALE.bytes(12 * GB)))
+        hyp.run(max_epochs=400)
+        for kernel, proc in ((hyp.host, vm.host_proc), (vm.guest, run.proc)):
+            assert useful_bytes(kernel, proc) == _useful_by_masks(kernel, proc)

@@ -58,7 +58,7 @@ def test_instance_gate_pauses_sampling(kernel_hawkeye):
     monitor.enabled = False
     spawn_simple(kernel_hawkeye, work_s=100.0)
     kernel_hawkeye.run(max_epochs=60)
-    assert monitor.samples == 0 and not monitor.procs
+    assert monitor.samples == 0 and not monitor.owners
 
 
 # -- sampling and region invariants ------------------------------------- #
@@ -67,47 +67,45 @@ def test_instance_gate_pauses_sampling(kernel_hawkeye):
 def test_regions_partition_vma_spans(kernel_hawkeye):
     monitor, run = _run_sampled(kernel_hawkeye)
     assert monitor.samples == 3          # epochs 30, 60, 90
-    state = monitor.procs[run.proc.pid]
     spans = tuple((v.start >> 9, (v.end + PAGES_PER_HUGE - 1) >> 9)
                   for v in run.proc.vmas if v.npages > 0)
-    assert state.spans == spans
+    assert monitor.owners[run.proc.pid].spans == spans
     # regions are sorted, non-empty and abut; coalescing them across
     # span boundaries reproduces the spans exactly
     rebuilt, cursor = [], None
-    for r in state.regions:
-        assert r.start < r.end
-        if cursor is not None and r.start == cursor:
-            rebuilt[-1] = (rebuilt[-1][0], r.end)
+    for r in monitor.process_snapshot(run.proc.pid)["regions"]:
+        assert r["start"] < r["end"]
+        if cursor is not None and r["start"] == cursor:
+            rebuilt[-1] = (rebuilt[-1][0], r["end"])
         else:
-            rebuilt.append((r.start, r.end))
-        cursor = r.end
+            rebuilt.append((r["start"], r["end"]))
+        cursor = r["end"]
     assert tuple(rebuilt) == spans
 
 
 def test_sample_counts_conserved(kernel_hawkeye):
     monitor, run = _run_sampled(kernel_hawkeye)
-    state = monitor.procs[run.proc.pid]
+    regions = monitor.process_snapshot(run.proc.pid)["regions"]
     table = run.proc.regions
     weights = np.where(table.resident_arr() > 0,
                        table.last_coverage[:table.n], 0)
-    assert sum(r.sample for r in state.regions) == int(weights.sum())
+    assert sum(r["sample"] for r in regions) == int(weights.sum())
 
 
 def test_region_budget_respected(kernel_hawkeye):
     monitor = heat.attach(kernel_hawkeye, max_regions=16, min_regions=4)
     run = spawn_simple(kernel_hawkeye, heap_mb=16, work_s=100.0)
     kernel_hawkeye.run(max_epochs=90)
-    state = monitor.procs[run.proc.pid]
-    assert 1 <= len(state.regions) <= 16
+    assert 1 <= len(monitor.process_snapshot(run.proc.pid)["regions"]) <= 16
 
 
 def test_wss_estimate_tracks_exact(kernel_hawkeye):
     """Both series integrate the same access-bit signal with the same
     EMA alpha, so on a steady workload they track closely."""
     monitor, run = _run_sampled(kernel_hawkeye)
-    state = monitor.procs[run.proc.pid]
-    assert state.samples >= 3
-    est, exact = state.wss_estimate[-1], state.wss_exact[-1]
+    state = monitor.process_snapshot(run.proc.pid)
+    assert state["samples"] >= 3
+    est, exact = state["wss"]["estimate"][-1], state["wss"]["exact"][-1]
     assert exact > 0
     assert abs(est - exact) / exact < 0.15
 
@@ -143,7 +141,7 @@ def test_retired_process_snapshot(kernel_hawkeye):
     assert early.finished
     kernel_hawkeye.exit_process(early.proc)
     kernel_hawkeye.run_epochs(30)        # next sample retires the pid
-    assert early.proc.pid not in monitor.procs
+    assert early.proc.pid not in monitor.owners
     retired = [p for p in monitor.retired if p["pid"] == early.proc.pid]
     assert retired and retired[-1]["finished"]
     snap = monitor.snapshot()

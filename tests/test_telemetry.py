@@ -207,7 +207,7 @@ def test_exited_process_series_are_dropped(kernel_hawkeye):
     kernel.exit_process(gone.proc)
     # the monitor retires the pid only at its next sample; the scrape
     # in between must already leave it out
-    assert gone.proc.pid in kernel.heat.procs
+    assert gone.proc.pid in kernel.heat.owners
     sampler._scrape(kernel)
     after = sampler.scrapes[-1]["gauges"]
     for name in PER_PROCESS_FAMILIES:
