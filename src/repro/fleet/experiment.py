@@ -94,28 +94,31 @@ def fleet_result(kernel, manager: FleetManager, epochs: int) -> dict:
     }
 
 
-def _run(case: str, policy: str, scale: Scale, rate_mult: float,
-         target_lifetimes: int, max_epochs: int) -> dict:
-    kernel = make_kernel(FLEET_MEM_FULL, policy, scale, boot_zeroed=True)
-    spec = FleetSpec(
-        rate_per_s=BASE_RATE_PER_S * rate_mult,
-        seed=_seed(case, policy),
-        group_limits={"batch-*": BATCH_GROUP_CAP},
-    )
+def run_churn(policy: str, scale: Scale, *, rate_per_s: float, seed: int,
+              lifetimes: int, max_epochs: int, mem_bytes: float = FLEET_MEM_FULL,
+              batch_cap: int = BATCH_GROUP_CAP) -> dict:
+    """The :func:`fleet_result` of Poisson tenant churn on a fresh kernel;
+    ``batch_cap`` caps the ``batch-*`` tier's huge pages (0: no cap)."""
+    kernel = make_kernel(mem_bytes, policy, scale, boot_zeroed=True)
+    spec = FleetSpec(rate_per_s=rate_per_s, seed=seed,
+                     group_limits={"batch-*": batch_cap} if batch_cap else {})
     manager = FleetManager(kernel, spec, scale_factor=scale.factor)
-    epochs = drive_fleet(kernel, manager, target_lifetimes, max_epochs)
+    epochs = drive_fleet(kernel, manager, lifetimes, max_epochs)
     return fleet_result(kernel, manager, epochs)
 
 
 def run_fleet(case: str, policy: str, scale: Scale) -> dict:
     """Full fleet cell: >= 1000 tenant lifetimes at one arrival scale."""
-    return _run(case, policy, scale, _rate_multiplier(case),
-                FLEET_LIFETIMES, max_epochs=8000)
+    return run_churn(policy, scale, seed=_seed(case, policy),
+                     rate_per_s=BASE_RATE_PER_S * _rate_multiplier(case),
+                     lifetimes=FLEET_LIFETIMES, max_epochs=8000)
 
 
 def run_fleet_smoke(case: str, policy: str, scale: Scale) -> dict:
     """CI-sized fleet cell: ~100 lifetimes at the 1x arrival rate."""
-    return _run(case, policy, scale, 1.0, SMOKE_LIFETIMES, max_epochs=2000)
+    return run_churn(policy, scale, seed=_seed(case, policy),
+                     rate_per_s=BASE_RATE_PER_S,
+                     lifetimes=SMOKE_LIFETIMES, max_epochs=2000)
 
 
 register(

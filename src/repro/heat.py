@@ -649,6 +649,38 @@ def format_heatmap(proc_snap: dict, epochs: int | None = None,
     return "\n".join(lines)
 
 
+def format_region(proc_snap: dict, hvpn: int, matrix: str = "heat",
+                  epochs: int | None = None) -> str:
+    """Render the monitoring region covering ``hvpn`` and the time series
+    of its spatial bin in ``matrix`` (the last ``epochs`` samples)."""
+    from repro.metrics.tables import format_table
+
+    lo, hi = proc_snap.get("span", (0, 0))
+    region = next((r for r in proc_snap.get("regions") or []
+                   if r["start"] <= hvpn < r["end"]), None)
+    if region is None:
+        return (f"hvpn {hvpn} is outside "
+                f"{proc_snap.get('process')}'s monitored span [{lo},{hi})")
+    out = [format_table(
+        ["span_hvpn", "width", "sample", "ema", "density", "age"],
+        [[f"[{region['start']},{region['end']})",
+          region["end"] - region["start"], region["sample"],
+          region["ema"], region["density"], region["age"]]],
+        title=f"monitoring region covering hvpn {hvpn} — "
+              f"{proc_snap.get('process')}")]
+    nb = proc_snap.get("bins") or 1
+    if hi > lo:
+        col = min(nb - 1, (hvpn - lo) * nb // (hi - lo))
+        rows = [[t, row[col]] for t, row in zip(proc_snap.get("t_s") or [],
+                                                proc_snap.get(matrix) or [])
+                if col < len(row)]
+        if epochs is not None:
+            rows = rows[-epochs:]
+        out.append(format_table(["t_s", matrix], rows,
+                                title=f"bin {col} ({matrix}) over time"))
+    return "\n".join(out)
+
+
 def format_regions(proc_snap: dict) -> str:
     """Render one process's monitoring regions as an aligned table."""
     from repro.metrics.tables import format_table

@@ -82,23 +82,6 @@ class FrameTable:
         self.first_nonzero[frame] = -1
         self.content_tag[frame] = ZERO_TAG
 
-    def write_range(self, start: int, count: int, first_nonzero: int = 0, tag: int | None = None) -> None:
-        """Bulk :meth:`write` over ``count`` consecutive frames.
-
-        With ``tag=None``, fresh tags are minted in ascending frame order —
-        the exact tag sequence ``count`` scalar writes would produce.
-        """
-        if not 0 <= first_nonzero < BASE_PAGE_SIZE:
-            raise ValueError(f"first_nonzero {first_nonzero} outside page")
-        self.first_nonzero[start:start + count] = first_nonzero
-        if tag is None:
-            self.content_tag[start:start + count] = np.arange(
-                self._next_tag, self._next_tag + count, dtype=np.int64
-            )
-            self._next_tag += count
-        else:
-            self.content_tag[start:start + count] = tag
-
     def write_frames(self, frames: Sequence[int], first_nonzero: int = 0, tag: int | None = None) -> None:
         """Bulk :meth:`write` over an arbitrary frame list (tags in list order)."""
         if len(frames) == 0:

@@ -1,8 +1,8 @@
 """Export recorded metrics for external analysis.
 
-Time series, tracepoint streams and /proc snapshots serialise to CSV and JSON so
-figures can be plotted outside the simulator (the environment here ships
-no plotting stack).  The formats are deliberately boring: CSV with a
+Time series, tracepoint streams and sweep-cell records serialise to CSV
+and JSON so figures can be plotted outside the simulator, which depends
+on no plotting stack.  The formats are deliberately boring: CSV with a
 header row; JSON as plain dict/list structures.
 """
 
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.series import SeriesRecorder, TimeSeries
+    from repro.metrics.series import SeriesRecorder
 
 
 def series_to_csv(recorder: "SeriesRecorder") -> str:
@@ -41,12 +41,6 @@ def series_to_csv(recorder: "SeriesRecorder") -> str:
     for t in times:
         writer.writerow([t] + [by_time[name].get(t, "") for name in names])
     return out.getvalue()
-
-
-def series_to_dict(series: "TimeSeries") -> dict:
-    """One series as a plain JSON-able dict."""
-    return {"name": series.name, "times": list(series.times),
-            "values": list(series.values)}
 
 
 def trace_to_jsonl(events: Iterable[TraceEvent]) -> str:
@@ -198,14 +192,3 @@ def cells_to_csv(records: Iterable[dict]) -> str:
             row.append("" if value is None else value)
         writer.writerow(row)
     return out.getvalue()
-
-
-def snapshot_to_json(kernel) -> str:
-    """meminfo + vmstat as one JSON document."""
-    from repro.kernel import procfs
-
-    return json.dumps({
-        "t_seconds": kernel.now_us / 1e6,
-        "meminfo_kb": procfs.meminfo(kernel),
-        "vmstat": procfs.vmstat(kernel),
-    }, indent=2)

@@ -6,7 +6,8 @@ running :mod:`repro.oracle`'s references (``speedup``) and against a
 kernel with every observer paused (``trace_overhead``).  :func:`benchmark`
 measures, :func:`format_report` renders, :func:`check` applies
 :data:`GATES` to a baseline and :func:`profile` runs one fast pass under
-cProfile, as :func:`profile_target` does for any callable.  The workloads
+cProfile, as :func:`profile_target` does for any callable and
+:func:`profile_bench_file` for a paper benchmark's experiment.  The workloads
 are self-contained, so the paper benchmarks' tuning does not move them.
 """
 
@@ -342,6 +343,30 @@ def profile(target: str) -> str:
     bench = TARGETS[target]()
     return profile_target(lambda: _pass(bench),
                           f"{target} microbenchmark ({bench.policy})")
+
+
+def profile_bench_file(path, label: str) -> str | None:
+    """cProfile one call of a paper benchmark file's ``run_policy`` (or
+    ``run_config``) under hawkeye-g at 1/128 scale; None if it has
+    neither.  The file's directory is on ``sys.path`` while it loads."""
+    import importlib.util
+    import inspect
+    import sys
+
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+        run = getattr(module, "run_policy", None) or getattr(module, "run_config", None)
+        if run is None:
+            return None
+        fill = {"policy": "hawkeye-g", "label": "profile", "scale": Scale(1 / 128)}
+        kwargs = {name: fill[name] for name in inspect.signature(run).parameters
+                  if name in fill}
+        return profile_target(lambda: run(**kwargs), label)
+    finally:
+        sys.path.remove(str(path.parent))
 
 
 def profile_target(run, label: str) -> str:

@@ -512,6 +512,30 @@ def attribution(events: Iterable[TraceEvent]) -> dict[str, tuple[int, float]]:
     return out
 
 
+def histograms(events: Iterable[TraceEvent]) -> dict[TraceKind, LatencyHistogram]:
+    """Per-kind log2 latency histograms rebuilt from an event stream (the
+    replay counterpart of :attr:`Tracer.histograms`)."""
+    out: dict[TraceKind, LatencyHistogram] = {}
+    for e in events:
+        if e.span_us > 0.0:
+            out.setdefault(e.kind, LatencyHistogram()).add(e.span_us)
+    return out
+
+
+def format_percentiles(hists: dict[TraceKind, LatencyHistogram]) -> str:
+    """p50/p95/p99 per tracepoint, interpolated from the log2 buckets: an
+    estimate lands in the true quantile's bucket, so it is within 2x of
+    the true latency (see :meth:`LatencyHistogram.quantile`)."""
+    from repro.metrics.tables import format_table
+
+    rows = [(kind.value, hists[kind].count,
+             *(round(v, 1) for v in hists[kind].percentiles().values()))
+            for kind in sorted(hists, key=lambda k: k.value)]
+    return format_table(
+        ["kind", "n", "p50_us", "p95_us", "p99_us"], rows,
+        title="latency percentiles (log2-bucket interpolation, within 2x):")
+
+
 def format_attribution(
     table: dict[str, tuple[int, float]], title: str = "simulated-time attribution"
 ) -> str:

@@ -88,13 +88,3 @@ class NPBWorkload(ComputeWorkload):
             cache_sensitivity=0.4,
             scale=scale,
         )
-
-
-def cg_d(scale: float = 1.0, **kw) -> NPBWorkload:
-    """Convenience constructor for NPB cg.D."""
-    return NPBWorkload("cg.D", scale=scale, **kw)
-
-
-def mg_d(scale: float = 1.0, **kw) -> NPBWorkload:
-    """Convenience constructor for NPB mg.D."""
-    return NPBWorkload("mg.D", scale=scale, **kw)

@@ -335,7 +335,7 @@ def test_region_reads_reach_records_as_python_scalars(policy, monkeypatch):
     """Values read off the region table's numpy columns reach decision
     inputs, their text and ``repro pagemap``'s region rows as exact
     Python scalars: ``str`` of an ``np.float64`` prints ``np.float64(..)``."""
-    from repro import cli
+    from repro.cli import audit as cli
 
     logs, tables = [], []
     attach = audit.attach

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cli import BENCHES, WORKLOADS, build_parser, cmd_compare, cmd_run, main
+from repro.cli import build_parser, main
+from repro.cli.bench import BENCHES
 from repro.experiments import POLICIES
+from repro.workloads.catalog import WORKLOADS
 
 
 def test_parser_rejects_unknown_command():
@@ -327,3 +329,83 @@ def test_report_html_empty_cache(tmp_path, capsys):
                "--out", str(html_path)])
     assert rc == 0
     assert "no cached" in html_path.read_text().lower()
+
+
+#: every verb and sub-verb path of `repro`, in registration order.
+VERB_PATHS = [
+    "list", "run", "compare", "bench",
+    "trace", "trace run", "trace view", "trace export",
+    "numa", "top", "fleet", "pagemap", "why", "audit", "heat",
+    "sweep", "sweep run", "sweep status", "sweep clean",
+    "scenario", "scenario run", "scenario validate", "scenario list",
+    "report", "report html", "report regress",
+]
+
+
+def _verb_paths(parser, prefix=()):
+    """Every verb and sub-verb path under ``parser``, depth first."""
+    import argparse
+
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                path = prefix + (name,)
+                paths.append(" ".join(path))
+                paths += _verb_paths(child, path)
+    return paths
+
+
+@pytest.mark.parametrize("path", VERB_PATHS)
+def test_verb_help(path, capsys):
+    """Each verb is registered, in order, and its --help names its path."""
+    assert _verb_paths(build_parser()) == VERB_PATHS
+    with pytest.raises(SystemExit) as exc:
+        main([*path.split(), "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == f"usage: repro {path}" or usage.startswith(f"usage: repro {path} ")
+
+
+def test_numa_races_each_mode(capsys):
+    rc = main(["numa", "--scale", "512", "--modes", "local,balanced"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hawkeye-g across 2 nodes (1/512 scale)"
+    assert lines[1].split()[:3] == ["mode", "time", "s"]
+    assert [line.split()[0] for line in lines[3:]] == ["local", "balanced"]
+
+
+def test_numa_rejects_unknown_mode(capsys):
+    assert main(["numa", "--scale", "512", "--modes", "local,bogus"]) == 2
+    assert "unknown numa cases: bogus-2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_epochs,rc", [(400, 0), (5, 1)])
+def test_fleet_exit_code_follows_lifetimes(max_epochs, rc, capsys):
+    argv = ["fleet", "--tenants", "10", "--scale", "512",
+            "--max-epochs", str(max_epochs)]
+    assert main(argv) == rc
+    out = capsys.readouterr().out
+    assert out.startswith("fleet/hawkeye-g: ")
+    assert "fault latency p50" in out
+    assert main(argv + ["--json"]) == rc
+    import json
+
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["exited"] >= 10) == (rc == 0)
+
+
+def test_top_numa_and_fleet_columns(capsys):
+    rc = main(["top", "sequential-4g", "--scale", "256", "--max-epochs", "120",
+               "--interval", "30", "--nodes", "2", "--fleet-rate", "1"])
+    assert rc == 1  # the epoch budget ends the run before the workload
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split()
+    assert header[header.index("trdrop/s") + 1:] == [
+        "n0_free", "n0_alloc", "n1_free", "n1_alloc", "numamig/s",
+        "tenants", "spawn/s", "exit/s", "oomk"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) >= 2 and all(len(row) == len(header) for row in rows)
+    assert int(rows[-1][header.index("tenants")]) > 0
+    assert lines[-1].startswith("sequential-4g/hawkeye-g: timeout after 120 epochs")

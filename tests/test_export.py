@@ -8,12 +8,10 @@ import pytest
 
 from repro.metrics.export import (
     series_to_csv,
-    series_to_dict,
-    snapshot_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from repro.metrics.series import SeriesRecorder, TimeSeries
+from repro.metrics.series import SeriesRecorder
 from repro.trace import TraceEvent, TraceKind
 from tests.conftest import spawn_simple
 
@@ -33,12 +31,6 @@ def test_series_csv_round_trip(kernel4k):
 def test_series_csv_empty_recorder(kernel4k):
     rec = SeriesRecorder(kernel4k)
     assert series_to_csv(rec) == "t_seconds\n"
-
-
-def test_series_to_dict():
-    ts = TimeSeries("x")
-    ts.append(1.0, 2.0)
-    assert series_to_dict(ts) == {"name": "x", "times": [1.0], "values": [2.0]}
 
 
 def test_series_csv_aligns_ragged_series_by_timestamp(kernel4k):
@@ -74,12 +66,6 @@ def test_trace_jsonl_round_trip():
     assert trace_from_jsonl(text) == events
     assert trace_from_jsonl(text + "\n\n") == events  # blank lines skipped
     assert trace_from_jsonl("") == []
-
-
-def test_snapshot_json(kernel_thp):
-    doc = json.loads(snapshot_to_json(kernel_thp))
-    assert doc["meminfo_kb"]["MemTotal"] > 0
-    assert "pgfault" in doc["vmstat"]
 
 
 def test_cells_jsonl_and_csv():

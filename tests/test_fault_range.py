@@ -81,19 +81,6 @@ def test_run_dry_allocator_returns_short():
 # ---------------------------------------------------------------------- #
 
 
-def test_write_range_mints_ascending_tags():
-    ft = FrameTable(64)
-    before = ft._next_tag
-    ft.write_range(4, 5, first_nonzero=9)
-    assert list(ft.content_tag[4:9]) == list(range(before, before + 5))
-    assert (ft.first_nonzero[4:9] == 9).all()
-    ft2 = FrameTable(64)
-    for f in range(4, 9):
-        ft2.write(f, first_nonzero=9)
-    assert np.array_equal(ft.content_tag, ft2.content_tag)
-    assert np.array_equal(ft.first_nonzero, ft2.first_nonzero)
-
-
 def test_write_frames_matches_scalar_writes():
     ft, ft2 = FrameTable(64), FrameTable(64)
     frames = [3, 9, 4, 50]
@@ -102,12 +89,6 @@ def test_write_frames_matches_scalar_writes():
         ft2.write(f, first_nonzero=7)
     assert np.array_equal(ft.content_tag, ft2.content_tag)
     assert np.array_equal(ft.first_nonzero, ft2.first_nonzero)
-
-
-def test_write_range_shared_tag():
-    ft = FrameTable(64)
-    ft.write_range(0, 4, first_nonzero=1, tag=77)
-    assert (ft.content_tag[0:4] == 77).all()
 
 
 # ---------------------------------------------------------------------- #
