@@ -161,7 +161,7 @@ class HawkEyePolicy(HugePagePolicy):
         coverage discount are array masks over the region table, applied
         through the access_map's bulk entry points.  Removals and updates
         touch *distinct* keys, so splitting the per-region reference
-        loop's (:mod:`repro.oracle`) interleaved remove/update sequence
+        loop's (``tests/oracle.py``) interleaved remove/update sequence
         into all-removals-then-all-updates (each in region order) leaves
         every bucket's contents and internal order identical.
         """

@@ -169,7 +169,7 @@ def handle_fault_range(
 
     Touches ``npages`` pages ``stride`` apart from ``vpn0`` in ascending
     order and stops — like the per-page touch loop
-    (:func:`repro.oracle.touch_pages`) — once the consumed time reaches
+    (``touch_pages`` in ``tests/oracle.py``) — once the consumed time reaches
     ``budget_us`` (checked before each page, so the same one-page
     overshoot is possible).  Each page consumes ``max(fault_cost +
     work_us, pace_us)`` of budget, mirroring the touch loop's per-page

@@ -356,7 +356,7 @@ class Kernel:
         """Touch ``npages`` virtual pages ``stride`` apart through the bulk path.
 
         Exactly equivalent to the per-page touch loop
-        (:func:`repro.oracle.touch_pages`); see
+        (``touch_pages`` in ``tests/oracle.py``); see
         :func:`repro.kernel.fault.handle_fault_range`.  Returns
         ``(consumed_us, pages)``.
         """
@@ -866,7 +866,7 @@ class Kernel:
         the simulator's stand-in for reading hardware-set PTE bits — but
         the scan *cost* is still charged per region.  One vectorized pass
         over each process's region table, bit-identical to the per-region
-        reference loop in :mod:`repro.oracle`."""
+        reference loop in ``tests/oracle.py``."""
         alpha = self.config.ema_alpha
         for proc in self.processes:
             table = proc.regions
@@ -881,17 +881,7 @@ class Kernel:
                 if profile is None:
                     samples = np.zeros(n, dtype=np.int64)
                 else:
-                    cov_arr = getattr(profile, "coverage_array", None)
-                    if cov_arr is not None:
-                        samples = cov_arr(self, proc, hvpns)
-                    else:
-                        # Duck-typed profiles (virt host mirrors) only
-                        # provide the dict form.
-                        coverage = profile.region_coverage(self, proc)
-                        samples = np.fromiter(
-                            (coverage.get(int(h), 0) for h in hvpns),
-                            dtype=np.int64, count=n,
-                        )
+                    samples = profile.coverage_array(self, proc, hvpns)
                 np.minimum(samples, PAGES_PER_HUGE, out=samples)
                 # Same float expression as the scalar loop, elementwise in
                 # float64: alpha * sample + (1 - alpha) * ema.

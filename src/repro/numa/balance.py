@@ -273,7 +273,7 @@ class NumaState:
     def _harvest(self, proc: "Process") -> int:
         """Candidate harvest: mask prefilter + bulk node gather.
 
-        Equivalent to the per-region reference in :mod:`repro.oracle` —
+        Equivalent to the per-region reference in ``tests/oracle.py`` —
         the active/remote masks and the ascending-hvpn walk reproduce the
         same candidate set, the same EMA values, and the same hint count;
         only the strict-policy check (a VMA-tree probe) stays per-region,

@@ -1,14 +1,14 @@
 """Performance harness for the simulator's hot paths.
 
 One harness times the microbenchmarks of :data:`TARGETS` (``python -m
-repro bench touch|epoch``): a fast pass against the same pass on a kernel
-running :mod:`repro.oracle`'s references (``speedup``) and against a
-kernel with every observer paused (``trace_overhead``).  :func:`benchmark`
-measures, :func:`format_report` renders, :func:`check` applies
-:data:`GATES` to a baseline and :func:`profile` runs one fast pass under
-cProfile, as :func:`profile_target` does for any callable and
-:func:`profile_bench_file` for a paper benchmark's experiment.  The workloads
-are self-contained, so the paper benchmarks' tuning does not move them.
+repro bench touch|epoch``): the best fast pass in calibration slices
+(``fast_per_calib``) and a paused-observer kernel against a bare one
+(``trace_overhead``).  :func:`benchmark` measures, :func:`format_report`
+renders, :func:`check` applies :data:`GATES` to a baseline and
+:func:`profile` runs one fast pass under cProfile, as
+:func:`profile_target` does for any callable and :func:`profile_bench_file`
+for a paper benchmark's experiment.  The workloads are self-contained,
+so the paper benchmarks' tuning does not move them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import statistics
 import time
 from contextlib import contextmanager
 
-from repro import audit, heat, oracle, trace
+from repro import audit, heat, trace
 from repro.experiments import Scale, make_kernel, reset_sim_state
 from repro.metrics import telemetry
 from repro.units import MB, PAGES_PER_HUGE, SEC
@@ -44,12 +44,13 @@ TOUCH_STRIDE = 4
 EPOCH_REGIONS = 2048
 #: sampled epochs in one timed epoch pass.
 EPOCH_EPOCHS = 200
-#: hard floor on the vectorized/scalar epoch speedup (machine-neutral).
-EPOCH_SPEEDUP_FLOOR = 3.0
+#: iterations of one calibration slice; the loop is the bench's
+#: (``bench/child.py``), so both harnesses time in the same unit.
+CALIB_ITERS = 1_500_000
 #: ceiling on the disabled-tracing overhead: a kernel with every observer
 #: attached but paused must cost less than this fraction over a bare one.
 TRACE_OVERHEAD_CEILING = 0.05
-#: how far a speedup ratio may fall below its baseline's.
+#: how far a calibrated time may rise above its baseline's.
 TOLERANCE = 0.25
 #: host seconds of bare passes in one overhead sample: host speed shifts
 #: up to 2x over tenths of a second, which this much work averages out.
@@ -62,14 +63,14 @@ TURN_S = 0.02
 
 
 class _TouchBench(Workload):
-    """Dense touch / free / re-touch — the fault-dominated shape.
+    """Dense touch / free / re-touch; the pass's fault path is timed.
 
     The free is dense (the whole region) so the re-touch allocates from
     large coalesced blocks; a sparse free shreds physical memory into
-    ~3-page extents and measures the fragmented path for *both* modes
-    instead of fault throughput.  Sparse frees are covered by the
-    scalar-vs-batched equivalence tests.  The :data:`TOUCH_STRIDE`
-    touches are timed too, ungated.
+    ~3-page extents and measures the fragmented path instead of fault
+    throughput.  The free takes most of a pass, so only the time in
+    ``Kernel.fault_range`` counts.  The :data:`TOUCH_STRIDE` touches are
+    timed too, ungated.
     """
 
     name = "touch-bench"
@@ -77,6 +78,7 @@ class _TouchBench(Workload):
     epoch_us = SEC
     unit = "pages"
     first_phase = "grow"
+    span = "fault_range"
 
     def __init__(self, npages: int = TOUCH_PAGES, stride: int = 1):
         self.npages = npages
@@ -97,10 +99,9 @@ class _TouchBench(Workload):
         return self.npages * 4096
 
     def extra(self, repeats: int) -> dict:
-        fast_s, reference_s = _best(_TouchBench(self.npages, TOUCH_STRIDE), repeats)
-        return {"stride": TOUCH_STRIDE, "strided_s": round(fast_s, 4),
-                "strided_reference_s": round(reference_s, 4),
-                "strided_speedup": round(reference_s / fast_s, 2)}
+        strided = _TouchBench(self.npages, TOUCH_STRIDE)
+        return {"stride": TOUCH_STRIDE,
+                **_calibrated("strided", lambda: _spent(strided, self.span), repeats)}
 
 
 class _EpochBench(Workload):
@@ -114,7 +115,8 @@ class _EpochBench(Workload):
     cross-bucket access_map churn.  HawkEye with huge faults off keeps
     regions base-mapped, so that work never collapses into promotions;
     ``epoch_us`` is the 30 s sampling interval, so every serve epoch runs
-    the sampler.  The scan alone is timed too (``scan_speedup``).
+    the sampler.  The pass's time in ``Kernel._sample_access_bits`` (the
+    scan with the policy's ranking) is gated on its own too.
     """
 
     name = "epoch-bench"
@@ -122,6 +124,7 @@ class _EpochBench(Workload):
     epoch_us = 30 * SEC
     unit = "epochs"
     first_phase = "serve"
+    span = "run_epoch"
     work = EPOCH_EPOCHS
 
     def __init__(self, regions: int = EPOCH_REGIONS):
@@ -146,24 +149,49 @@ class _EpochBench(Workload):
         return self.regions * PAGES_PER_HUGE * 4096
 
     def extra(self, repeats: int) -> dict:
-        return {"scan_speedup": round(_scan_speedup(self.regions), 2)}
+        return _calibrated("scan", lambda: _spent(self, "_sample_access_bits"), repeats)
 
 
 #: the microbenchmarks by name.  Each workload class names its policy,
-#: kernel epoch, the phase its timed pass (the rest of the workload)
-#: starts at, and ``extra`` result entries (``*_speedup`` ones reported).
+#: kernel epoch, the phase its timed pass starts at, the ``Kernel`` method
+#: whose time in a pass is gated (``span``) and ``extra`` entries.
 TARGETS = {"touch": _TouchBench, "epoch": _EpochBench}
 
 #: every gate :func:`check` applies, as (target, key, label, bound).  A
-#: ``trace_overhead`` row fails at or above ``bound``; a ratio row below
-#: its baseline's less :data:`TOLERANCE`, or below ``bound`` if higher.
+#: ``trace_overhead`` row fails at or above ``bound``; a calibrated row
+#: above its baseline's value times ``1 + bound``.
 GATES = (
-    ("touch", "speedup", "batched/scalar speedup", 0.0),
+    ("touch", "fast_per_calib", "calibrated fault-path time", TOLERANCE),
     ("touch", "trace_overhead", "disabled-tracing overhead", TRACE_OVERHEAD_CEILING),
-    ("epoch", "speedup", "vectorized/scalar epoch speedup", EPOCH_SPEEDUP_FLOOR),
-    ("epoch", "scan_speedup", "access-scan speedup", 0.0),
+    ("epoch", "fast_per_calib", "calibrated epoch-engine time", TOLERANCE),
+    ("epoch", "scan_per_calib", "calibrated access-scan time", TOLERANCE),
     ("epoch", "trace_overhead", "disabled-tracing overhead", TRACE_OVERHEAD_CEILING),
 )
+
+
+def calibrate() -> float:
+    """Host seconds for one slice of a fixed pure-Python loop, the unit of
+    every gated time: it slows with the host, which drifts up to 2x."""
+    start = time.perf_counter()
+    table: dict[int, int] = {}
+    acc = 0
+    for i in range(CALIB_ITERS):
+        acc = (acc * 1103515245 + i) & 0xFFFF_FFFF
+        table[acc & 1023] = i
+    return time.perf_counter() - start
+
+
+def _calibrated(name: str, measure, repeats: int) -> dict:
+    """``<name>_s``, the best of ``repeats`` calls of ``measure`` (host
+    seconds), and ``<name>_per_calib``, the median of each call's seconds
+    over the mean of the slices timed just before and after it."""
+    slices, times = [calibrate()], []
+    for _ in range(repeats):
+        times.append(measure())
+        slices.append(calibrate())
+    per_calib = [2 * t / (a + b) for t, a, b in zip(times, slices, slices[1:])]
+    return {f"{name}_s": round(min(times), 4),
+            f"{name}_per_calib": round(statistics.median(per_calib), 5)}
 
 
 @contextmanager
@@ -180,10 +208,9 @@ def _observers(kernel):
             mod.detach(kernel)
 
 
-def _build(bench: Workload, reference: bool = False):
-    """Spawn ``bench`` on a fresh kernel (``reference``: with the oracle
-    installed) and drive it to its timed pass.  Collecting first frees
-    earlier kernels: each pass starts from the same heap."""
+def _build(bench: Workload):
+    """Spawn ``bench`` on a fresh kernel, driven to its timed pass (after
+    a collection, so every pass starts from the same heap)."""
     gc.collect()
     reset_sim_state()
     # make_kernel takes the *full-scale* size; 2x headroom over the region
@@ -191,8 +218,6 @@ def _build(bench: Workload, reference: bool = False):
     scale = Scale(1 / 128)
     kernel = make_kernel(2 * bench.mmap_bytes() / scale.factor, bench.policy,
                          scale, epoch_us=bench.epoch_us)
-    if reference:
-        oracle.install(kernel)
     run = kernel.spawn(bench)
     kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
     for _ in range(10_000):
@@ -222,19 +247,21 @@ def _timed(runs) -> list[float]:
     raise RuntimeError("a benchmark pass did not finish within 20,000 turns")
 
 
-def _pass(bench: Workload, reference: bool = False) -> float:
-    """Seconds of one pass on its own freshly built kernel."""
-    return _timed([_build(bench, reference)])[0]
+def _spent(bench: Workload, span: str = "run_epoch") -> float:
+    """Seconds one pass on a fresh kernel spends in ``Kernel.<span>``
+    (by default the whole pass)."""
+    run = _build(bench)
+    inner, spent = getattr(run.kernel, span), [0.0]
 
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = inner(*args, **kwargs)
+        spent[0] += time.perf_counter() - t0
+        return out
 
-def _best(bench: Workload, repeats: int) -> tuple[float, float]:
-    """Best of ``repeats`` fast and ``repeats`` reference passes, taken in
-    turns so that both sides meet the same spread of host speeds."""
-    times = ([], [])
-    for i in range(repeats):
-        for reference in ((False, True) if i % 2 == 0 else (True, False)):
-            times[reference].append(_pass(bench, reference))
-    return min(times[0]), min(times[1])
+    setattr(run.kernel, span, timed)
+    _timed([run])
+    return spent[0]
 
 
 def _paired(bench: Workload, pairs: int) -> tuple[float, int]:
@@ -242,7 +269,7 @@ def _paired(bench: Workload, pairs: int) -> tuple[float, int]:
     observer paused: k :func:`_timed` passes of a fresh pair, k set once
     so a sample covers :data:`SAMPLE_FLOOR_S`, the pair's build and turn
     order alternating.  Returns the median ``paused / bare - 1`` and k."""
-    passes = min(SAMPLE_MAX_PASSES, math.ceil(SAMPLE_FLOOR_S / _pass(bench)))
+    passes = min(SAMPLE_MAX_PASSES, math.ceil(SAMPLE_FLOOR_S / _spent(bench)))
     ratios = []
     for _ in range(pairs):
         totals = [0.0, 0.0]
@@ -257,91 +284,66 @@ def _paired(bench: Workload, pairs: int) -> tuple[float, int]:
     return statistics.median(ratios), passes
 
 
-def _scan_speedup(regions: int, iters: int = 30) -> float:
-    """Reference/vectorized ratio of the access-bit scan pass alone:
-    ``_sample_access_bits`` calls (with the policy's on_sample ranking)
-    on an oracle-installed and a plain kernel.  The sides alternate, one
-    timed call each per turn, so a change in host speed hits both alike;
-    each timed call follows an untimed one on the same kernel, which
-    warms the caches the other side's call evicted."""
-    kernels = [_build(_EpochBench(regions), reference).kernel
-               for reference in (True, False)]
-    timings = [0.0, 0.0]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(iters):
-            for i, kernel in enumerate(kernels):
-                kernel._sample_access_bits()  # warm-up
-                t0 = time.perf_counter()
-                kernel._sample_access_bits()
-                timings[i] += time.perf_counter() - t0
-    finally:
-        gc.enable()
-    return timings[0] / timings[1]
-
-
-def benchmark(target: str, size: int | None = None, repeats: int = 3) -> dict:
+def benchmark(target: str, size: int | None = None, repeats: int = 5) -> dict:
     """Measure ``target`` (a :data:`TARGETS` name) at ``size`` pages or
-    regions (its default when ``None``): a JSON-friendly dict of the best
-    fast and reference pass (:func:`_best`), their ``speedup``, the
-    ``trace_overhead`` of ``2 * repeats`` samples (:func:`_paired`) and
-    the target's extra entries."""
+    regions (default when ``None``): a JSON-friendly dict of ``repeats``
+    fast passes (:func:`_calibrated`), the ``trace_overhead`` of
+    ``repeats + 1`` samples (:func:`_paired`) and the target's extras."""
     bench = TARGETS[target]() if size is None else TARGETS[target](size)
     gc.collect()
     gc.freeze()  # each pass's collection then walks only what passes built
     try:
-        fast_s, reference_s = _best(bench, repeats)
-        overhead, passes = _paired(bench, 2 * repeats)
+        fast = _calibrated("fast", lambda: _spent(bench, bench.span), repeats)
+        overhead, passes = _paired(bench, repeats + 1)
         extra = bench.extra(repeats)
     finally:
         gc.unfreeze()
     return {"target": target, "policy": bench.policy, "work": bench.work,
-            "unit": bench.unit, "fast_s": round(fast_s, 4),
-            "reference_s": round(reference_s, 4), "speedup": round(reference_s / fast_s, 2),
-            "trace_overhead": round(overhead, 4), "samples": 2 * repeats,
-            "passes": passes, **extra}
+            "unit": bench.unit, **fast, "trace_overhead": round(overhead, 4),
+            "samples": repeats + 1, "passes": passes, **extra}
 
 
 def format_report(result: dict) -> str:
     """Human-readable rendering of a :func:`benchmark` result."""
-    work, unit = result["work"], result["unit"]
+    work, unit, fast_s = result["work"], result["unit"], result["fast_s"]
     return "\n".join([
         f"{result['target']} microbenchmark ({result['policy']}, {work} {unit} per pass)",
-        *(f"  {side}: {result[side + '_s']:.3f}s  ({work / result[side + '_s']:,.0f} {unit}/s)"
-          for side in ("fast", "reference")),
+        f"  fast: {fast_s:.3f}s  ({work / fast_s:,.0f} {unit}/s)",
         f"  tracing disabled-overhead: {result['trace_overhead']:+.1%}"
         f"  ({result['samples']} samples of {result['passes']} passes)",
-        *(f"  {key}: {value:.2f}x" for key, value in result.items() if key.endswith("speedup")),
+        *(f"  {key}: {value:.5f} calibration slices"
+          for key, value in result.items() if key.endswith("_per_calib")),
     ])
 
 
 def check(result: dict, baseline: dict) -> list[str]:
     """Failure messages of ``result["target"]``'s :data:`GATES` rows
-    (empty when all hold); a result without ``trace_overhead`` skips it."""
+    (empty when all hold).  Fails closed on a baseline of another target
+    and on a calibrated key missing from either side; a result without
+    ``trace_overhead`` skips that row."""
+    target = result["target"]
+    if baseline.get("target") != target:
+        return [f"baseline is for target {baseline.get('target')!r}, not {target!r}"]
     failures = []
-    for target, key, label, bound in GATES:
-        if target != result["target"]:
-            continue
+    for key, label, bound in (row[1:] for row in GATES if row[0] == target):
+        value, base = result.get(key), baseline.get(key)
         if key == "trace_overhead":
-            value = result.get(key)
             if value is not None and value >= bound:
                 failures.append(f"{label} {value:+.1%} reached the {bound:.0%}"
                                 f" ceiling on the {target} path")
-            continue
-        value, base = result.get(key, 0.0), baseline.get(key, 0.0)
-        floor = max(bound, base * (1 - TOLERANCE))
-        if value < floor:
-            hard = f", hard floor {bound:.0f}x" if bound else ""
-            failures.append(f"{label} {value:.2f}x fell below {floor:.2f}x "
-                            f"(baseline {base:.2f}x - {TOLERANCE:.0%}{hard})")
+        elif value is None or base is None:
+            side = "result" if value is None else "baseline"
+            failures.append(f"{label}: the {side} has no {key}")
+        elif value > (ceiling := base * (1 + bound)):
+            failures.append(f"{label} {value:.5f} rose above {ceiling:.5f} "
+                            f"(baseline {base:.5f} + {bound:.0%})")
     return failures
 
 
 def profile(target: str) -> str:
     """cProfile one fast pass of ``target`` at its default size."""
     bench = TARGETS[target]()
-    return profile_target(lambda: _pass(bench),
+    return profile_target(lambda: _spent(bench),
                           f"{target} microbenchmark ({bench.policy})")
 
 
@@ -371,11 +373,8 @@ def profile_bench_file(path, label: str) -> str | None:
 
 def profile_target(run, label: str) -> str:
     """cProfile ``run()`` and return the cumulative-time hot-path report.
-
-    ``run`` must be a plain callable: pytest-benchmark's timed loop
-    cannot be profiled (it installs its own ``sys`` profiler hook), so
-    callers pass the underlying experiment function instead.
-    """
+    ``run`` must be a plain callable, not pytest-benchmark's timed loop
+    (which installs its own ``sys`` profiler hook)."""
     profiler = cProfile.Profile()
     profiler.enable()
     run()

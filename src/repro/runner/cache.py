@@ -31,6 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
 DEFAULT_CACHE_DIR = ".sweep-cache"
 
+#: the simulator source tree :func:`source_digest` hashes.
+SOURCE_ROOT = Path(__file__).resolve().parents[1]  # src/repro
+#: paths under :data:`SOURCE_ROOT` that never run inside a cell (the CLI,
+#: the report renderers, the microbenchmark harness and ``python -m
+#: repro``), left out of the digest so editing them keeps every cache
+#: key; ``tests/test_oracle.py`` checks that cells never import them.
+DIGEST_SKIP = ("cli/", "report/", "perf.py", "__main__.py")
+
 _digest_memo: dict[str, str] = {}
 
 
@@ -42,16 +50,20 @@ def default_cache_dir() -> Path:
 def source_digest() -> str:
     """SHA-256 over the simulator source tree (paths + contents).
 
-    Covers every ``.py`` file under ``src/repro`` — adapters included —
-    so cached results can never outlive the code that produced them.
-    Memoised per process: a sweep hashes the tree once, not per cell.
+    Covers every ``.py`` file under :data:`SOURCE_ROOT` — adapters
+    included — but :data:`DIGEST_SKIP`'s, so cached results can never
+    outlive the code that produced them.  Memoised per process: a sweep
+    hashes the tree once, not per cell.
     """
-    base = Path(__file__).resolve().parents[1]  # src/repro
+    base = SOURCE_ROOT
     key = str(base)
     if key not in _digest_memo:
         h = hashlib.sha256()
         for path in sorted(base.rglob("*.py")):
-            h.update(str(path.relative_to(base)).encode())
+            rel = path.relative_to(base)
+            if rel.as_posix().startswith(DIGEST_SKIP):
+                continue
+            h.update(str(rel).encode())
             h.update(b"\0")
             h.update(path.read_bytes())
             h.update(b"\0")

@@ -54,17 +54,28 @@ class _HostMirrorProfile:
     def loads(self, kernel, proc):
         return []
 
+    def _counts(self) -> tuple[int, np.ndarray]:
+        """First host hvpn of guest RAM and each of its huge regions'
+        allocated guest frame count."""
+        vm = self.vm
+        nregions = vm.ram_pages // PAGES_PER_HUGE
+        occupancy = vm.guest.frames.allocated[: nregions * PAGES_PER_HUGE]
+        return vm.ram_vma.start >> 9, occupancy.reshape(nregions, PAGES_PER_HUGE).sum(axis=1)
+
     def region_coverage(self, kernel, proc) -> dict[int, int]:
         """Host region coverage = guest frame occupancy of the region."""
-        vm = self.vm
-        guest_frames = vm.guest.frames
-        base_hvpn = vm.ram_vma.start >> 9
-        nregions = vm.ram_pages // PAGES_PER_HUGE
-        occupancy = guest_frames.allocated[: nregions * PAGES_PER_HUGE]
-        counts = occupancy.reshape(nregions, PAGES_PER_HUGE).sum(axis=1)
-        return {
-            base_hvpn + i: int(counts[i]) for i in range(nregions) if counts[i] > 0
-        }
+        base_hvpn, counts = self._counts()
+        return {base_hvpn + i: c for i, c in enumerate(counts.tolist()) if c > 0}
+
+    def coverage_array(self, kernel, proc, hvpns: np.ndarray) -> np.ndarray:
+        """:meth:`region_coverage` gathered over an hvpn array: 0 outside
+        guest RAM."""
+        base_hvpn, counts = self._counts()
+        idx = hvpns - base_hvpn
+        inside = (idx >= 0) & (idx < counts.shape[0])
+        out = np.zeros(hvpns.shape[0], dtype=np.int64)
+        out[inside] = counts[idx[inside]]
+        return out
 
 
 class VirtualMachine:

@@ -6,9 +6,8 @@ set-up fragmenter and compaction's chunk evacuation each run as one
 batched or vectorized pass that is exactly equivalent to a loop kept
 here.
 :func:`install` binds the loops onto one kernel instance; the
-equivalence tests compare such a twin with a plain kernel, and
-``repro bench touch|epoch`` time it as the speedup denominator.  No
-simulation path imports this module.
+equivalence tests compare such a twin with a plain kernel.  The module
+lives with the tests: nothing under ``src/repro`` imports it.
 """
 
 from __future__ import annotations

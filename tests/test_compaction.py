@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import oracle
 from repro.audit import FrameLedger
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.compaction import CompactionStats, Compactor
 from repro.mem.frames import FrameTable
 from repro.units import PAGES_PER_HUGE
+from tests import oracle
 from tests.conftest import LEDGER_COLUMNS, buddy_snapshot
 
 

@@ -4,12 +4,12 @@ from types import MethodType
 
 import pytest
 
-from repro import oracle
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.frames import FrameTable
 from repro.numa.allocator import NodeAllocator
 from repro.numa.topology import NumaTopology
+from tests import oracle
 from tests.conftest import buddy_snapshot
 
 

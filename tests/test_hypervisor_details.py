@@ -1,5 +1,6 @@
 """Focused tests for hypervisor internals: mirror profile, swap drain."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import Scale, make_hypervisor, make_vm
@@ -26,17 +27,28 @@ class Alloc(Workload):
         return [Phase("a", ops=ops), Phase("hold", duration_us=self.hold_s * SEC)]
 
 
+def _coverage_both_ways(profile, kernel, vm) -> dict[int, int]:
+    """``region_coverage``, checked against ``coverage_array`` over every
+    guest RAM hvpn and hvpns just outside guest RAM (which read 0)."""
+    coverage = profile.region_coverage(kernel, vm.host_proc)
+    base = vm.ram_vma.start // PAGES_PER_HUGE
+    hvpns = np.arange(base - 1, base + vm.ram_pages // PAGES_PER_HUGE + 2)
+    got = profile.coverage_array(kernel, vm.host_proc, hvpns)
+    assert got.tolist() == [coverage.get(h, 0) for h in hvpns.tolist()]
+    return coverage
+
+
 class TestHostMirrorProfile:
     def test_coverage_tracks_guest_occupancy(self):
         hyp = make_hypervisor(32 * GB, "linux-4kb", SCALE)
         vm = make_vm(hyp, "v", 8 * GB, "linux-4kb", SCALE)
         profile = _HostMirrorProfile(vm)
         # only the guest kernel's own reserved zero frame is allocated
-        boot = profile.region_coverage(hyp.host, vm.host_proc)
+        boot = _coverage_both_ways(profile, hyp.host, vm)
         assert sum(boot.values()) == 1
         vm.spawn(Alloc(SCALE.bytes(2 * GB)))
         hyp.run_epoch()
-        coverage = profile.region_coverage(hyp.host, vm.host_proc)
+        coverage = _coverage_both_ways(profile, hyp.host, vm)
         populated = [c for c in coverage.values() if c == PAGES_PER_HUGE]
         # 2 GB scaled = 8 MB = 4 fully-occupied guest frame regions
         assert len(populated) == SCALE.bytes(2 * GB) // (2 * 1024 * 1024)

@@ -1,9 +1,9 @@
-"""Isolation of :mod:`repro.oracle`, the scalar reference bodies.
+"""Isolation of ``tests/oracle.py``, the scalar reference bodies.
 
 ``oracle.install`` must patch exactly one kernel instance (and that
 kernel's policy, NUMA state, fragmenter and zone compactors), never a
-class or a sibling kernel, and
-a plain simulation must never import the module at all.
+class or a sibling kernel, and a plain simulation or sweep cell must
+never import the module, nor the modules the source digest skips.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro import oracle
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import reset_sim_state
 from repro.kernel import procfs
 from repro.kernel.kernel import Kernel
 from repro.numa.topology import NumaTopology
+from tests import oracle
 from tests.conftest import small_config, spawn_simple
 
 #: instance attributes ``install`` binds, per object it patches.
@@ -88,18 +88,41 @@ def test_install_patches_only_its_own_kernel():
     assert b_vmstat == fresh_vmstat
 
 
+#: a ``repro run random-4g --scale 256 --nodes 2 --numa-balance``
+#: simulation, without the CLI, then a ``smoke`` and a ``fleet-smoke``
+#: cell through the sweep's capture path; prints what it imported of
+#: ``DIGEST_SKIP``'s modules and of ``tests``.
+CELLS_SCRIPT = """
+import json, sys
+from repro.experiments import Scale, make_kernel
+from repro.runner import cells_for
+from repro.runner.cache import DIGEST_SKIP
+from repro.runner.registry import execute_cell_with_telemetry
+from repro.units import GB
+from repro.workloads.catalog import WORKLOADS
+
+scale = Scale(1 / 256)
+kernel = make_kernel(48 * GB, "hawkeye-g", scale, numa_nodes=2, numa_balance=True)
+run = kernel.spawn(WORKLOADS["random-4g"][1](scale.factor))
+kernel.run(max_epochs=3000)
+cells = [cell for grid in ("smoke", "fleet-smoke")
+         for cell in cells_for(grid, 512, policies=("hawkeye-g",))]
+for cell in cells:
+    execute_cell_with_telemetry(cell)
+skipped = ["repro." + path.removesuffix("/").removesuffix(".py") for path in DIGEST_SKIP]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "tests"
+                or any(name == s or name.startswith(s + ".") for s in skipped))
+print(json.dumps({"finished": run.finished, "cells": len(cells), "loaded": loaded}))
+"""
+
+
 def test_plain_simulation_never_imports_oracle():
-    """A `repro run` cell leaves ``repro.oracle`` out of ``sys.modules``."""
-    code = (
-        "import json, sys\n"
-        "from repro.cli import main\n"
-        "rc = main(['run', 'random-4g', '--policy', 'hawkeye-g',"
-        " '--scale', '256', '--max-epochs', '3000',"
-        " '--nodes', '2', '--numa-balance'])\n"
-        "print(json.dumps({'rc': rc, 'oracle': 'repro.oracle' in sys.modules}))\n"
-    )
-    src = str(Path(oracle.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out.strip().splitlines()[-1]) == {"rc": 0, "oracle": False}
+    """A plain run and sweep cells import neither the oracle (nor anything
+    else of ``tests``) nor a module the source digest skips, with the repo
+    root importable so that an import would succeed and show."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", CELLS_SCRIPT], env=env, cwd=root,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == {
+        "finished": True, "cells": 2, "loaded": []}

@@ -3,13 +3,8 @@ bench regression gates."""
 
 import pytest
 
-from repro.perf import (
-    EPOCH_SPEEDUP_FLOOR,
-    GATES,
-    TOLERANCE,
-    TRACE_OVERHEAD_CEILING,
-    check,
-)
+from repro import perf
+from repro.perf import GATES, TOLERANCE, TRACE_OVERHEAD_CEILING, check
 from repro.tlb.perf import LOAD_FRACTION, PMUCounters
 
 
@@ -51,8 +46,8 @@ def test_sample_with_no_progress_is_zero():
 # microbenchmark gates (repro.perf.check)                                 #
 # ---------------------------------------------------------------------- #
 
-BASELINE = {"speedup": 4.0}
-EPOCH_BASELINE = {"speedup": 10.0, "scan_speedup": 20.0}
+BASELINE = {"target": "touch", "fast_per_calib": 0.1}
+EPOCH_BASELINE = {"target": "epoch", "fast_per_calib": 0.4, "scan_per_calib": 0.08}
 
 
 def touch(**result):
@@ -64,28 +59,38 @@ def epoch(**result):
 
 
 def test_gate_table_is_not_loosened():
-    assert (TRACE_OVERHEAD_CEILING, TOLERANCE, EPOCH_SPEEDUP_FLOOR) == (0.05, 0.25, 3.0)
+    assert TRACE_OVERHEAD_CEILING == 0.05 and 0 < TOLERANCE <= 0.25
     assert [(target, key, bound) for target, key, _, bound in GATES] == [
-        ("touch", "speedup", 0.0),
+        ("touch", "fast_per_calib", TOLERANCE),
         ("touch", "trace_overhead", TRACE_OVERHEAD_CEILING),
-        ("epoch", "speedup", EPOCH_SPEEDUP_FLOOR),
-        ("epoch", "scan_speedup", 0.0),
+        ("epoch", "fast_per_calib", TOLERANCE),
+        ("epoch", "scan_per_calib", TOLERANCE),
         ("epoch", "trace_overhead", TRACE_OVERHEAD_CEILING),
     ]
 
 
+def test_calibration_slice_is_the_benchs():
+    # one unit for both harnesses: the same loop, the same length
+    from bench import child
+
+    assert perf.CALIB_ITERS == child.CALIB_ITERS
+    assert perf.calibrate.__code__.co_code == child.calibrate.__code__.co_code
+    assert perf.calibrate.__code__.co_names == child.calibrate.__code__.co_names
+
+
 def test_check_regression_passes_within_tolerance():
-    assert check(touch(speedup=3.5, trace_overhead=0.01), BASELINE) == []
+    assert check(touch(fast_per_calib=0.125, trace_overhead=0.01), BASELINE) == []
 
 
-def test_check_regression_flags_speedup_collapse():
-    failures = check(touch(speedup=1.2, trace_overhead=0.0), BASELINE)
+def test_check_regression_flags_fast_path_slowdown():
+    failures = check(touch(fast_per_calib=0.2, trace_overhead=0.0), BASELINE)
     assert len(failures) == 1
-    assert failures[0].startswith("batched/scalar speedup 1.20x fell below 3.00x")
+    assert failures[0].startswith("calibrated fault-path time 0.20000 rose above 0.12500")
+    assert check(touch(fast_per_calib=0.1251), BASELINE) != []
 
 
 def test_check_regression_flags_trace_overhead():
-    result = touch(speedup=4.0, trace_overhead=TRACE_OVERHEAD_CEILING)
+    result = touch(fast_per_calib=0.1, trace_overhead=TRACE_OVERHEAD_CEILING)
     failures = check(result, BASELINE)
     assert len(failures) == 1
     assert failures[0].startswith("disabled-tracing overhead +5.0% reached the 5% ceiling")
@@ -96,27 +101,38 @@ def test_check_regression_flags_trace_overhead():
 
 def test_check_regression_tolerates_pre_trace_results():
     # a result without a trace_overhead entry skips that gate
-    assert check(touch(speedup=4.0), BASELINE) == []
-    assert check(epoch(speedup=10.0, scan_speedup=20.0), EPOCH_BASELINE) == []
+    assert check(touch(fast_per_calib=0.1), BASELINE) == []
+    assert check(epoch(fast_per_calib=0.4, scan_per_calib=0.08), EPOCH_BASELINE) == []
 
 
 def test_check_epoch_regression_passes_within_tolerance():
-    result = epoch(speedup=8.0, scan_speedup=16.0, trace_overhead=0.01)
+    result = epoch(fast_per_calib=0.45, scan_per_calib=0.09, trace_overhead=0.01)
     assert check(result, EPOCH_BASELINE) == []
 
 
 def test_check_epoch_regression_flags_each_gate():
-    failures = check(epoch(speedup=7.0, scan_speedup=14.0,
+    failures = check(epoch(fast_per_calib=0.6, scan_per_calib=0.11,
                            trace_overhead=TRACE_OVERHEAD_CEILING), EPOCH_BASELINE)
     assert len(failures) == 3
-    assert failures[0].startswith("vectorized/scalar epoch speedup 7.00x")
-    assert failures[1].startswith("access-scan speedup 14.00x")
+    assert failures[0].startswith("calibrated epoch-engine time 0.60000")
+    assert failures[1].startswith("calibrated access-scan time 0.11000")
     assert failures[2].startswith("disabled-tracing overhead")
 
 
-def test_check_epoch_regression_hard_floor_beats_a_low_baseline():
-    low = {"speedup": 3.2, "scan_speedup": 0.0}
-    failures = check(epoch(speedup=2.9), low)
-    assert len(failures) == 1
-    assert f"hard floor {EPOCH_SPEEDUP_FLOOR:.0f}x" in failures[0]
-    assert check(epoch(speedup=EPOCH_SPEEDUP_FLOOR), low) == []
+def test_check_fails_closed_on_a_baseline_without_a_gated_key():
+    # a missing key used to read as 0.0, which no ratio could fall below
+    assert check({"target": "touch", "speedup": 1.0}, {}) != []
+    failures = check(epoch(fast_per_calib=0.4, scan_per_calib=0.08),
+                     {"target": "epoch", "fast_per_calib": 0.4})
+    assert failures == ["calibrated access-scan time: the baseline has no scan_per_calib"]
+    # ... and a result without one fails too
+    assert check(touch(trace_overhead=0.0), BASELINE) == [
+        "calibrated fault-path time: the result has no fast_per_calib"]
+
+
+def test_check_fails_closed_on_another_targets_baseline():
+    both = {"fast_per_calib": 0.1, "scan_per_calib": 0.08}
+    assert check(touch(fast_per_calib=0.1), {"target": "epoch", **both}) == [
+        "baseline is for target 'epoch', not 'touch'"]
+    assert check(epoch(**both), {**both, "target": "touch"}) != []
+    assert check(epoch(**both), both) != []  # a baseline that names no target

@@ -28,7 +28,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import audit, oracle
+from repro import audit
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import reset_sim_state
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -36,6 +36,7 @@ from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests import oracle
 from tests.conftest import LEDGER_COLUMNS, mappings
 
 

@@ -36,13 +36,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import oracle, trace
+from repro import trace
 from repro.errors import OutOfMemoryError
 from repro.experiments import POLICIES, Scale
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.units import MB
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, Phase, Workload
+from tests import oracle
 from tests.conftest import mappings
 
 REGION_PAGES = 2048  # 8 MiB heap on a 16 MiB machine

@@ -30,7 +30,6 @@ import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import oracle
 from repro.core.hawkeye import HawkEyePolicy
 from repro.experiments import reset_sim_state
 from repro.kernel.kernel import Kernel, KernelConfig
@@ -41,6 +40,7 @@ from repro.units import MB, PAGES_PER_HUGE, SEC
 from repro.vm.page_table import SHARED
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests import oracle
 from tests.conftest import buddy_snapshot, mappings
 
 

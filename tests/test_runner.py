@@ -11,6 +11,7 @@ is built on.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -19,8 +20,10 @@ from repro.runner import (
     Manifest,
     ResultCache,
     UnknownCellError,
+    cache,
     cell_key,
     cells_for,
+    clear_digest_memo,
     execute_cell,
     experiment_names,
     parse_selectors,
@@ -125,6 +128,27 @@ def test_cell_key_sensitivity():
     # material keeps the historical key
     assert key == cell_key(a, digest, key_material="")
     assert key != cell_key(a, digest, key_material="scenario:abc123")
+
+
+def test_source_digest_skips_modules_outside_cells(tmp_path, monkeypatch):
+    # editing the CLI, a report renderer, the microbench harness or the
+    # -m entry keeps every cache key; editing the kernel re-keys them
+    tree = tmp_path / "repro"
+    shutil.copytree(cache.SOURCE_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cache, "SOURCE_ROOT", tree)
+
+    def digest_after(edit: str) -> str:
+        with open(tree / edit, "a") as fh:
+            fh.write("\n# edited\n")
+        clear_digest_memo()
+        return source_digest()
+
+    clear_digest_memo()
+    base = source_digest()
+    for edit in ("report/html.py", "cli/run.py", "perf.py", "__main__.py"):
+        assert digest_after(edit) == base, edit
+    assert digest_after("kernel/kernel.py") != base
+    clear_digest_memo()
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro import audit, heat, oracle, trace
+from repro import audit, heat, trace
 from repro.core.hawkeye import HawkEyePolicy
 from repro.errors import OutOfMemoryError
 from repro.kernel import procfs
@@ -12,6 +12,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.metrics import telemetry
 from repro.policies.linux import Linux4KPolicy
 from repro.units import MB, PAGES_PER_HUGE
+from tests import oracle
 from tests.conftest import small_config, spawn_simple
 from tests.test_fault import make_proc
 
